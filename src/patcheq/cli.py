@@ -135,6 +135,13 @@ def cmd_check(args, cfg) -> int:
     return EXIT_OK
 
 
+def _impact_text(report: ImpactReport, places: int = 2) -> str:
+    """Impact percentage with the diverging-input count, which rounding cannot hide."""
+    diverging = report.domain_size - report.eq_lower_bound
+    return (f"{'=' if report.exact else '<='} {fraction_decimal(report.impact_percent, places)}%"
+            f" ({diverging} of {report.domain_size} inputs)")
+
+
 def _render_text(report: ImpactReport, places: int = 2) -> str:
     lines = [
         f"pair:        {report.name}",
@@ -142,7 +149,7 @@ def _render_text(report: ImpactReport, places: int = 2) -> str:
         f"algorithm:   {report.method}",
         f"eq count:    {'=' if report.exact else '>='} {report.eq_lower_bound} of {report.domain_size}",
         f"eq percent:  {'=' if report.exact else '>='} {fraction_decimal(report.eq_percent, places)}",
-        f"impact:      {'=' if report.exact else '<='} {fraction_decimal(report.impact_percent, places)}%",
+        f"impact:      {_impact_text(report, places)}",
         f"condition:   {report.to_json()['condition']['pretty']}",
         f"impact cond: {report.to_json()['impact_condition']['pretty']}",
         f"solver calls: {report.solver_calls}",
@@ -234,12 +241,14 @@ def cmd_corpus(args, cfg) -> int:
         }, indent=2, sort_keys=True))
     else:
         name_w = max([len(c.name) for c, _, _ in rows] + [4])
-        print(f"{'case'.ljust(name_w)}  {'verdict'.ljust(24)}  {'impact%':>10}  status")
-        for case, report, failures in rows:
+        impacts_text = [_impact_text(report, args.percent_places) if report else "-"
+                        for _, report, _ in rows]
+        impact_w = max([len(text) for text in impacts_text] + [6])
+        print(f"{'case'.ljust(name_w)}  {'verdict'.ljust(24)}  {'impact'.ljust(impact_w)}  status")
+        for (case, report, failures), impact in zip(rows, impacts_text):
             verdict = report.verdict.value if report else "error"
-            impact = fraction_decimal(report.impact_percent, args.percent_places) if report else "-"
             status = "ok" if not failures else "; ".join(failures)
-            print(f"{case.name.ljust(name_w)}  {verdict.ljust(24)}  {impact:>10}  {status}")
+            print(f"{case.name.ljust(name_w)}  {verdict.ljust(24)}  {impact.ljust(impact_w)}  {status}")
         print(f"\n{len(rows)} case(s), {failed} failed; verdicts {verdict_counts}; "
               f"mean impact {fraction_decimal(mean_impact)}%")
     return EXIT_FAILED if failed else EXIT_OK

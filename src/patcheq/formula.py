@@ -190,6 +190,13 @@ class FImplies(Formula):
     rhs: Formula
 
 
+@dataclass(frozen=True)
+class FName(Formula):
+    """A Boolean name bound by ``SolverSession.define``; only a solver can read it."""
+
+    name: str
+
+
 TRUE = FTrue()
 FALSE = FFalse()
 
@@ -316,12 +323,17 @@ def mk_range_constraint(
     )
 
 
-def iff_under_range(s1: Formula, s2: Formula, rng: Formula) -> Formula:
-    """(S1 and range) iff (S2 and range); callers negate for the validity check."""
+def require_agreeing_vars(s1: Formula, s2: Formula):
+    """Raise unless every variable named in both formulas is the same variable."""
     vars1, vars2 = free_vars(s1), free_vars(s2)
     for name in set(vars1) & set(vars2):
         if vars1[name] != vars2[name]:
             raise VariableMismatch(f"summaries disagree on variable {name!r}")
+
+
+def iff_under_range(s1: Formula, s2: Formula, rng: Formula) -> Formula:
+    """(S1 and range) iff (S2 and range); callers negate for the validity check."""
+    require_agreeing_vars(s1, s2)
     return FIff(fand([s1, rng]), fand([s2, rng]))
 
 
@@ -356,6 +368,8 @@ def _smt_formula(f: Formula) -> str:
         return "true"
     if isinstance(f, FFalse):
         return "false"
+    if isinstance(f, FName):
+        return f.name
     if isinstance(f, FEq):
         return f"(= {_smt_term(f.lhs)} {_smt_term(f.rhs)})"
     if isinstance(f, FLt):

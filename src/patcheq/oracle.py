@@ -2,10 +2,11 @@
 
 The solver is an external executable configured by command line (default:
 ``z3 -in`` when present on PATH, otherwise the bundled ``patcheq.smtbv``
-interpreter).  Commands used: set-logic, set-option, declare-const, assert,
-check-sat, get-value, push, pop, exit.  A query that outlives its timeout
-gets the session killed and reports unknown; unknown is never conflated with
-sat or unsat.
+interpreter).  Commands used: set-logic, set-option, declare-const,
+define-fun, assert, check-sat, get-value, push, pop, exit.  An external solver
+must accept zero-arity Boolean define-fun, which is standard SMT-LIB 2.6 (z3
+does).  A query that outlives its timeout gets the session killed and reports
+unknown; unknown is never conflated with sat or unsat.
 """
 
 from __future__ import annotations
@@ -197,6 +198,10 @@ class SolverSession:
             return
         self.decls[var.name] = var
         self._send(f"(declare-const {var.name} (_ BitVec {var.sort.width}))")
+
+    def define(self, name: str, f: Formula):
+        """Bind ``name`` to a Boolean formula; ``FName(name)`` then refers to it."""
+        self._send(f"(define-fun {name} () Bool {serialize_formula(f)})")
 
     def assert_formula(self, f: Formula):
         self._send(f"(assert {serialize_formula(f)})")

@@ -25,13 +25,17 @@ from fractions import Fraction
 
 from .classifier import require_same_interface
 from .formula import (
-    BvVar, Formula, FNot, FALSE, RangePair, fand, for_, iff_under_range,
-    mk_range_constraint, var_range_constraint,
+    BvVar, Formula, FName, FNot, FALSE, RangePair, fand, for_, iff_under_range,
+    mk_range_constraint, require_agreeing_vars, var_range_constraint,
 )
 from .oracle import Budget, SolverConfig, SolverSession
 from .summarizer import Summary
 
 RangeVector = tuple[RangePair, ...]
+
+# Each session defines the two summaries once under these names; minilang
+# identifiers cannot contain "!", so they never collide with a variable.
+SUMMARIES = (FName("summary!1"), FName("summary!2"))
 
 DEFAULT_LIMIT_SINGLE = 8
 DEFAULT_LIMIT_MULTI = 4
@@ -241,6 +245,7 @@ class RangeSearch:
     def __init__(self, s1: Summary, s2: Summary, cfg: SolverConfig,
                  budget: Budget | None = None):
         require_same_interface(s1, s2)
+        require_agreeing_vars(s1.formula, s2.formula)
         self.s1 = s1
         self.s2 = s2
         self.cfg = cfg
@@ -255,6 +260,8 @@ class RangeSearch:
     def _session_ok(self) -> SolverSession:
         if self.session is None or self.session.dead:
             self.session = SolverSession(self.cfg, self.s1.decls)
+            for ref, summary in zip(SUMMARIES, (self.s1, self.s2)):
+                self.session.define(ref.name, summary.formula)
         return self.session
 
     def close(self):
@@ -291,7 +298,7 @@ class RangeSearch:
     def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is equivalent on this range."""
         rng = self._range_formula(var_subset, vec)
-        negated = FNot(iff_under_range(self.s1.formula, self.s2.formula, rng))
+        negated = FNot(iff_under_range(*SUMMARIES, rng))
         # The extra range conjunct is implied by the negated biconditional and
         # lets the solver fold interval facts without changing sat/unsat.
         return self._query([negated, rng])
@@ -299,7 +306,7 @@ class RangeSearch:
     def check_conjunction(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is totally non-equivalent on this range."""
         rng = self._range_formula(var_subset, vec)
-        return self._query([self.s1.formula, self.s2.formula, rng])
+        return self._query([*SUMMARIES, rng])
 
     def classify_range(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         verdict = self.check_equiv(var_subset, vec)

@@ -15,7 +15,7 @@ from itertools import product
 from .. import bvarith
 from .sat import Solver
 from .bitblast import Blaster
-from .terms import Intervals, Node, Simplifier, TermTable, const_values, eval_node, free_vars
+from .terms import Intervals, Node, Simplifier, TermTable, compile_node, eval_node, free_vars
 
 PROBE_COMBO_CAP = 1024
 PROBE_CANDIDATES_PER_VAR = 16
@@ -25,47 +25,105 @@ class SmtError(Exception):
     pass
 
 
+class _Level:
+    """One push/pop scope: declarations, definitions, assertions, probe facts."""
+
+    __slots__ = ("decls", "defs", "asserts", "facts")
+
+    def __init__(self):
+        self.decls: dict[str, int] = {}  # name -> width
+        self.defs: dict[str, Node] = {}  # zero-arity define-fun bodies
+        self.asserts: list[Node] = []
+        self.facts: dict[int, _Facts] = {}  # nid -> facts of a node asserted or defined here
+
+
+class _Partner:
+    """An equation ``name = term`` the probe can solve for ``name``."""
+
+    __slots__ = ("name", "term", "vars", "fn")
+
+    def __init__(self, name: str, term: Node):
+        self.name = name
+        self.term = term
+        self.vars = frozenset(free_vars(term))
+        self.fn = None
+
+    def evaluator(self):
+        if self.fn is None:
+            self.fn = compile_node(self.term)
+        return self.fn
+
+
+class _Facts:
+    """What the probe needs of one asserted or defined node, found once."""
+
+    __slots__ = ("node", "level", "vars", "partners", "consts", "fn")
+
+    def __init__(self, node: Node, level: int, variables, partners, consts):
+        self.node = node
+        self.level = level
+        self.vars: dict[str, Node] = variables
+        self.partners: dict[int, _Partner] = partners  # eq nid -> partner
+        self.consts: frozenset[Node] = consts
+        self.fn = None  # compiled on first use
+
+
 class SmtEngine:
     def __init__(self):
         self.table = TermTable()
         self.solver = Solver()
         self.blaster = Blaster(self.solver)
-        self.decl_levels: list[dict[str, int]] = [{}]  # name -> width
-        self.assert_levels: list[list[Node]] = [[]]
+        self.levels: list[_Level] = [_Level()]
         self.timeout_ms: int | None = None
         self.last_model: dict[str, int] | None = None
 
     # --- state management ---
 
-    def declare(self, name: str, width: int):
-        for lvl in self.decl_levels:
-            if name in lvl:
+    def _check_fresh(self, name: str):
+        for lvl in self.levels:
+            if name in lvl.decls or name in lvl.defs:
                 raise SmtError(f"{name} already declared")
-        self.decl_levels[-1][name] = width
+
+    def declare(self, name: str, width: int):
+        self._check_fresh(name)
+        self.levels[-1].decls[name] = width
+
+    def define(self, name: str, node: Node):
+        """Bind a zero-arity Boolean name, scoped like a declaration."""
+        if node.width != 0:
+            raise SmtError("define-fun requires a boolean term")
+        self._check_fresh(name)
+        self.levels[-1].defs[name] = node
+        self._learn(node)
 
     def lookup_width(self, name: str) -> int | None:
-        for lvl in reversed(self.decl_levels):
-            if name in lvl:
-                return lvl[name]
+        for lvl in reversed(self.levels):
+            if name in lvl.decls:
+                return lvl.decls[name]
+        return None
+
+    def lookup_definition(self, name: str) -> Node | None:
+        for lvl in reversed(self.levels):
+            if name in lvl.defs:
+                return lvl.defs[name]
         return None
 
     def assert_node(self, node: Node):
         if node.width != 0:
             raise SmtError("assert requires a boolean term")
-        self.assert_levels[-1].append(node)
+        self.levels[-1].asserts.append(node)
+        self._learn(node)
         self.last_model = None
 
     def push(self, n: int = 1):
         for _ in range(n):
-            self.assert_levels.append([])
-            self.decl_levels.append({})
+            self.levels.append(_Level())
 
     def pop(self, n: int = 1):
         for _ in range(n):
-            if len(self.assert_levels) == 1:
+            if len(self.levels) == 1:
                 raise SmtError("pop past the root level")
-            self.assert_levels.pop()
-            self.decl_levels.pop()
+            self.levels.pop()
         self.last_model = None
 
     def reset(self):
@@ -73,8 +131,8 @@ class SmtEngine:
 
     def declared(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for lvl in self.decl_levels:
-            out.update(lvl)
+        for lvl in self.levels:
+            out.update(lvl.decls)
         return out
 
     # --- bounds harvesting ---
@@ -151,19 +209,12 @@ class SmtEngine:
 
         iv = Intervals({})
         for name, b in bounds.items():
-            w = None
-            for lvl in self.decl_levels:
-                if name in lvl:
-                    w = lvl[name]
+            w = self.lookup_width(name)
             if w is None:
                 continue
-            normalized = iv._norm(w, tuple(b))
-            full = iv.full(w)
             if b[0] > b[1] or b[2] > b[3]:
                 return None  # contradictory range facts
-            if normalized == full and (b[0] > b[1] or b[2] > b[3]):
-                return None
-            bounds[name] = list(normalized)
+            bounds[name] = list(iv._norm(w, tuple(b)))
         return bounds
 
     def _bound_constraints(self, bounds: dict[str, list[int]]) -> list[Node]:
@@ -206,41 +257,88 @@ class SmtEngine:
             ordered = [v for v in ordered if ulo <= v <= uhi] or ordered
         return ordered[:PROBE_CANDIDATES_PER_VAR]
 
-    def _probe(self, actives: list[Node], bounds) -> dict[str, int] | None:
+    def _lookup(self, nid: int, upto: int | None = None) -> _Facts | None:
+        for lvl in self.levels[:upto]:
+            found = lvl.facts.get(nid)
+            if found is not None:
+                return found
+        return None
+
+    def _learn(self, node: Node):
+        """Record the probe facts of a node asserted or defined at the top level.
+
+        The walk stops at nodes that already have facts, so a query that only
+        refers to defined summaries costs its own new nodes.  Facts live in
+        the level of the first assertion or definition that needed them and
+        go with it on pop.
+        """
+        if self._lookup(node.nid) is not None:
+            return
         variables: dict[str, Node] = {}
-        for a in actives:
-            free_vars(a, variables)
-        if not variables or len(variables) > 4:
-            return None
-        # equation partners: eq(v, t) lets us derive candidate values for v
-        partners: dict[str, list[Node]] = {name: [] for name in variables}
+        partners: dict[int, _Partner] = {}
+        consts: set[Node] = set()
         seen: set[int] = set()
-        stack = list(actives)
+        stack = [node]
         while stack:
             n = stack.pop()
             if n.nid in seen:
                 continue
             seen.add(n.nid)
-            if n.kind == "eq":
+            known = self._lookup(n.nid)
+            if known is not None:
+                variables.update(known.vars)
+                partners.update(known.partners)
+                consts |= known.consts
+                continue
+            if n.kind == "var":
+                variables[n.args[0]] = n
+            elif n.kind == "const":
+                consts.add(n)
+            elif n.kind == "eq":
+                # equation partners: eq(v, t) lets us derive candidate values for v
                 a, b = n.args
                 if a.kind == "var" and b.kind != "var":
-                    partners[a.args[0]].append(b)
+                    partners[n.nid] = _Partner(a.args[0], b)
                 elif b.kind == "var" and a.kind != "var":
-                    partners[b.args[0]].append(a)
+                    partners[n.nid] = _Partner(b.args[0], a)
             stack.extend(x for x in n.args if isinstance(x, Node))
+        level = len(self.levels) - 1
+        self.levels[level].facts[node.nid] = _Facts(
+            node, level, variables, partners, frozenset(consts))
 
-        consts: set[int] = set()
-        for a in actives:
-            const_values(a, max(v.width for v in variables.values()), consts)
+    def _evaluator(self, facts: _Facts):
+        """Compiled evaluator of an asserted node, calling those of older ones."""
+        if facts.fn is None:
+            def known(nid):
+                inner = self._lookup(nid, facts.level + 1)
+                return None if inner is None else self._evaluator(inner)
+
+            facts.fn = compile_node(facts.node, known)
+        return facts.fn
+
+    def _probe(self, actives: list[Node], bounds) -> dict[str, int] | None:
+        facts = [self._lookup(a.nid) for a in actives]
+        variables: dict[str, Node] = {}
+        partner_of: dict[int, _Partner] = {}
+        for f in facts:
+            variables.update(f.vars)
+            partner_of.update(f.partners)
+        if not variables or len(variables) > 4:
+            return None
+        partners: dict[str, list[_Partner]] = {name: [] for name in variables}
+        for p in partner_of.values():
+            partners[p.name].append(p)
+
+        width = max(v.width for v in variables.values())
+        consts = {c.args[0] for f in facts for c in f.consts if c.width == width}
 
         derived = [n for n in sorted(variables) if partners[n]]
         base = [n for n in sorted(variables) if not partners[n]]
         if not base:
             base, derived = derived[:1], derived[1:]
         cand = {
-            name: self._candidates(name, variables[name].width, bounds, consts
-                                    if variables[name].width == max(v.width for v in variables.values())
-                                    else set())
+            name: self._candidates(name, variables[name].width, bounds,
+                                   consts if variables[name].width == width else set())
             for name in base
         }
         total = 1
@@ -249,21 +347,34 @@ class SmtEngine:
         if total > PROBE_COMBO_CAP:
             return None
 
+        # Derived variables are assigned in order.  Step i may use the
+        # partners closed before it, and must check the assertions it
+        # closes; the ones closed by the base are checked at the first step
+        # (or at the end, when nothing is derived).
+        step = {name: i for i, name in enumerate(derived)}
+
+        def closing_step(names) -> int:
+            return max((step.get(v, -1) for v in names), default=-1)
+
+        sources = [[p.evaluator() for p in partners[name] if closing_step(p.vars) < i]
+                   for i, name in enumerate(derived)]
+        checks: list[list] = [[] for _ in range(len(derived) + 1)]
+        for f in facts:
+            checks[max(closing_step(f.vars), 0 if derived else -1) + 1].append(
+                self._evaluator(f))
+        final = checks.pop(0)
+
         masks = {name: bvarith.mask(variables[name].width) for name in variables}
         for combo in product(*(cand[name] for name in base)):
             env = dict(zip(base, combo))
             ok = True
-            for name in derived:
-                options = set()
-                for term in partners[name]:
-                    fv = free_vars(term)
-                    if all(v in env for v in fv):
-                        options.add(eval_node(term, env) & masks[name])
+            for name, found, closed in zip(derived, sources, checks):
+                options = {fn(env) & masks[name] for fn in found}
                 options.add(0)
                 chosen = None
                 for opt in sorted(options):
                     env[name] = opt
-                    if all(self._try_eval(a, env) for a in actives if self._closed(a, env)):
+                    if all(fn(env) for fn in closed):
                         chosen = opt
                         break
                 if chosen is None:
@@ -272,23 +383,15 @@ class SmtEngine:
                 env[name] = chosen
             if not ok:
                 continue
-            if all(eval_node(a, env, {}) for a in actives):
+            if all(fn(env) for fn in final):
                 return env
         return None
-
-    @staticmethod
-    def _closed(node: Node, env: dict[str, int]) -> bool:
-        return all(name in env for name in free_vars(node))
-
-    @staticmethod
-    def _try_eval(node: Node, env: dict[str, int]) -> bool:
-        return bool(eval_node(node, env, {}))
 
     # --- the main decision procedure ---
 
     def check_sat(self) -> str:
         self.last_model = None
-        actives = [n for lvl in self.assert_levels for n in lvl]
+        actives = [n for lvl in self.levels for n in lvl.asserts]
         if any(n is self.table.FALSE for n in actives):
             return "unsat"
         actives = [n for n in actives if n is not self.table.TRUE]

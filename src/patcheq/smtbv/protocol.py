@@ -35,6 +35,9 @@ class SmtSession:
                 return t.const(int(e[2:], 16), 4 * (len(e) - 2))
             if e.startswith("#b"):
                 return t.const(int(e[2:], 2), len(e) - 2)
+            defined = self.engine.lookup_definition(e)
+            if defined is not None:
+                return defined
             width = self.engine.lookup_width(e)
             if width is None:
                 raise SmtError(f"unknown constant {e}")
@@ -160,6 +163,15 @@ class SmtSession:
             if head == "declare-fun" and cmd[2] != []:
                 raise SmtError("only zero-arity declare-fun is supported")
             self.engine.declare(name, int(sort[2]))
+            return None
+        if head == "define-fun":
+            if len(cmd) != 5 or not isinstance(cmd[1], str):
+                raise SmtError("define-fun expects a name, parameters, a sort and a body")
+            if cmd[2] != []:
+                raise SmtError("only zero-arity define-fun is supported")
+            if cmd[3] != "Bool":
+                raise SmtError("only Bool define-fun is supported")
+            self.engine.define(cmd[1], self.parse_term(cmd[4]))
             return None
         if head == "assert":
             self.engine.assert_node(self.parse_term(cmd[1]))

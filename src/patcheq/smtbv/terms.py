@@ -387,6 +387,94 @@ def eval_node(node: Node, env: dict[str, int], memo: dict[int, int] | None = Non
     return rec(node)
 
 
+def compile_node(node: Node, known=None):
+    """Compile a node into a straight-line Python evaluator ``f(env)``.
+
+    ``f(env) == eval_node(node, env, {})`` for every env: one statement per
+    DAG node, each computed once, and unassigned variables read as 0.
+    ``known(nid)`` may return an evaluator for a sub-DAG, which is then
+    called instead of inlined.
+    """
+    names: dict[int, str] = {}
+    calls: dict[str, object] = {}
+    lines = ["def _eval(env):"]
+    stack = [(node, False)]
+    while stack:
+        n, ready = stack.pop()
+        if n.nid in names:
+            continue
+        k = n.kind
+        if k in ("const", "bconst"):
+            names[n.nid] = repr(n.args[0])
+            continue
+        children = [a for a in n.args if isinstance(a, Node)]
+        if ready:
+            lines.append(f"    n{n.nid} = {_expr(n, [names[c.nid] for c in children])}")
+        else:
+            fn = known(n.nid) if known is not None and n is not node else None
+            if fn is None:
+                stack.append((n, True))
+                stack.extend((c, False) for c in reversed(children) if c.nid not in names)
+                continue
+            calls[f"k{len(calls)}"] = fn
+            lines.append(f"    n{n.nid} = k{len(calls) - 1}(env)")
+        names[n.nid] = f"n{n.nid}"
+    lines.append(f"    return {names[node.nid]}")
+    namespace = dict(calls)
+    exec(compile("\n".join(lines), "<compile_node>", "exec"), namespace)
+    return namespace["_eval"]
+
+
+def _expr(n: Node, a: list[str]) -> str:
+    """Python expression for one node over its operands' local names."""
+    k, w = n.kind, n.width
+    m = bvarith.mask(w)
+    if k == "var":
+        return f"env.get({n.args[0]!r}, 0)"
+    if k == "bnot":
+        return f"not {a[0]}"
+    if k == "band":
+        return " and ".join(a)
+    if k == "bor":
+        return " or ".join(a)
+    if k in ("beq", "eq"):
+        return f"{a[0]} == {a[1]}"
+    if k == "ult":
+        return f"{a[0]} < {a[1]}"
+    if k == "slt":
+        top = 1 << (n.args[0].width - 1)  # flipping the sign bit orders signed values
+        return f"({a[0]} ^ {top}) < ({a[1]} ^ {top})"
+    if k == "ite":
+        return f"{a[1]} if {a[0]} else {a[2]}"
+    if k == "extract":
+        hi, lo, _ = n.args
+        return f"({a[0]} >> {lo}) & {bvarith.mask(hi - lo + 1)}"
+    if k == "zext":
+        return a[0]
+    if k == "sext":
+        inner = n.args[1].width
+        return f"{a[0]} | {m ^ bvarith.mask(inner)} if {a[0]} >> {inner - 1} else {a[0]}"
+    if k == "concat":
+        return f"({a[0]} << {n.args[1].width}) | {a[1]}"
+    x, y = a
+    if k in ("add", "sub", "mul"):
+        return f"({x} {_ARITH[k]} {y}) & {m}"
+    if k in ("and", "or", "xor"):
+        return f"{x} {_ARITH[k]} {y}"
+    if k == "udiv":
+        return f"{x} // {y} if {y} else {m}"
+    if k == "urem":
+        return f"{x} % {y} if {y} else {x}"
+    if k == "shl":
+        return f"({x} << {y}) & {m} if {y} < {w} else 0"
+    if k == "lshr":
+        return f"{x} >> {y} if {y} < {w} else 0"
+    raise ValueError(f"cannot compile node kind {k!r}")
+
+
+_ARITH = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
+
+
 def free_vars(node: Node, acc: dict[str, Node] | None = None, seen: set | None = None):
     if acc is None:
         acc = {}
@@ -400,25 +488,6 @@ def free_vars(node: Node, acc: dict[str, Node] | None = None, seen: set | None =
         seen.add(n.nid)
         if n.kind == "var":
             acc[n.args[0]] = n
-        else:
-            stack.extend(a for a in n.args if isinstance(a, Node))
-    return acc
-
-
-def const_values(node: Node, width: int, acc: set | None = None, seen: set | None = None):
-    """All constant values of a given width appearing in the DAG."""
-    if acc is None:
-        acc = set()
-    if seen is None:
-        seen = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.nid in seen:
-            continue
-        seen.add(n.nid)
-        if n.kind == "const" and n.width == width:
-            acc.add(n.args[0])
         else:
             stack.extend(a for a in n.args if isinstance(a, Node))
     return acc

@@ -161,3 +161,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "summarize" in proc.stdout and "corpus" in proc.stdout
+
+
+def test_text_impact_shows_diverging_count(capsys, corpus_dir):
+    case = corpus_dir / "cve_2010_4165_tcp_window"
+    code, out, _ = run_cli(
+        ["impact", str(case / "original.fn"), str(case / "patched.fn"),
+         "--algorithm", "enumerate"],
+        capsys,
+    )
+    assert code == 0
+    # 56 of 2^32 rounds to 0.00%; the count says the patch does change something
+    assert "impact:      = 0.00% (56 of 4294967296 inputs)" in out.splitlines()

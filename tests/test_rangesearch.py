@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from patcheq import bvarith
 from patcheq.enumcount import brute_force_eq_count
-from patcheq.formula import FIff, FNot, RangePair, eval_formula, mk_range_constraint
+from patcheq.formula import (
+    FIff, FNot, RangePair, eval_formula, mk_range_constraint, serialize_formula,
+)
 from patcheq.oracle import Budget, SolverSession
 from patcheq.randgen import random_pair
 from patcheq.rangesearch import (
@@ -434,3 +436,25 @@ def test_query_count_ceiling_iterative(cfg):
         rs.iterative(limit=limit)
         calls = rs.query_count
     assert calls <= 2 * (2 ** (limit + 1))  # pairs ceiling, two queries per pair
+
+
+def test_range_search_sends_each_summary_once_per_session(cfg, monkeypatch):
+    s1, s2 = (
+        summarize(corpus_fn("cve_2010_4165_tcp_window", which))
+        for which in ("original.fn", "patched.fn")
+    )
+    sent: dict[int, list[str]] = {}
+    original_send = SolverSession._send
+
+    def recording_send(session, text):
+        sent.setdefault(id(session), []).append(text)
+        return original_send(session, text)
+
+    monkeypatch.setattr(SolverSession, "_send", recording_send)
+    with RangeSearch(s1, s2, cfg) as rs:
+        result = rs.run("combined")
+    assert result.solver_calls > 10
+    assert len(sent) == 1
+    (texts,) = sent.values()
+    for summary in (s1, s2):
+        assert sum(text.count(serialize_formula(summary.formula)) for text in texts) == 1

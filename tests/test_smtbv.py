@@ -1,15 +1,20 @@
 """Differential and protocol tests for the bundled QF_BV solver."""
 
+import io
 import itertools
 import random
 import subprocess
 import sys
 from pathlib import Path
 
-from patcheq.smtbv.engine import SmtEngine
-from patcheq.smtbv.protocol import SmtSession
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from patcheq.smtbv.engine import SmtEngine, SmtError
+from patcheq.smtbv.protocol import SmtSession, run_stdio
 from patcheq.smtbv.sat import Solver
-from patcheq.smtbv.terms import eval_node
+from patcheq.smtbv.sexpr import parse_all
+from patcheq.smtbv.terms import TermTable, compile_node, eval_node, free_vars
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -206,3 +211,228 @@ def test_protocol_reports_errors_and_continues():
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     assert lines[0].startswith("(error")  # unknown operator reported
     assert lines[1] == "unsat"  # the session keeps going; nothing is below 0
+
+
+# --- compiled evaluator ---
+
+WIDTHS = (1, 8, 33, 64)
+_BV_OPS = ("add", "sub", "mul", "udiv", "urem", "shl", "lshr", "and", "or", "xor")
+TERM_KINDS = _BV_OPS + ("sdiv", "srem", "ashr", "neg", "bvnot", "ite",
+                        "extract", "zext", "sext", "concat")
+FORMULA_KINDS = ("eq", "ult", "slt", "ule", "sle", "bnot", "band", "bor", "beq", "bite")
+
+
+def _draw_term(data, t, width, depth, kind=None):
+    """A bit-vector term of the given width, built through the TermTable."""
+    if kind is None:
+        if depth == 0 or data.draw(st.integers(0, 3)) == 0:
+            if data.draw(st.booleans()):
+                return t.var(f"v{width}_{data.draw(st.integers(0, 1))}", width)
+            return t.const(data.draw(st.integers(0, (1 << width) - 1)), width)
+        kind = data.draw(st.sampled_from(TERM_KINDS))
+    sub = max(depth - 1, 0)
+    if kind in _BV_OPS:
+        return t.bv2(kind, _draw_term(data, t, width, sub), _draw_term(data, t, width, sub))
+    if kind in ("sdiv", "srem", "ashr"):
+        return getattr(t, kind)(_draw_term(data, t, width, sub), _draw_term(data, t, width, sub))
+    if kind == "neg":
+        return t.neg(_draw_term(data, t, width, sub))
+    if kind == "bvnot":
+        return t.bvnot(_draw_term(data, t, width, sub))
+    if kind == "ite":
+        return t.ite(_draw_formula(data, t, sub),
+                     _draw_term(data, t, width, sub), _draw_term(data, t, width, sub))
+    if kind == "extract":
+        source = data.draw(st.sampled_from([w for w in WIDTHS if w >= width]))
+        lo = data.draw(st.integers(0, source - width))
+        return t.extract(lo + width - 1, lo, _draw_term(data, t, source, sub))
+    if width == 1:  # no narrower operand for the rest
+        return _draw_term(data, t, width, 0)
+    if kind in ("zext", "sext"):
+        inner = data.draw(st.sampled_from([w for w in WIDTHS if w < width]))
+        return getattr(t, kind)(width - inner, _draw_term(data, t, inner, sub))
+    high = data.draw(st.integers(1, width - 1))  # concat
+    return t.concat(_draw_term(data, t, high, sub), _draw_term(data, t, width - high, sub))
+
+
+def _draw_formula(data, t, depth, kind=None):
+    if kind is None:
+        kind = data.draw(st.sampled_from(FORMULA_KINDS))
+    sub = max(depth - 1, 0)
+    if kind in ("eq", "ult", "slt", "ule", "sle") or depth == 0:
+        width = data.draw(st.sampled_from(WIDTHS))
+        op = kind if kind in ("eq", "ult", "slt", "ule", "sle") else "eq"
+        return getattr(t, op)(_draw_term(data, t, width, sub), _draw_term(data, t, width, sub))
+    if kind == "bnot":
+        return t.bnot(_draw_formula(data, t, sub))
+    if kind in ("band", "bor"):
+        return getattr(t, kind)([_draw_formula(data, t, sub) for _ in range(3)])
+    if kind == "beq":
+        return t.beq(_draw_formula(data, t, sub), _draw_formula(data, t, sub))
+    return t.bite(_draw_formula(data, t, sub), _draw_formula(data, t, sub),
+                  _draw_formula(data, t, sub))
+
+
+@pytest.mark.parametrize("kind", TERM_KINDS + FORMULA_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compiled_evaluator_matches_eval_node(kind, data):
+    t = TermTable()
+    if kind in FORMULA_KINDS:
+        node = _draw_formula(data, t, 3, kind)
+    else:
+        widths = WIDTHS[1:] if kind in ("zext", "sext", "concat") else WIDTHS
+        node = _draw_term(data, t, data.draw(st.sampled_from(widths)), 3, kind)
+    env = {}
+    for name, var in sorted(free_vars(node).items()):
+        if data.draw(st.booleans()):  # the rest stay unassigned and read as 0
+            env[name] = data.draw(st.integers(0, (1 << var.width) - 1))
+    assert compile_node(node)(env) == eval_node(node, env, {})
+
+
+def test_compiled_evaluator_calls_known_subterms():
+    t = TermTable()
+    x = t.var("x", 8)
+    inner = t.bv2("add", x, t.const(3, 8))
+    outer = t.ult(inner, t.bv2("mul", inner, x))
+    calls = []
+
+    def inner_fn(env):
+        calls.append(env)
+        return eval_node(inner, env, {})
+
+    fn = compile_node(outer, lambda nid: inner_fn if nid == inner.nid else None)
+    for value in (0, 5, 200, 255):
+        assert fn({"x": value}) == eval_node(outer, {"x": value}, {})
+    assert len(calls) == 4  # once per evaluation, shared by both uses
+
+
+# --- define-fun ---
+
+
+def _handle_all(session, text):
+    return [session.handle(cmd) for cmd in parse_all(text)]
+
+
+def test_defined_name_is_the_inline_node():
+    s = SmtSession()
+    _handle_all(s, "(declare-const x (_ BitVec 8))"
+                   "(define-fun summary!1 () Bool (or (bvult x (_ bv5 8)) (= x (_ bv9 8))))")
+    inline = s.parse_term(parse_all("(or (bvult x (_ bv5 8)) (= x (_ bv9 8)))")[0])
+    assert s.parse_term("summary!1") is inline
+    query = "(and summary!1 (bvult (_ bv3 8) x))"
+    expanded = "(and (or (bvult x (_ bv5 8)) (= x (_ bv9 8))) (bvult (_ bv3 8) x))"
+    assert s.parse_term(parse_all(query)[0]) is s.parse_term(parse_all(expanded)[0])
+    _handle_all(s, f"(assert {query})")
+    assert s.handle(["check-sat"]) == "sat"
+    assert s.handle(["get-value", ["x"]]) == "((x (_ bv4 8)))"
+
+
+def test_definition_inside_push_is_gone_after_pop():
+    s = SmtSession()
+    _handle_all(s, "(declare-const x (_ BitVec 8)) (push 1)"
+                   "(define-fun small () Bool (bvult x (_ bv5 8))) (assert small)")
+    assert s.handle(["check-sat"]) == "sat"
+    s.handle(["pop", "1"])
+    with pytest.raises(SmtError):
+        s.parse_term("small")
+    _handle_all(s, "(define-fun small () Bool (bvult (_ bv5 8) x)) (assert small)"
+                   "(assert (bvult x (_ bv5 8)))")
+    assert s.handle(["check-sat"]) == "unsat"  # the new body, not the popped one
+
+
+def test_bad_definitions_are_errors_and_the_session_continues():
+    script = """
+(declare-const x (_ BitVec 8))
+(define-fun d () Bool (bvult x (_ bv5 8)))
+(define-fun d () Bool (bvult x (_ bv6 8)))
+(define-fun x () Bool true)
+(define-fun f ((y (_ BitVec 8))) Bool (bvult y x))
+(define-fun g () (_ BitVec 8) x)
+(define-fun h () Bool x)
+(assert d)
+(assert (bvult (_ bv5 8) x))
+(check-sat)
+(exit)
+"""
+    out = io.StringIO()
+    assert run_stdio(io.StringIO(script), out) == 0
+    lines = [line for line in out.getvalue().splitlines() if line.strip()]
+    assert len(lines) == 6
+    assert all(line.startswith("(error") for line in lines[:5])
+    assert lines[5] == "unsat"  # d kept its first body
+
+
+# --- probe caches ---
+
+
+def _probe_cache_size(eng: SmtEngine) -> int:
+    return sum(len(lvl.facts) for lvl in eng.levels)
+
+
+def test_probe_caches_stay_flat_over_many_range_queries():
+    eng = SmtEngine()
+    t = eng.table
+    width = 16
+    eng.declare("x", width)
+    eng.declare("out", width)
+    x, out = t.var("x", width), t.var("out", width)
+
+    def summary(cut, a, b):
+        guard = t.slt(x, t.const(cut, width))
+        return t.bor([t.band([guard, t.eq(out, t.bv2("add", x, t.const(a, width)))]),
+                      t.band([t.bnot(guard), t.eq(out, t.bv2("mul", x, t.const(b, width)))])])
+
+    s1, s2 = summary(100, 1, 3), summary(200, 1, 3)
+    eng.define("summary!1", s1)
+    eng.define("summary!2", s2)
+    rng = random.Random(5)
+    sizes = []
+    for query in range(2000):
+        lo = rng.randrange(1 << width)
+        hi = rng.randrange(lo, 1 << width)
+        r = t.band([t.ule(t.const(lo, width), x), t.ule(x, t.const(hi, width))])
+        eng.push()
+        if query % 2:
+            eng.assert_node(t.bnot(t.beq(t.band([s1, r]), t.band([s2, r]))))
+        else:
+            eng.assert_node(s1)
+            eng.assert_node(s2)
+        eng.assert_node(r)
+        assert eng.check_sat() in ("sat", "unsat")
+        assert _probe_cache_size(eng) > 2  # the query's own facts, until pop
+        eng.pop()
+        sizes.append(_probe_cache_size(eng))
+    assert max(sizes) <= sizes[9] == 2  # only the two definitions remain
+
+
+# --- package imports ---
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+
+
+def test_solver_child_does_not_import_the_analysis_stack():
+    proc = _fresh_python(
+        "import sys\n"
+        "import patcheq.smtbv.protocol\n"
+        "print(sorted(m for m in sys.modules if m.startswith('patcheq')))\n"
+        "assert 'patcheq.minilang' not in sys.modules\n"
+        "assert 'patcheq.report' not in sys.modules\n"
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_package_exports_still_resolve():
+    proc = _fresh_python(
+        "import patcheq\n"
+        "from patcheq import analyze_pair\n"
+        "from patcheq.report import analyze_pair as direct\n"
+        "assert analyze_pair is direct\n"
+        "assert all(getattr(patcheq, name) is not None for name in patcheq.__all__)\n"
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
