@@ -16,8 +16,7 @@ _EXPORTS = {
     "minilang": ("IntSort", "TypedFunction", "parse", "parse_unit", "typecheck"),
     "formula": ("BvVar", "RangePair", "mk_range_constraint", "iff_under_range", "serialize"),
     "summarizer": ("Summary", "summarize", "eval_concrete"),
-    "oracle": ("Budget", "SolverConfig", "SatResult", "SolverSession", "is_sat",
-               "get_model_projected"),
+    "oracle": ("Budget", "SolverConfig", "SolverSession"),
     "classifier": ("Verdict", "VerdictResult", "eq_check"),
     "rangesearch": ("RangeSearch", "QuantResult", "divide_range", "prioritized_divide_range",
                     "eq_lower_bound_relational", "eq_lower_bound_iterative",

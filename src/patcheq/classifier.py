@@ -3,7 +3,8 @@
 Two solver queries decide the trichotomy: the pair is equivalent when the
 negated biconditional of the summaries is unsat, totally non-equivalent when
 their conjunction is unsat, and partially equivalent otherwise.  An unknown
-on a deciding query yields Unknown rather than a guess.
+on a deciding query, or a budget that runs out first, yields Unknown rather
+than a guess.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ import enum
 from dataclasses import dataclass
 
 from .formula import FIff, FNot
-from .oracle import SolverConfig, SolverSession
-from .summarizer import Summary
-
-
-class SignatureMismatch(Exception):
-    """The two summaries do not range over the same input/output variables."""
+from .oracle import Budget, SolverConfig
+from .rangesearch import SUMMARIES, BudgetExhausted, RangeSearch
+from .summarizer import SignatureMismatch, Summary  # noqa: F401  (re-exported)
 
 
 class Verdict(enum.Enum):
@@ -34,35 +32,20 @@ class VerdictResult:
     solver_calls: int = 0
 
 
-def require_same_interface(s1: Summary, s2: Summary):
-    if s1.inputs != s2.inputs:
-        raise SignatureMismatch(
-            f"input variables differ: {[v.name for v in s1.inputs]} vs {[v.name for v in s2.inputs]}"
-        )
-    if s1.output != s2.output:
-        raise SignatureMismatch("output variables differ")
-
-
-def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig) -> VerdictResult:
+def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
+             budget: Budget | None = None) -> VerdictResult:
     """Decide the equivalence trichotomy for two summaries."""
-    require_same_interface(s1, s2)
-    with SolverSession(cfg, s1.decls) as session:
-        session.push()
-        session.assert_formula(FNot(FIff(s1.formula, s2.formula)))
-        neq = session.check_sat()
-        witness = None
-        if neq == "sat":
-            witness = session.get_values(list(s1.inputs))
-        if neq == "unsat":
-            return VerdictResult(Verdict.T_EQ, solver_calls=session.query_count)
-        if neq == "unknown" or session.dead:
-            return VerdictResult(Verdict.UNKNOWN, solver_calls=session.query_count)
-        session.pop()
-        session.push()
-        session.assert_formula(s1.formula)
-        session.assert_formula(s2.formula)
-        both = session.check_sat()
-        calls = session.query_count
+    with RangeSearch(s1, s2, cfg, budget) as search:
+        try:
+            neq, witness = search.query([FNot(FIff(*SUMMARIES))], s1.inputs)
+            if neq == "unsat":
+                return VerdictResult(Verdict.T_EQ, solver_calls=search.query_count)
+            if neq == "unknown" or witness is None:
+                return VerdictResult(Verdict.UNKNOWN, solver_calls=search.query_count)
+            both, _ = search.query([*SUMMARIES])
+        except BudgetExhausted:
+            return VerdictResult(Verdict.UNKNOWN, solver_calls=search.query_count)
+    calls = search.query_count
     if both == "unsat":
         return VerdictResult(Verdict.T_NEQ, witness=witness, solver_calls=calls)
     if both == "unknown":

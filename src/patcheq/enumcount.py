@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 from .formula import FIff, FNot
 from .oracle import Budget, SolverConfig, SolverSession
-from .classifier import require_same_interface
 from .minilang import TypedFunction
-from .summarizer import Summary, eval_concrete
+from .summarizer import Summary, eval_concrete, require_same_interface
 
 BRUTE_FORCE_DOMAIN_CAP = 1 << 20
 

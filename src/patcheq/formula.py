@@ -185,12 +185,6 @@ class FIff(Formula):
 
 
 @dataclass(frozen=True)
-class FImplies(Formula):
-    lhs: Formula
-    rhs: Formula
-
-
-@dataclass(frozen=True)
 class FName(Formula):
     """A Boolean name bound by ``SolverSession.define``; only a solver can read it."""
 
@@ -262,7 +256,7 @@ def free_vars(f: Formula) -> dict[str, BvVar]:
         elif isinstance(f, (FAnd, FOr)):
             for item in f.items:
                 walk_f(item)
-        elif isinstance(f, (FIff, FImplies)):
+        elif isinstance(f, FIff):
             walk_f(f.lhs)
             walk_f(f.rhs)
 
@@ -384,8 +378,6 @@ def _smt_formula(f: Formula) -> str:
         return "(or " + " ".join(_smt_formula(x) for x in f.items) + ")"
     if isinstance(f, FIff):
         return f"(= {_smt_formula(f.lhs)} {_smt_formula(f.rhs)})"
-    if isinstance(f, FImplies):
-        return f"(=> {_smt_formula(f.lhs)} {_smt_formula(f.rhs)})"
     raise FormulaError(f"cannot serialize {type(f).__name__}")
 
 
@@ -450,8 +442,6 @@ def pretty(f: Formula) -> str:
         return "(" + " || ".join(pretty(x) for x in f.items) + ")"
     if isinstance(f, FIff):
         return f"({pretty(f.lhs)} <=> {pretty(f.rhs)})"
-    if isinstance(f, FImplies):
-        return f"({pretty(f.lhs)} => {pretty(f.rhs)})"
     return "?"
 
 
@@ -507,6 +497,4 @@ def eval_formula(f: Formula, env: dict[str, int]) -> bool:
         return any(eval_formula(x, env) for x in f.items)
     if isinstance(f, FIff):
         return eval_formula(f.lhs, env) == eval_formula(f.rhs, env)
-    if isinstance(f, FImplies):
-        return (not eval_formula(f.lhs, env)) or eval_formula(f.rhs, env)
     raise FormulaError(f"cannot evaluate {type(f).__name__}")

@@ -672,7 +672,7 @@ def parse(source: str) -> TypedFunction:
 # Type checking
 
 
-def typecheck(fn: TypedFunction, reject_division: bool = False) -> TypedFunction:
+def typecheck(fn: TypedFunction) -> TypedFunction:
     """Annotate every expression with its sort and verify totality.
 
     Mixed-sort arithmetic without an explicit cast is rejected, conditions
@@ -725,8 +725,6 @@ def typecheck(fn: TypedFunction, reject_division: bool = False) -> TypedFunction
                 raise TypeError_("boolean expression used as a value")
             if e.op not in ARITH_OPS:
                 raise TypeError_(f"unknown operator {e.op!r}")
-            if reject_division and e.op in ("/", "%"):
-                raise TypeError_("division is disabled by configuration")
             lhs, rhs = _infer_same_sort(e.lhs, e.rhs, env, expected, infer)
             return replace(e, lhs=lhs, rhs=rhs, sort=lhs.sort)
         if isinstance(e, Cond):

@@ -27,8 +27,6 @@ from .smtbv.sexpr import SexprError, parse_all
 GRACE_MS = 2000
 
 ENV_SOLVER_CMD = "PATCHEQ_SOLVER_CMD"
-ENV_QUERY_TIMEOUT = "PATCHEQ_QUERY_TIMEOUT_MS"
-ENV_BUDGET = "PATCHEQ_BUDGET_MS"
 
 
 class SolverConfigError(Exception):
@@ -59,23 +57,6 @@ class SolverConfig:
             raise SolverConfigError("query timeout must be positive")
         if self.budget_ms < self.query_timeout_ms:
             raise SolverConfigError("budget must be at least one query timeout")
-
-
-def config_from_env(base: SolverConfig | None = None) -> SolverConfig:
-    base = base or SolverConfig()
-    timeout = int(os.environ.get(ENV_QUERY_TIMEOUT, base.query_timeout_ms))
-    budget = int(os.environ.get(ENV_BUDGET, base.budget_ms))
-    return SolverConfig(base.solver_cmd, timeout, budget)
-
-
-@dataclass(frozen=True)
-class SatResult:
-    verdict: str  # 'sat' | 'unsat' | 'unknown'
-    model: dict[str, int] | None = None  # sort-interpreted values
-
-    def __post_init__(self):
-        if self.verdict not in ("sat", "unsat", "unknown"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
 
 
 class Budget:
@@ -206,9 +187,6 @@ class SolverSession:
     def assert_formula(self, f: Formula):
         self._send(f"(assert {serialize_formula(f)})")
 
-    def assert_text(self, text: str):
-        self._send(f"(assert {text})")
-
     def push(self):
         self._send("(push 1)")
 
@@ -293,32 +271,3 @@ def _parse_bv_value(value) -> int:
         return int(value[1][2:])
     raise ValueError(f"unparsable bit-vector value {value!r}")
 
-
-# --- one-shot convenience operations ---
-
-
-def is_sat(decls, f: Formula, cfg: SolverConfig, model_vars=None) -> SatResult:
-    """Single satisfiability query in a fresh session."""
-    with SolverSession(cfg, tuple(decls)) as session:
-        session.assert_formula(f)
-        verdict = session.check_sat()
-        if verdict == "sat" and model_vars:
-            model = session.get_values(list(model_vars))
-            if model is None:
-                return SatResult("unknown")
-            return SatResult("sat", model)
-        return SatResult(verdict)
-
-
-def get_model_projected(decls, f: Formula, project_vars, cfg: SolverConfig) -> SatResult:
-    """Satisfiability plus a model restricted to the projection variables."""
-    declared = {v.name for v in decls}
-    for v in project_vars:
-        if v.name not in declared:
-            raise SolverConfigError(f"projection variable {v.name} is not declared")
-    return is_sat(decls, f, cfg, model_vars=list(project_vars))
-
-
-def block_model(session: SolverSession, project_vars, model: dict[str, int]):
-    """Assert the negated equality conjunction for one input assignment."""
-    session.block_model(list(project_vars), model)

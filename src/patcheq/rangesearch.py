@@ -23,13 +23,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classifier import require_same_interface
 from .formula import (
     BvVar, Formula, FName, FNot, FALSE, RangePair, fand, for_, iff_under_range,
     mk_range_constraint, require_agreeing_vars, var_range_constraint,
 )
 from .oracle import Budget, SolverConfig, SolverSession
-from .summarizer import Summary
+from .summarizer import Summary, require_same_interface
 
 RangeVector = tuple[RangePair, ...]
 
@@ -58,6 +57,11 @@ class CertifiedRegion:
     vector: RangeVector
     cert_query: int  # index of the unsat query that certified this region
 
+    @property
+    def interval(self) -> RangePair:
+        """The range of a one-variable region."""
+        return self.vector[0]
+
 
 @dataclass
 class RegionSet:
@@ -68,15 +72,9 @@ class RegionSet:
         return [r.vector for r in self.regions]
 
 
-@dataclass(frozen=True)
-class CertifiedInterval:
-    interval: RangePair
-    cert_query: int
-
-
 @dataclass
 class RegionList:
-    per_var: list[list[CertifiedInterval]]
+    per_var: list[list[CertifiedRegion]]  # one-variable regions of each variable
     incomplete: bool = False
 
     def intervals(self, n: int) -> list[RangePair]:
@@ -201,7 +199,7 @@ def render_condition_iterative(variables: tuple[BvVar, ...],
 
 def merge_combined(list_iter: RegionList, list_prio: RegionList) -> tuple[RegionList, list[str]]:
     """Per-variable best of the two iterative strategies; ties keep iterative."""
-    merged: list[list[CertifiedInterval]] = []
+    merged: list[list[CertifiedRegion]] = []
     sources: list[str] = []
     for n in range(len(list_iter.per_var)):
         if list_iter.eq_bound(n) >= list_prio.eq_bound(n):
@@ -220,8 +218,8 @@ def merge_combined(list_iter: RegionList, list_prio: RegionList) -> tuple[Region
 # The solver-backed search
 
 
-class _BudgetExhausted(Exception):
-    pass
+class BudgetExhausted(Exception):
+    """The analysis budget ran out before a query could be sent."""
 
 
 @dataclass
@@ -280,20 +278,30 @@ class RangeSearch:
             var_subset, [p.lo for p in vec], [p.hi for p in vec]
         )
 
-    def _query(self, formulas: list[Formula]) -> str:
+    def query(self, formulas: list[Formula],
+              model_vars: tuple[BvVar, ...] = ()) -> tuple[str, dict[str, int] | None]:
+        """Check ``formulas`` in a push/pop scope over the defined summaries.
+
+        On sat the values of ``model_vars`` are read before the pop; the model
+        is None when none were asked for or the solver failed to give them.
+        Raises BudgetExhausted, sending nothing, once the budget has run out.
+        """
         if self.budget.expired:
-            raise _BudgetExhausted
+            raise BudgetExhausted
         session = self._session_ok()
         session.push()
+        model = None
         try:
             for f in formulas:
                 session.assert_formula(f)
             verdict = session.check_sat()
+            if verdict == "sat" and model_vars:
+                model = session.get_values(list(model_vars))
         finally:
             if not session.dead:
                 session.pop()
         self.query_count += 1
-        return verdict
+        return verdict, model
 
     def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is equivalent on this range."""
@@ -301,12 +309,12 @@ class RangeSearch:
         negated = FNot(iff_under_range(*SUMMARIES, rng))
         # The extra range conjunct is implied by the negated biconditional and
         # lets the solver fold interval facts without changing sat/unsat.
-        return self._query([negated, rng])
+        return self.query([negated, rng])[0]
 
     def check_conjunction(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is totally non-equivalent on this range."""
         rng = self._range_formula(var_subset, vec)
-        return self._query([*SUMMARIES, rng])
+        return self.query([*SUMMARIES, rng])[0]
 
     def classify_range(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         verdict = self.check_equiv(var_subset, vec)
@@ -321,85 +329,57 @@ class RangeSearch:
             return "neq"
         return "unknown"
 
-    # --- relational search (recursive bisection of the full vector) ---
+    def _bisect(self, var_subset: tuple[BvVar, ...], vec: RangeVector, depth: int,
+                limit: int, found: list[CertifiedRegion]):
+        """Certify ``vec`` as equivalent, or split it and recurse while partial."""
+        status = self.classify_range(var_subset, vec)
+        if status == "eq":
+            found.append(CertifiedRegion(vec, self.query_count))
+        elif status == "partial" and depth != limit:
+            subs = divide_range(vec)
+            if subs != [vec]:  # a vector of singletons cannot be split
+                for sub in subs:
+                    self._bisect(var_subset, sub, depth + 1, limit, found)
+
+    # --- relational search (bisection of all variables at once) ---
 
     def relational(self, r: RangeVector | None = None, limit: int | None = None) -> RegionSet:
         r = r or full_domain(self.variables)
         limit = default_limit(len(self.variables)) if limit is None else limit
         out = RegionSet()
         try:
-            status = self.classify_range(self.variables, r)
-            if status == "eq":
-                out.regions.append(CertifiedRegion(r, self.query_count))
-                return out
-            if status != "partial":
-                return out
-            self._relational_recurse(r, 0, limit, out)
-        except _BudgetExhausted:
-            out.incomplete = True
-            self.incomplete = True
+            self._bisect(self.variables, r, 0, limit, out.regions)
+        except BudgetExhausted:
+            out.incomplete = self.incomplete = True
         return out
 
-    def _relational_recurse(self, r: RangeVector, depth: int, limit: int, out: RegionSet):
-        if depth == limit:
-            return
-        subs = divide_range(r)
-        if subs == [r]:
-            return  # nothing left to split; r itself was already classified
-        for sub in subs:
-            status = self.classify_range(self.variables, sub)
-            if status == "eq":
-                out.regions.append(CertifiedRegion(sub, self.query_count))
-            elif status == "partial":
-                self._relational_recurse(sub, depth + 1, limit, out)
+    # --- per-variable searches (one variable at a time, the others free) ---
 
-    # --- iterative search (one variable at a time) ---
+    def _per_variable(self, search_var) -> RegionList:
+        """Call ``search_var(n, var, found)`` for each variable in turn.
+
+        Budget expiry keeps what the interrupted variable had found and leaves
+        the later variables empty.
+        """
+        per_var: list[list[CertifiedRegion]] = [[] for _ in self.variables]
+        for n, var in enumerate(self.variables):
+            try:
+                search_var(n, var, per_var[n])
+            except BudgetExhausted:
+                self.incomplete = True
+                return RegionList(per_var, incomplete=True)
+        return RegionList(per_var)
 
     def iterative(self, r: RangeVector | None = None, limit: int | None = None) -> RegionList:
         r = r or full_domain(self.variables)
         limit = default_limit(len(self.variables)) if limit is None else limit
-        per_var: list[list[CertifiedInterval]] = []
-        incomplete = False
-        for n, var in enumerate(self.variables):
-            found: list[CertifiedInterval] = []
-            try:
-                self._iterative_var(var, (r[n],), 0, limit, found, first=True)
-            except _BudgetExhausted:
-                incomplete = True
-                self.incomplete = True
-                per_var.append(found)
-                per_var.extend([] for _ in range(n + 1, len(self.variables)))
-                return RegionList(per_var, incomplete=True)
-            per_var.append(found)
-        return RegionList(per_var, incomplete=incomplete)
-
-    def _iterative_var(self, var: BvVar, vec: RangeVector, depth: int, limit: int,
-                       found: list[CertifiedInterval], first: bool = False):
-        if first:
-            status = self.classify_range((var,), vec)
-            if status == "eq":
-                found.append(CertifiedInterval(vec[0], self.query_count))
-                return
-            if status != "partial":
-                return
-            self._iterative_var(var, vec, 0, limit, found)
-            return
-        if depth == limit:
-            return
-        subs = divide_range(vec)
-        if subs == [vec]:
-            return
-        for sub in subs:
-            status = self.classify_range((var,), sub)
-            if status == "eq":
-                found.append(CertifiedInterval(sub[0], self.query_count))
-            elif status == "partial":
-                self._iterative_var(var, sub, depth + 1, limit, found)
+        return self._per_variable(
+            lambda n, var, found: self._bisect((var,), (r[n],), 0, limit, found))
 
     # --- priority search ---
 
     def priority(self, var: BvVar, partition: RangePair,
-                 found: list[CertifiedInterval], frontier: int | None = None):
+                 found: list[CertifiedRegion], frontier: int | None = None):
         """Shrink one one-sided partition toward zero until it certifies.
 
         On success the certified interval is widened back toward the most
@@ -408,7 +388,7 @@ class RangeSearch:
         verdict = self.check_equiv((var,), (partition,))
         if verdict == "unsat":
             widened = self.expand_boundary(var, partition, frontier)
-            found.append(CertifiedInterval(widened, self.query_count))
+            found.append(CertifiedRegion((widened,), self.query_count))
             return
         if verdict == "unknown":
             return
@@ -464,21 +444,12 @@ class RangeSearch:
 
     def iterative_priority(self, r: RangeVector | None = None) -> RegionList:
         r = r or full_domain(self.variables)
-        per_var: list[list[CertifiedInterval]] = []
-        incomplete = False
-        for n, var in enumerate(self.variables):
-            found: list[CertifiedInterval] = []
-            try:
-                for partition in self._partitions(var, r[n]):
-                    self.priority(var, partition, found)
-            except _BudgetExhausted:
-                incomplete = True
-                self.incomplete = True
-                per_var.append(found)
-                per_var.extend([] for _ in range(n + 1, len(self.variables)))
-                return RegionList(per_var, incomplete=True)
-            per_var.append(found)
-        return RegionList(per_var, incomplete=incomplete)
+
+        def search_var(n: int, var: BvVar, found: list[CertifiedRegion]):
+            for partition in self._partitions(var, r[n]):
+                self.priority(var, partition, found)
+
+        return self._per_variable(search_var)
 
     # --- combined ---
 

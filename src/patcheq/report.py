@@ -155,7 +155,7 @@ def analyze_pair(
         raise AnalysisError("summarize", str(err)) from err
 
     budget = Budget(cfg.budget_ms)
-    verdict = eq_check(s1, s2, cfg)
+    verdict = eq_check(s1, s2, cfg, budget)
     calls = verdict.solver_calls
     domain = s1.domain_size
 

@@ -166,10 +166,6 @@ class Blaster:
     def sub_vec(self, a: list[int], b: list[int]) -> list[int]:
         return self.add_vec(a, [x ^ 1 for x in b], self.TRUE)
 
-    def neg_vec(self, a: list[int]) -> list[int]:
-        zero = [self.FALSE] * len(a)
-        return self.sub_vec(zero, a)
-
     def mul_vec(self, a: list[int], b: list[int]) -> list[int]:
         w = len(a)
         acc = [self.FALSE] * w

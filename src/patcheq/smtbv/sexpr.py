@@ -96,9 +96,3 @@ def balanced(text: str) -> bool:
                 return True  # malformed; let the parser raise
         i += 1
     return depth == 0 and not in_string
-
-
-def render(value: object) -> str:
-    if isinstance(value, list):
-        return "(" + " ".join(render(v) for v in value) + ")"
-    return str(value)

@@ -28,6 +28,10 @@ class SummarizeError(Exception):
     pass
 
 
+class SignatureMismatch(Exception):
+    """The two summaries do not range over the same input/output variables."""
+
+
 class UnrollLimitExceeded(SummarizeError):
     def __init__(self, limit: int):
         super().__init__(f"loop still live after {limit} iterations")
@@ -249,78 +253,8 @@ class _PathExploder:
             return True
         return self.prune(path)
 
-    def run_block(self, stmts: tuple[Stmt, ...], env: dict[str, Term], path: list[Formula]):
-        if not stmts:
-            raise SummarizeError("fell off the end of a block without returning")
-        head, rest = stmts[0], stmts[1:]
-        if isinstance(head, (Let, Assign)):
-            for conds, t in self.translate_expr(head.value, env):
-                new_path = path + conds
-                if conds and not self.feasible(new_path):
-                    continue
-                new_env = dict(env)
-                new_env[head.name] = t
-                self.run_block(rest, new_env, new_path)
-            return
-        if isinstance(head, Return):
-            for conds, t in self.translate_expr(head.value, env):
-                new_path = path + conds
-                if conds and not self.feasible(new_path):
-                    continue
-                out_eq = feq(tvar(self.output), t)
-                body = new_path + [out_eq]
-                self.disjuncts.append(FAnd(tuple(body)) if len(body) > 1 else out_eq)
-            return
-        if isinstance(head, If):
-            for conds, phi in self.translate_cond(head.cond, env):
-                base = path + conds
-                if conds and not self.feasible(base):
-                    continue
-                then_block = head.then + rest
-                else_block = (head.other or ()) + rest
-                if isinstance(phi, FTrue):
-                    self.run_block(then_block, env, base)
-                elif isinstance(phi, FFalse):
-                    self.run_block(else_block, env, base)
-                else:
-                    true_path = base + [phi]
-                    if self.feasible(true_path):
-                        self.run_block(then_block, dict(env), true_path)
-                    false_path = base + [_mk_not(phi)]
-                    if self.feasible(false_path):
-                        self.run_block(else_block, dict(env), false_path)
-            return
-        if isinstance(head, While):
-            self.run_loop(head, 0, rest, env, path)
-            return
-        raise SummarizeError(f"cannot execute {type(head).__name__}")
-
-    def run_loop(self, loop: While, iteration: int, rest: tuple[Stmt, ...],
-                 env: dict[str, Term], path: list[Formula]):
-        for conds, phi in self.translate_cond(loop.cond, env):
-            base = path + conds
-            if conds and not self.feasible(base):
-                continue
-            if isinstance(phi, FFalse):
-                self.run_block(rest, dict(env), base)
-                continue
-            exit_path = base if isinstance(phi, FTrue) else base + [_mk_not(phi)]
-            enter_path = base if isinstance(phi, FTrue) else base + [phi]
-            if not isinstance(phi, FTrue) and self.feasible(exit_path):
-                self.run_block(rest, dict(env), exit_path)
-            if self.feasible(enter_path):
-                if iteration >= self.unroll_limit:
-                    raise UnrollLimitExceeded(self.unroll_limit)
-                self.run_iteration(loop, iteration, rest, dict(env), enter_path)
-
-    def run_iteration(self, loop: While, iteration: int, rest, env, path):
-        """One unrolled body pass; loop bodies contain no return statements."""
-        def finish(env2, path2):
-            self.run_loop(loop, iteration + 1, rest, env2, path2)
-
-        self.exec_straight(loop.body, env, path, finish)
-
     def exec_straight(self, stmts: tuple[Stmt, ...], env, path, k):
+        """Run ``stmts`` on every path; a path that reaches their end calls ``k(env, path)``."""
         if not stmts:
             k(env, path)
             return
@@ -410,7 +344,11 @@ def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT, prune
     inputs = tuple(BvVar(name, sort, "input") for name, sort in fn.params)
     output = BvVar(_fresh_output_name(fn), fn.return_sort, "output")
     ex = _PathExploder(fn, output, unroll_limit, prune)
-    ex.run_block(fn.body, {v.name: tvar(v) for v in inputs}, [])
+
+    def fell_off(env, path):
+        raise SummarizeError("fell off the end of a block without returning")
+
+    ex.exec_straight(fn.body, {v.name: tvar(v) for v in inputs}, [], fell_off)
     if not ex.disjuncts:
         raise SummarizeError("no feasible path reached a return")
     return Summary(inputs, output, FOr(tuple(ex.disjuncts)), len(ex.disjuncts))
@@ -547,3 +485,13 @@ def require_same_signature(f1: TypedFunction, f2: TypedFunction):
         raise SummarizeError(
             f"return sorts differ: {f1.return_sort.name} vs {f2.return_sort.name}"
         )
+
+
+def require_same_interface(s1: Summary, s2: Summary):
+    """Both summaries of a pair must range over the same input and output variables."""
+    if s1.inputs != s2.inputs:
+        raise SignatureMismatch(
+            f"input variables differ: {[v.name for v in s1.inputs]} vs {[v.name for v in s2.inputs]}"
+        )
+    if s1.output != s2.output:
+        raise SignatureMismatch("output variables differ")

@@ -8,6 +8,7 @@ from pathlib import Path
 from patcheq.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
 SOLVER = f"{sys.executable} -m patcheq.smtbv"
 
 
@@ -80,6 +81,23 @@ def test_stable_reports_are_byte_identical(capsys, corpus_dir):
     code2, out2, _ = run_cli(list(argv), capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_corpus_stable_json_matches_golden(capsys, monkeypatch):
+    # Reports name their files relative to the working directory.
+    monkeypatch.chdir(REPO)
+    code, out, _ = run_cli(["corpus", "corpus/", "--stable", "--format", "json"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "corpus_stable.json").read_text()
+
+
+def test_corpus_summaries_match_golden(capsys, corpus_dir):
+    out = []
+    for path in sorted(corpus_dir.glob("*/*.fn"), key=lambda p: p.relative_to(corpus_dir).as_posix()):
+        code, text, _ = run_cli(["summarize", str(path)], capsys)
+        assert code == 0
+        out.append(text)
+    assert "".join(out) == (GOLDEN / "corpus_summaries.smt2").read_text()
 
 
 def test_corpus_runs_bundled_cases(capsys, corpus_dir):

@@ -3,61 +3,53 @@
 import pytest
 
 from patcheq.formula import (
-    BvVar, FIff, FNot, feq, flt, tbin, tconst, tvar,
+    BvVar, FIff, FNot, fand, feq, flt, tbin, tconst, tvar,
 )
 from patcheq.minilang import SORTS
-from patcheq.oracle import (
-    Budget, SolverConfig, SolverConfigError, SolverSession, get_model_projected,
-    is_sat,
-)
+from patcheq.oracle import Budget, SolverConfig, SolverConfigError, SolverSession
 from patcheq.summarizer import eval_concrete, summarize
 
 from conftest import corpus_fn
 
 
+def check(cfg, decls, f) -> str:
+    with SolverSession(cfg, tuple(decls)) as session:
+        session.assert_formula(f)
+        return session.check_sat()
+
+
 def test_empty_unsigned_range_is_unsat(cfg):
     x = BvVar("x", SORTS["u8"], "input")
-    result = is_sat([x], flt(False, tvar(x), tconst(0, 8)), cfg)
-    assert result.verdict == "unsat"
+    assert check(cfg, [x], flt(False, tvar(x), tconst(0, 8))) == "unsat"
 
 
 def test_self_equivalence_is_valid(cfg):
     s = summarize(corpus_fn("cve_2012_2384_cliprects", "original.fn"))
-    result = is_sat(list(s.decls), FNot(FIff(s.formula, s.formula)), cfg)
-    assert result.verdict == "unsat"
+    assert check(cfg, s.decls, FNot(FIff(s.formula, s.formula))) == "unsat"
 
 
 def test_doubles_metadata_divergence_model(cfg):
     s1 = summarize(corpus_fn("cve_2013_0859_doubles_metadata", "original.fn"))
     s2 = summarize(corpus_fn("cve_2013_0859_doubles_metadata", "patched.fn"))
-    query = FNot(FIff(s1.formula, s2.formula))
-    result = get_model_projected(list(s1.decls), query, list(s1.inputs), cfg)
-    assert result.verdict == "sat"
-    assert result.model == {"count": 0}  # the only diverging input
+    with SolverSession(cfg, s1.decls) as session:
+        session.assert_formula(FNot(FIff(s1.formula, s2.formula)))
+        assert session.check_sat() == "sat"
+        assert session.get_values(list(s1.inputs)) == {"count": 0}  # the only diverging input
 
 
 def test_projection_returns_exactly_requested_vars(cfg):
     s1 = summarize(corpus_fn("cve_2010_4165_tcp_window", "original.fn"))
     s2 = summarize(corpus_fn("cve_2010_4165_tcp_window", "patched.fn"))
-    from patcheq.formula import fand
-
-    result = get_model_projected(
-        list(s1.decls), fand([s1.formula, s2.formula]), list(s1.inputs), cfg
-    )
-    assert result.verdict == "sat"
-    assert set(result.model) == {"val"}
-    val = result.model["val"]
+    with SolverSession(cfg, s1.decls) as session:
+        session.assert_formula(fand([s1.formula, s2.formula]))
+        assert session.check_sat() == "sat"
+        model = session.get_values(list(s1.inputs))
+    assert set(model) == {"val"}
+    val = model["val"]
     assert not (8 <= val <= 63)  # models of the conjunction are agreement points
     f1 = corpus_fn("cve_2010_4165_tcp_window", "original.fn")
     f2 = corpus_fn("cve_2010_4165_tcp_window", "patched.fn")
     assert eval_concrete(f1, [val]) == eval_concrete(f2, [val])
-
-
-def test_projection_unknown_variable_rejected(cfg):
-    x = BvVar("x", SORTS["u8"], "input")
-    ghost = BvVar("ghost", SORTS["u8"], "input")
-    with pytest.raises(SolverConfigError):
-        get_model_projected([x], feq(tvar(x), tconst(1, 8)), [ghost], cfg)
 
 
 def test_block_single_divergence_then_unsat(cfg):
@@ -121,7 +113,7 @@ def test_missing_solver_executable(cfg):
                        budget_ms=1000)
     x = BvVar("x", SORTS["u8"], "input")
     with pytest.raises(SolverConfigError, match="not found"):
-        is_sat([x], feq(tvar(x), tconst(1, 8)), bad)
+        check(bad, [x], feq(tvar(x), tconst(1, 8)))
 
 
 def test_timeout_yields_unknown_not_a_verdict(cfg):
@@ -134,8 +126,7 @@ def test_timeout_yields_unknown_not_a_verdict(cfg):
     hard = FNot(feq(tbin("mul", xx, yy), tbin("mul", xy, xy)))
     quick = SolverConfig(solver_cmd=cfg.solver_cmd, query_timeout_ms=300,
                          budget_ms=1000)
-    result = is_sat([x, y], hard, quick)
-    assert result.verdict == "unknown"
+    assert check(quick, [x, y], hard) == "unknown"
 
 
 def test_config_validation():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from patcheq import oracle, report as report_module
 from patcheq.classifier import Verdict
 from patcheq.report import (
     AnalysisError, analyze_pair, fraction_decimal, load_case,
@@ -41,6 +42,19 @@ def test_percentages_always_sum_to_100(cfg):
     report = analyze_pair("c", case / "original.fn", case / "patched.fn", "combined", cfg)
     assert report.eq_percent + report.impact_percent == Fraction(100)
     assert Fraction(0) <= report.eq_percent <= Fraction(100)
+
+
+def test_expired_budget_stops_the_classifier_before_any_solver_starts(cfg, monkeypatch):
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a solver process was started")
+
+    monkeypatch.setattr(report_module, "Budget", lambda budget_ms: oracle.Budget(0))
+    monkeypatch.setattr(oracle.subprocess, "Popen", no_spawn)
+    case = CORPUS / "eqbench_ltfive"
+    report = analyze_pair("late", case / "original.fn", case / "patched.fn", "combined", cfg)
+    assert report.verdict is Verdict.UNKNOWN
+    assert report.solver_calls == 0
+    assert report.incomplete
 
 
 def test_signature_mismatch_names_the_stage(cfg, tmp_path):

@@ -110,6 +110,56 @@ WIDTH8_BATTERY = [
         while (i < 3) { acc = acc + x; i = i + 1; }
         return acc;
     }""",
+    # loop inside an if branch
+    """fn f(x: u8) -> u8 {
+        let acc: u8 = 1;
+        let i: u8 = 0;
+        if (x > 100) {
+            while (i < x - 100 && i < 3) { acc = acc + x; i = i + 1; }
+        } else {
+            acc = x;
+        }
+        return acc + i;
+    }""",
+    # if inside a loop body
+    """fn f(x: i8) -> i8 {
+        let acc: i8 = 0;
+        let i: i8 = 0;
+        while (i < 4) {
+            if (x > i) { acc = acc + 1; } else { acc = acc - x; }
+            i = i + 1;
+        }
+        return acc;
+    }""",
+    # two loops in sequence, the second bounded by the first's result
+    """fn f(x: u8) -> u8 {
+        let i: u8 = 0;
+        while (i < x && i < 3) { i = i + 1; }
+        let j: u8 = 0;
+        while (j < i + 1) { j = j + 2; }
+        return i * 16 + j;
+    }""",
+    # nested loop
+    """fn f(x: u8) -> u8 {
+        let acc: u8 = 0;
+        let i: u8 = 0;
+        let j: u8 = 0;
+        while (i < 3) {
+            j = 0;
+            while (j < i && j < x) { acc = acc + x; j = j + 1; }
+            i = i + 1;
+        }
+        return acc;
+    }""",
+    # return after a loop, branching on the loop's result
+    """fn f(x: i8) -> i8 {
+        let n: i8 = 0;
+        let v: i8 = x;
+        while (v > 10 && n < 4) { v = v - 20; n = n + 1; }
+        if (n > 1) { return v; }
+        if (n == 1) { return -v; }
+        return n;
+    }""",
 ]
 
 
