@@ -10,6 +10,7 @@ than a guess.
 from __future__ import annotations
 
 import enum
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .formula import FIff, FNot
@@ -33,21 +34,32 @@ class VerdictResult:
 
 
 def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
-             budget: Budget | None = None) -> VerdictResult:
-    """Decide the equivalence trichotomy for two summaries."""
-    with RangeSearch(s1, s2, cfg, budget) as search:
-        try:
-            neq, witness = search.query([FNot(FIff(*SUMMARIES))], s1.inputs)
-            if neq == "unsat":
-                return VerdictResult(Verdict.T_EQ, solver_calls=search.query_count)
-            if neq == "unknown" or witness is None:
-                return VerdictResult(Verdict.UNKNOWN, solver_calls=search.query_count)
-            both, _ = search.query([*SUMMARIES])
-        except BudgetExhausted:
-            return VerdictResult(Verdict.UNKNOWN, solver_calls=search.query_count)
-    calls = search.query_count
+             budget: Budget | None = None,
+             search: RangeSearch | None = None) -> VerdictResult:
+    """Decide the equivalence trichotomy for two summaries.
+
+    Given ``search`` (a RangeSearch over the same pair), the queries run on its
+    session and leave it open; otherwise a search of its own is opened and
+    closed.  ``solver_calls`` counts these queries only.
+    """
+    with (nullcontext(search) if search else RangeSearch(s1, s2, cfg, budget)) as search:
+        first_query = search.query_count
+        kind, witness = _classify(search)
+    return VerdictResult(kind, witness, search.query_count - first_query)
+
+
+def _classify(search: RangeSearch) -> tuple[Verdict, dict[str, int] | None]:
+    try:
+        neq, witness = search.query([FNot(FIff(*SUMMARIES))], search.variables)
+        if neq == "unsat":
+            return Verdict.T_EQ, None
+        if neq == "unknown" or witness is None:
+            return Verdict.UNKNOWN, None
+        both, _ = search.query([*SUMMARIES])
+    except BudgetExhausted:
+        return Verdict.UNKNOWN, None
     if both == "unsat":
-        return VerdictResult(Verdict.T_NEQ, witness=witness, solver_calls=calls)
+        return Verdict.T_NEQ, witness
     if both == "unknown":
-        return VerdictResult(Verdict.UNKNOWN, solver_calls=calls)
-    return VerdictResult(Verdict.P_EQ, witness=witness, solver_calls=calls)
+        return Verdict.UNKNOWN, None
+    return Verdict.P_EQ, witness

@@ -37,6 +37,12 @@ def _env(name: str, default):
     return os.environ.get(f"PATCHEQ_{name}", default)
 
 
+def _depth_limit(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"depth limit {text} is negative")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--solver-cmd", default=_env("SOLVER_CMD", None),
@@ -44,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--query-timeout-ms", type=int,
                         default=int(_env("QUERY_TIMEOUT_MS", 10_000)))
     common.add_argument("--budget-ms", type=int, default=int(_env("BUDGET_MS", 120_000)))
-    common.add_argument("--depth-limit", type=int,
+    common.add_argument("--depth-limit", type=_depth_limit,
                         default=_env("DEPTH_LIMIT", None),
                         help="range-search depth limit (default 8 single-var, 4 multi-var)")
     common.add_argument("--algorithm", choices=ALL_METHODS,

@@ -14,8 +14,9 @@ import time
 from dataclasses import dataclass
 
 from .formula import FIff, FNot
-from .oracle import Budget, SolverConfig, SolverSession
+from .oracle import Budget, ProtocolViolation, SolverConfig, SolverSession
 from .minilang import TypedFunction
+from .rangesearch import SUMMARIES, RangeSearch
 from .summarizer import Summary, eval_concrete, require_same_interface
 
 BRUTE_FORCE_DOMAIN_CAP = 1 << 20
@@ -44,20 +45,23 @@ class DuplicateModel(Exception):
 
 
 class _Enumeration:
-    def __init__(self, cfg: SolverConfig, summary: Summary, formulas):
-        self.session = SolverSession(cfg, summary.decls)
-        for f in formulas:
-            self.session.assert_formula(f)
+    def __init__(self, session: SolverSession, summary: Summary, formulas):
+        self.session = session
+        try:
+            for f in formulas:
+                session.assert_formula(f)
+        except ProtocolViolation:
+            pass  # the solver died: the first check answers unknown
         self.inputs = list(summary.inputs)
         self.models: list[tuple[int, ...]] = []
         self.seen: set[tuple[int, ...]] = set()
-        self.exhausted = False
+        self.calls = 0
 
     def step(self) -> str:
         """Draw one more model; returns 'model', 'done', or 'unknown'."""
+        self.calls += 1
         verdict = self.session.check_sat()
         if verdict == "unsat":
-            self.exhausted = True
             return "done"
         if verdict != "sat":
             return "unknown"
@@ -69,7 +73,10 @@ class _Enumeration:
             raise DuplicateModel(f"solver repeated blocked assignment {key}")
         self.seen.add(key)
         self.models.append(key)
-        self.session.block_model(self.inputs, model)
+        try:
+            self.session.block_model(self.inputs, model)
+        except ProtocolViolation:
+            return "unknown"
         return "model"
 
     def close(self):
@@ -77,39 +84,32 @@ class _Enumeration:
 
 
 def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
-                     budget: Budget | None = None) -> EnumResult:
-    """Interleaved blocked enumeration of the eq and neq input sets."""
+                     budget: Budget | None = None,
+                     search: RangeSearch | None = None) -> EnumResult:
+    """Interleaved blocked enumeration of the eq and neq input sets.
+
+    Given ``search`` (a RangeSearch over the same pair), the equivalent side
+    takes over and closes its session; the divergent side gets its own.
+    """
     require_same_interface(s1, s2)
     start = time.monotonic()
     budget = budget or Budget(cfg.budget_ms)
     domain = s1.domain_size
-    eq_side = _Enumeration(cfg, s1, [s1.formula, s2.formula])
-    neq_side = _Enumeration(cfg, s1, [FNot(FIff(s1.formula, s2.formula))])
-    case = None
+    if search is None:
+        eq_side = _Enumeration(SolverSession(cfg, s1.decls), s1, [s1.formula, s2.formula])
+    else:
+        eq_side = _Enumeration(search.take_session(), s1, SUMMARIES)
+    neq_side = _Enumeration(SolverSession(cfg, s1.decls), s1,
+                            [FNot(FIff(s1.formula, s2.formula))])
     try:
-        while True:
-            if budget.expired:
-                case = EnumCase.CASE3
-                break
-            status = eq_side.step()
-            if status == "done":
-                case = EnumCase.CASE1
-                break
-            if status == "unknown":
-                case = EnumCase.CASE3
-                break
-            if budget.expired:
-                case = EnumCase.CASE3
-                break
-            status = neq_side.step()
-            if status == "done":
-                case = EnumCase.CASE2
-                break
-            if status == "unknown":
-                case = EnumCase.CASE3
+        for side, when_done in itertools.cycle(((eq_side, EnumCase.CASE1),
+                                                (neq_side, EnumCase.CASE2))):
+            status = "unknown" if budget.expired else side.step()
+            if status != "model":
+                case = when_done if status == "done" else EnumCase.CASE3
                 break
     finally:
-        calls = eq_side.session.query_count + neq_side.session.query_count
+        calls = eq_side.calls + neq_side.calls
         eq_side.close()
         neq_side.close()
     eq_models = sorted(eq_side.models)

@@ -80,7 +80,6 @@ class SolverSession:
         self.cfg = cfg
         self.decls: dict[str, BvVar] = {}
         self.dead = False
-        self.query_count = 0
         env = os.environ.copy()
         if cfg.solver_cmd[:1] == (sys.executable,):
             # make the bundled solver importable when running from a checkout
@@ -107,7 +106,7 @@ class SolverSession:
 
     def _send(self, text: str):
         if self.dead:
-            raise SolverConfigError("session is dead")
+            raise ProtocolViolation("session is dead")
         try:
             self.proc.stdin.write(text.encode() + b"\n")
             self.proc.stdin.flush()
@@ -195,7 +194,6 @@ class SolverSession:
 
     def check_sat(self) -> str:
         """Returns sat/unsat/unknown; timeout or protocol failure is unknown."""
-        self.query_count += 1
         try:
             self._send("(check-sat)")
         except ProtocolViolation:

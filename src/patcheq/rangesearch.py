@@ -27,7 +27,7 @@ from .formula import (
     BvVar, Formula, FName, FNot, FALSE, RangePair, fand, for_, iff_under_range,
     mk_range_constraint, require_agreeing_vars, var_range_constraint,
 )
-from .oracle import Budget, SolverConfig, SolverSession
+from .oracle import Budget, ProtocolViolation, SolverConfig, SolverSession
 from .summarizer import Summary, require_same_interface
 
 RangeVector = tuple[RangePair, ...]
@@ -251,7 +251,6 @@ class RangeSearch:
         self.variables = s1.inputs
         self.session: SolverSession | None = None
         self.query_count = 0
-        self.incomplete = False
 
     # --- session/query plumbing ---
 
@@ -261,6 +260,15 @@ class RangeSearch:
             for ref, summary in zip(SUMMARIES, (self.s1, self.s2)):
                 self.session.define(ref.name, summary.formula)
         return self.session
+
+    def take_session(self) -> SolverSession:
+        """Hand the live session, both summaries defined, to the caller to close.
+
+        A later query of this search opens a fresh session.
+        """
+        session = self._session_ok()
+        self.session = None
+        return session
 
     def close(self):
         if self.session is not None:
@@ -284,23 +292,25 @@ class RangeSearch:
 
         On sat the values of ``model_vars`` are read before the pop; the model
         is None when none were asked for or the solver failed to give them.
-        Raises BudgetExhausted, sending nothing, once the budget has run out.
+        A solver that dies before it answers gives unknown.  Raises
+        BudgetExhausted, sending nothing, once the budget has run out.
         """
         if self.budget.expired:
             raise BudgetExhausted
-        session = self._session_ok()
-        session.push()
+        self.query_count += 1
         model = None
         try:
+            session = self._session_ok()
+            session.push()
             for f in formulas:
                 session.assert_formula(f)
             verdict = session.check_sat()
             if verdict == "sat" and model_vars:
                 model = session.get_values(list(model_vars))
-        finally:
             if not session.dead:
                 session.pop()
-        self.query_count += 1
+        except ProtocolViolation:  # the solver died; the next query respawns it
+            return "unknown", None
         return verdict, model
 
     def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
@@ -350,7 +360,7 @@ class RangeSearch:
         try:
             self._bisect(self.variables, r, 0, limit, out.regions)
         except BudgetExhausted:
-            out.incomplete = self.incomplete = True
+            out.incomplete = True
         return out
 
     # --- per-variable searches (one variable at a time, the others free) ---
@@ -366,7 +376,6 @@ class RangeSearch:
             try:
                 search_var(n, var, per_var[n])
             except BudgetExhausted:
-                self.incomplete = True
                 return RegionList(per_var, incomplete=True)
         return RegionList(per_var)
 
@@ -468,7 +477,9 @@ class RangeSearch:
 
     def run(self, method: str, r: RangeVector | None = None,
             limit: int | None = None) -> QuantResult:
+        """Quantify with ``method``; ``solver_calls`` counts this run's queries only."""
         start = time.monotonic()
+        first_query = self.query_count
         domain_sizes = [v.sort.domain_size for v in self.variables]
         domain_total = 1
         for d in domain_sizes:
@@ -498,7 +509,7 @@ class RangeSearch:
             eq_lower_bound=bound,
             eq_percent_lower_bound=Fraction(100 * bound, domain_total),
             condition=condition,
-            solver_calls=self.query_count,
+            solver_calls=self.query_count - first_query,
             elapsed=time.monotonic() - start,
             incomplete=regions.incomplete,
             per_var_source=sources,

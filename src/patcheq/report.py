@@ -137,9 +137,15 @@ def analyze_pair(
     depth_limit: int | None = None,
     unroll_limit: int | None = None,
 ) -> ImpactReport:
-    """Classify first; quantify only on partial equivalence."""
+    """Classify first; quantify only on partial equivalence.
+
+    Classification and quantification share one RangeSearch, so one solver
+    process serves the pair (enumeration adds one for its divergent side).
+    """
     if method not in ALL_METHODS:
         raise AnalysisError("config", f"unknown algorithm {method!r}")
+    if depth_limit is not None and depth_limit < 0:
+        raise AnalysisError("config", f"depth limit {depth_limit} is negative")
     start = time.monotonic()
     f1 = load_function(original_path)
     f2 = load_function(patched_path)
@@ -155,7 +161,13 @@ def analyze_pair(
         raise AnalysisError("summarize", str(err)) from err
 
     budget = Budget(cfg.budget_ms)
-    verdict = eq_check(s1, s2, cfg, budget)
+    with RangeSearch(s1, s2, cfg, budget) as search:
+        verdict = eq_check(s1, s2, cfg, budget, search=search)
+        if verdict.kind is Verdict.P_EQ and method == "enumerate":
+            enum = enumerate_models(s1, s2, cfg, budget, search=search)
+        elif verdict.kind is Verdict.P_EQ:
+            limit = default_limit(len(s1.inputs)) if depth_limit is None else depth_limit
+            quant = search.run(method, limit=limit)
     calls = verdict.solver_calls
     domain = s1.domain_size
 
@@ -191,7 +203,6 @@ def analyze_pair(
         )
 
     if method == "enumerate":
-        enum = enumerate_models(s1, s2, cfg, budget)
         calls += enum.solver_calls
         if enum.case is EnumCase.CASE1:
             bound = enum.exact_eq_count
@@ -214,9 +225,6 @@ def analyze_pair(
             enum_case=enum.case, eq_models=enum.eq_inputs, neq_models=enum.neq_inputs,
         )
 
-    limit = default_limit(len(s1.inputs)) if depth_limit is None else depth_limit
-    with RangeSearch(s1, s2, cfg, budget) as search:
-        quant = search.run(method, limit=limit)
     calls += quant.solver_calls
     return finish(
         eq_lower_bound=quant.eq_lower_bound,
@@ -280,6 +288,8 @@ def load_case(path: str | Path) -> CorpusCase:
     for required in ("original", "patched"):
         if required not in fields:
             raise ManifestError(f"{path}: missing {required}")
+    if "depth_limit" in fields and not fields["depth_limit"].isdecimal():
+        raise ManifestError(f"{path}: depth_limit must be a non-negative integer")
     case = CorpusCase(
         name=fields.get("name", path.stem),
         path=path,

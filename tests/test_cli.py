@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from patcheq.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -153,6 +155,17 @@ def test_missing_solver_is_infrastructure_error(capsys, corpus_dir):
         "--solver-cmd", "/nonexistent/solver-binary",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, env", [(["--depth-limit=-1"], None), ([], "-1")])
+def test_negative_depth_limit_exits_2(corpus_dir, monkeypatch, capsys, flag, env):
+    if env is not None:
+        monkeypatch.setenv("PATCHEQ_DEPTH_LIMIT", env)
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["impact", str(corpus_dir / "eqbench_ltfive/original.fn"),
+                 str(corpus_dir / "eqbench_ltfive/patched.fn"), *flag], capsys)
+    assert exit_info.value.code == 2
+    assert "depth limit -1 is negative" in capsys.readouterr().err
 
 
 def test_env_vars_mirror_flags(corpus_dir, monkeypatch, capsys):

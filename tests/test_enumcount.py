@@ -8,7 +8,7 @@ from patcheq.enumcount import (
     BruteForceResult, DomainTooLarge, EnumCase, brute_force_eq_count,
     enumerate_models,
 )
-from patcheq.oracle import Budget, SolverConfig
+from patcheq.oracle import Budget, SolverConfig, SolverSession
 from patcheq.randgen import random_pair
 from patcheq.summarizer import eval_concrete, summarize
 
@@ -77,6 +77,24 @@ def test_budget_expiry_downgrades_to_case3(cfg):
     assert result.case is EnumCase.CASE3
     assert result.exact_eq_count is None
     assert result.eq_count_lower_bound == len(result.eq_inputs)
+
+
+def test_solver_death_while_blocking_downgrades_to_case3(cfg, monkeypatch):
+    s1 = summarize(corpus_fn("cve_2010_4165_tcp_window", "original.fn"))
+    s2 = summarize(corpus_fn("cve_2010_4165_tcp_window", "patched.fn"))
+    real_block = SolverSession.block_model
+
+    def die_then_block(session, variables, model):
+        session.proc.kill()
+        session.proc.wait(timeout=10)
+        return real_block(session, variables, model)
+
+    monkeypatch.setattr(SolverSession, "block_model", die_then_block)
+    result = enumerate_models(s1, s2, cfg)
+    assert result.case is EnumCase.CASE3
+    assert result.exact_eq_count is None
+    assert result.eq_count_lower_bound == len(result.eq_inputs) == 1
+    assert result.solver_calls == 1
 
 
 # --- the oracle itself ---

@@ -458,3 +458,27 @@ def test_range_search_sends_each_summary_once_per_session(cfg, monkeypatch):
     (texts,) = sent.values()
     for summary in (s1, s2):
         assert sum(text.count(serialize_formula(summary.formula)) for text in texts) == 1
+
+
+def _kill_child(rs: RangeSearch):
+    rs.session.proc.kill()
+    rs.session.proc.wait(timeout=10)
+
+
+def test_solver_death_between_queries_gives_unknown_then_a_fresh_session(cfg):
+    s1, s2 = (summarize(corpus_fn("eqbench_ltfive", which))
+              for which in ("original.fn", "patched.fn"))
+    with RangeSearch(s1, s2, cfg) as rs:
+        uninterrupted = rs.run("combined")
+    full = full_domain(s1.inputs)
+    with RangeSearch(s1, s2, cfg) as rs:
+        assert rs.check_equiv(s1.inputs, full) == "sat"
+        dead = rs.session
+        _kill_child(rs)
+        assert rs.check_equiv(s1.inputs, full) == "unknown"
+        assert rs.check_equiv(s1.inputs, full) == "sat"
+        assert rs.session is not dead and not rs.session.dead
+        _kill_child(rs)
+        result = rs.run("combined")
+    assert result.solver_calls > 10
+    assert 0 < result.eq_lower_bound <= uninterrupted.eq_lower_bound

@@ -4,13 +4,33 @@ from fractions import Fraction
 
 import pytest
 
-from patcheq import oracle, report as report_module
+from patcheq import classifier, enumcount, oracle, report as report_module
 from patcheq.classifier import Verdict
 from patcheq.report import (
-    AnalysisError, analyze_pair, fraction_decimal, load_case,
+    AnalysisError, ManifestError, analyze_pair, fraction_decimal, load_case,
 )
+from patcheq.summarizer import summarize
 
-from conftest import CORPUS
+from conftest import CORPUS, corpus_fn
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every solver process started while the test runs."""
+    procs = []
+    real_popen = oracle.subprocess.Popen
+
+    def popen(*args, **kwargs):
+        procs.append(real_popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(oracle.subprocess, "Popen", popen)
+    return procs
+
+
+def assert_all_exited(procs):
+    for proc in procs:
+        proc.wait(timeout=10)  # raises TimeoutExpired for a process left running
 
 
 def test_identical_files_report_full_equivalence(cfg, tmp_path):
@@ -55,6 +75,82 @@ def test_expired_budget_stops_the_classifier_before_any_solver_starts(cfg, monke
     assert report.verdict is Verdict.UNKNOWN
     assert report.solver_calls == 0
     assert report.incomplete
+
+
+@pytest.mark.parametrize("case, method, processes, calls", [
+    ("eqbench_ltfive", "combined", 1, 269),
+    ("cve_2010_4165_tcp_window", "enumerate", 2, 116),
+])
+def test_one_solver_process_serves_classifier_and_quantification(
+        cfg, spawned, case, method, processes, calls):
+    pair = CORPUS / case
+    report = analyze_pair(case, pair / "original.fn", pair / "patched.fn", method, cfg)
+    assert report.verdict is Verdict.P_EQ
+    assert report.solver_calls == calls
+    assert len(spawned) == processes
+    assert_all_exited(spawned)
+
+
+def test_equivalent_pair_starts_one_solver_process(cfg, spawned):
+    source = CORPUS / "eqbench_dart" / "original.fn"
+    report = analyze_pair("same", source, source, "enumerate", cfg)
+    assert report.verdict is Verdict.T_EQ
+    assert len(spawned) == 1
+    assert_all_exited(spawned)
+
+
+def test_standalone_classifier_and_enumeration_keep_their_sessions(cfg, spawned):
+    ltfive = [summarize(corpus_fn("eqbench_ltfive", w)) for w in ("original.fn", "patched.fn")]
+    assert classifier.eq_check(*ltfive, cfg).solver_calls == 2
+    assert len(spawned) == 1
+    tcp = [summarize(corpus_fn("cve_2010_4165_tcp_window", w))
+           for w in ("original.fn", "patched.fn")]
+    assert enumcount.enumerate_models(*tcp, cfg).solver_calls == 116 - 2
+    assert len(spawned) == 3
+    assert_all_exited(spawned)
+
+
+def test_solver_death_after_classification_gives_an_incomplete_enumeration(
+        cfg, spawned, monkeypatch):
+    real_eq_check = report_module.eq_check
+
+    def classify_then_die(*args, search, **kwargs):
+        verdict = real_eq_check(*args, search=search, **kwargs)
+        search.session.proc.kill()
+        search.session.proc.wait(timeout=10)
+        return verdict
+
+    monkeypatch.setattr(report_module, "eq_check", classify_then_die)
+    case = CORPUS / "cve_2010_4165_tcp_window"
+    report = analyze_pair("dies", case / "original.fn", case / "patched.fn", "enumerate", cfg)
+    assert report.verdict is Verdict.P_EQ
+    assert report.enum_case is enumcount.EnumCase.CASE3
+    assert report.incomplete and not report.exact
+    assert report.eq_lower_bound == 0
+    assert_all_exited(spawned)
+
+
+def test_negative_depth_limit_is_a_config_error(cfg, spawned):
+    case = CORPUS / "eqbench_ltfive"
+    with pytest.raises(AnalysisError, match="config"):
+        analyze_pair("neg", case / "original.fn", case / "patched.fn", "relational",
+                     cfg, depth_limit=-1)
+    assert spawned == []
+    report = analyze_pair("zero", case / "original.fn", case / "patched.fn", "relational",
+                          cfg, depth_limit=0)
+    assert report.solver_calls == 2 + 2  # classifier, then one classified range
+    assert_all_exited(spawned)
+
+
+def test_manifest_rejects_negative_depth_limit(tmp_path):
+    for name in ("a.fn", "b.fn"):
+        (tmp_path / name).write_text("fn f(x: i8) -> i8 { return x; }")
+    manifest = tmp_path / "x.case"
+    manifest.write_text("original = a.fn\npatched = b.fn\ndepth_limit = -1\n")
+    with pytest.raises(ManifestError, match="depth_limit"):
+        load_case(manifest)
+    manifest.write_text("original = a.fn\npatched = b.fn\ndepth_limit = 0\n")
+    assert load_case(manifest).depth_limit == 0
 
 
 def test_signature_mismatch_names_the_stage(cfg, tmp_path):
