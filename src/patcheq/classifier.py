@@ -39,8 +39,8 @@ def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
     """Decide the equivalence trichotomy for two summaries.
 
     Given ``search`` (a RangeSearch over the same pair), the queries run on its
-    session and leave it open; otherwise a search of its own is opened and
-    closed.  ``solver_calls`` counts these queries only.
+    session, under its budget, and leave it open; otherwise a search of its own
+    is opened and closed.  ``solver_calls`` counts these queries only.
     """
     with (nullcontext(search) if search else RangeSearch(s1, s2, cfg, budget)) as search:
         first_query = search.query_count

@@ -175,7 +175,7 @@ def cmd_impact(args, cfg) -> int:
     method = args.algorithm or "combined"
     report = analyze_pair(
         Path(args.original).stem, args.original, args.patched, method, cfg,
-        depth_limit=int(args.depth_limit) if args.depth_limit is not None else None,
+        depth_limit=args.depth_limit,
         unroll_limit=args.unroll_limit,
     )
     if args.format == "json":
@@ -195,7 +195,7 @@ def cmd_corpus(args, cfg) -> int:
     def run_one(index: int):
         case = cases[index]
         method = args.algorithm or case.method
-        depth = int(args.depth_limit) if args.depth_limit is not None else case.depth_limit
+        depth = case.depth_limit if args.depth_limit is None else args.depth_limit
         try:
             report = analyze_pair(case.name, case.original, case.patched, method,
                                   cfg, depth_limit=depth, unroll_limit=args.unroll_limit)

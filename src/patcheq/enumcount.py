@@ -11,13 +11,14 @@ from __future__ import annotations
 import enum
 import itertools
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .formula import FIff, FNot
 from .oracle import Budget, ProtocolViolation, SolverConfig, SolverSession
 from .minilang import TypedFunction
 from .rangesearch import SUMMARIES, RangeSearch
-from .summarizer import Summary, eval_concrete, require_same_interface
+from .summarizer import Summary, eval_concrete
 
 BRUTE_FORCE_DOMAIN_CAP = 1 << 20
 
@@ -79,39 +80,34 @@ class _Enumeration:
             return "unknown"
         return "model"
 
-    def close(self):
-        self.session.close()
-
 
 def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
                      budget: Budget | None = None,
                      search: RangeSearch | None = None) -> EnumResult:
     """Interleaved blocked enumeration of the eq and neq input sets.
 
-    Given ``search`` (a RangeSearch over the same pair), the equivalent side
-    takes over and closes its session; the divergent side gets its own.
+    The equivalent side takes over the session of ``search`` (a RangeSearch
+    over the same pair, whose budget then governs), or of a search of its own;
+    the divergent side gets a session of its own.  Both are closed on return.
     """
-    require_same_interface(s1, s2)
     start = time.monotonic()
-    budget = budget or Budget(cfg.budget_ms)
     domain = s1.domain_size
-    if search is None:
-        eq_side = _Enumeration(SolverSession(cfg, s1.decls), s1, [s1.formula, s2.formula])
-    else:
-        eq_side = _Enumeration(search.take_session(), s1, SUMMARIES)
-    neq_side = _Enumeration(SolverSession(cfg, s1.decls), s1,
-                            [FNot(FIff(s1.formula, s2.formula))])
-    try:
+    with ExitStack() as stack:
+        search = search or stack.enter_context(RangeSearch(s1, s2, cfg, budget))
+        budget = search.budget
+        eq_session = search.take_session()
+        stack.callback(eq_session.close)
+        eq_side = _Enumeration(eq_session, s1, SUMMARIES)
+        neq_session = SolverSession(cfg, s1.decls)
+        stack.callback(neq_session.close)
+        neq_side = _Enumeration(neq_session, s1, [FNot(FIff(s1.formula, s2.formula))])
         for side, when_done in itertools.cycle(((eq_side, EnumCase.CASE1),
                                                 (neq_side, EnumCase.CASE2))):
             status = "unknown" if budget.expired else side.step()
             if status != "model":
                 case = when_done if status == "done" else EnumCase.CASE3
                 break
-    finally:
-        calls = eq_side.calls + neq_side.calls
-        eq_side.close()
-        neq_side.close()
+    calls = eq_side.calls + neq_side.calls
     eq_models = sorted(eq_side.models)
     neq_models = sorted(neq_side.models)
     if case is EnumCase.CASE1:

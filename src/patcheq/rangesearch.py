@@ -302,13 +302,15 @@ class RangeSearch:
         try:
             session = self._session_ok()
             session.push()
-            for f in formulas:
-                session.assert_formula(f)
-            verdict = session.check_sat()
-            if verdict == "sat" and model_vars:
-                model = session.get_values(list(model_vars))
-            if not session.dead:
-                session.pop()
+            try:
+                for f in formulas:
+                    session.assert_formula(f)
+                verdict = session.check_sat()
+                if verdict == "sat" and model_vars:
+                    model = session.get_values(list(model_vars))
+            finally:
+                if not session.dead:
+                    session.pop()
         except ProtocolViolation:  # the solver died; the next query respawns it
             return "unknown", None
         return verdict, model

@@ -160,11 +160,10 @@ def analyze_pair(
     except Exception as err:
         raise AnalysisError("summarize", str(err)) from err
 
-    budget = Budget(cfg.budget_ms)
-    with RangeSearch(s1, s2, cfg, budget) as search:
-        verdict = eq_check(s1, s2, cfg, budget, search=search)
+    with RangeSearch(s1, s2, cfg, Budget(cfg.budget_ms)) as search:
+        verdict = eq_check(s1, s2, cfg, search=search)
         if verdict.kind is Verdict.P_EQ and method == "enumerate":
-            enum = enumerate_models(s1, s2, cfg, budget, search=search)
+            enum = enumerate_models(s1, s2, cfg, search=search)
         elif verdict.kind is Verdict.P_EQ:
             limit = default_limit(len(s1.inputs)) if depth_limit is None else depth_limit
             quant = search.run(method, limit=limit)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from patcheq import bvarith
 from patcheq.enumcount import brute_force_eq_count
 from patcheq.formula import (
-    FIff, FNot, RangePair, eval_formula, mk_range_constraint, serialize_formula,
+    FALSE, FIff, FNot, RangePair, eval_formula, mk_range_constraint, serialize_formula,
 )
 from patcheq.oracle import Budget, SolverSession
 from patcheq.randgen import random_pair
@@ -482,3 +482,21 @@ def test_solver_death_between_queries_gives_unknown_then_a_fresh_session(cfg):
         result = rs.run("combined")
     assert result.solver_calls > 10
     assert 0 < result.eq_lower_bound <= uninterrupted.eq_lower_bound
+
+
+def test_an_error_inside_a_query_pops_its_scope(cfg, monkeypatch):
+    s1, s2 = (summarize(corpus_fn("eqbench_ltfive", which))
+              for which in ("original.fn", "patched.fn"))
+    real_assert = SolverSession.assert_formula
+
+    def assert_then_fail(session, f):
+        real_assert(session, f)
+        monkeypatch.setattr(SolverSession, "assert_formula", real_assert)
+        raise RuntimeError("interrupted between push and pop")
+
+    with RangeSearch(s1, s2, cfg) as rs:
+        monkeypatch.setattr(SolverSession, "assert_formula", assert_then_fail)
+        with pytest.raises(RuntimeError):
+            rs.query([FALSE])
+        # a FALSE left asserted would make every later query unsat
+        assert rs.check_conjunction(s1.inputs, full_domain(s1.inputs)) == "sat"

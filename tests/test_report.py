@@ -110,6 +110,22 @@ def test_standalone_classifier_and_enumeration_keep_their_sessions(cfg, spawned)
     assert_all_exited(spawned)
 
 
+def test_a_solver_that_fails_to_start_leaves_no_process_behind(cfg, spawned, monkeypatch):
+    counting_popen = oracle.subprocess.Popen
+
+    def only_one_starts(*args, **kwargs):
+        if spawned:
+            raise FileNotFoundError(args[0][0])
+        return counting_popen(*args, **kwargs)
+
+    monkeypatch.setattr(oracle.subprocess, "Popen", only_one_starts)
+    case = CORPUS / "cve_2010_4165_tcp_window"
+    with pytest.raises(oracle.SolverConfigError):
+        analyze_pair("one", case / "original.fn", case / "patched.fn", "enumerate", cfg)
+    assert len(spawned) == 1  # the classifier's, then taken over by the enumeration
+    assert_all_exited(spawned)
+
+
 def test_solver_death_after_classification_gives_an_incomplete_enumeration(
         cfg, spawned, monkeypatch):
     real_eq_check = report_module.eq_check
