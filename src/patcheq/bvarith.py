@@ -4,6 +4,10 @@ Values are kept in unsigned canonical form, i.e. in [0, 2**width).  Division
 and remainder follow the SMT-LIB bit-vector theory, including the total
 semantics for zero divisors, so the concrete interpreter, the formula
 evaluator and the solver backend all agree bit for bit.
+
+``BINARY`` is the one operator table: it maps each binary term operator of
+the formula layer to its function here.  Its keys are the valid operators,
+and each operator's SMT-LIB name is ``"bv" + name``.
 """
 
 from __future__ import annotations
@@ -113,6 +117,14 @@ def ashr(a: int, b: int, width: int) -> int:
     if sign:
         out |= mask(width) ^ (mask(width) >> b)
     return out
+
+
+BINARY = {
+    "add": add, "sub": sub, "mul": mul,
+    "udiv": udiv, "sdiv": sdiv, "urem": urem, "srem": srem,
+    "shl": shl, "lshr": lshr, "ashr": ashr,
+    "and": bvand, "or": bvor, "xor": bvxor,
+}
 
 
 def ult(a: int, b: int) -> bool:

@@ -24,9 +24,10 @@ from .minilang import MiniLangError
 from .oracle import SolverConfig, SolverConfigError, default_solver_command
 from .report import (
     ALL_METHODS, AnalysisError, ImpactReport, ManifestError, analyze_pair,
-    check_expectations, fraction_decimal, load_case, load_function,
+    check_expectations, fraction_decimal, load_case, load_function, load_pair,
+    summarize_function,
 )
-from .summarizer import summarize
+from .summarizer import DEFAULT_UNROLL_LIMIT
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -40,6 +41,12 @@ def _env(name: str, default):
 def _depth_limit(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"depth limit {text} is negative")
+    return int(text)
+
+
+def _unroll_limit(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"unroll limit {text} is below 1")
     return int(text)
 
 
@@ -61,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--stable", action="store_true",
                         default=str(_env("STABLE", "")).lower() in ("1", "true"),
                         help="omit timing fields for byte-identical reports")
-    common.add_argument("--unroll-limit", type=int, default=None)
+    common.add_argument("--unroll-limit", type=_unroll_limit, default=DEFAULT_UNROLL_LIMIT)
     common.add_argument("--percent-places", type=int,
                         default=int(_env("PERCENT_PLACES", 2)),
                         help="decimal places for rendered percentages")
@@ -107,7 +114,7 @@ def make_config(args) -> SolverConfig:
 
 def cmd_summarize(args, cfg) -> int:
     fn = load_function(args.file)
-    summary = summarize(fn, **({} if args.unroll_limit is None else {"unroll_limit": args.unroll_limit}))
+    summary = summarize_function(fn, args.unroll_limit)
     if args.format == "json":
         print(json.dumps({
             "function": fn.name,
@@ -123,9 +130,7 @@ def cmd_summarize(args, cfg) -> int:
 
 
 def cmd_check(args, cfg) -> int:
-    f1, f2 = load_function(args.original), load_function(args.patched)
-    kwargs = {} if args.unroll_limit is None else {"unroll_limit": args.unroll_limit}
-    result = eq_check(summarize(f1, **kwargs), summarize(f2, **kwargs), cfg)
+    result = eq_check(*load_pair(args.original, args.patched, args.unroll_limit), cfg)
     if args.format == "json":
         print(json.dumps({
             "verdict": result.kind.value,

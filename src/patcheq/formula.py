@@ -63,7 +63,7 @@ class TVar(Term):
 
 @dataclass(frozen=True)
 class TBin(Term):
-    op: str  # add sub mul udiv sdiv urem srem shl lshr ashr and or xor
+    op: str  # a key of bvarith.BINARY
     lhs: Term
     rhs: Term
 
@@ -87,12 +87,6 @@ class TExtract(Term):
     arg: Term
 
 
-BV_BIN_OPS = {
-    "add", "sub", "mul", "udiv", "sdiv", "urem", "srem",
-    "shl", "lshr", "ashr", "and", "or", "xor",
-}
-
-
 def tconst(value: int, width: int) -> TConst:
     return TConst(width, value & bvarith.mask(width))
 
@@ -102,7 +96,7 @@ def tvar(var: BvVar) -> TVar:
 
 
 def tbin(op: str, lhs: Term, rhs: Term) -> TBin:
-    if op not in BV_BIN_OPS:
+    if op not in bvarith.BINARY:
         raise FormulaError(f"unknown term operator {op!r}")
     if lhs.width != rhs.width:
         raise SortMismatch(f"{op}: operand widths {lhs.width} vs {rhs.width}")
@@ -317,6 +311,14 @@ def mk_range_constraint(
     )
 
 
+def point_formula(variables: Sequence[BvVar], values: Sequence[int]) -> Formula:
+    """Conjunction over variables of v == value, values in the sort's own reading."""
+    return fand(
+        feq(tvar(var), tconst(bvarith.to_unsigned(value, var.sort.width), var.sort.width))
+        for var, value in zip(variables, values)
+    )
+
+
 def require_agreeing_vars(s1: Formula, s2: Formula):
     """Raise unless every variable named in both formulas is the same variable."""
     vars1, vars2 = free_vars(s1), free_vars(s2)
@@ -340,13 +342,7 @@ def _smt_term(t: Term) -> str:
     if isinstance(t, TVar):
         return t.var.name
     if isinstance(t, TBin):
-        op = {
-            "add": "bvadd", "sub": "bvsub", "mul": "bvmul",
-            "udiv": "bvudiv", "sdiv": "bvsdiv", "urem": "bvurem", "srem": "bvsrem",
-            "shl": "bvshl", "lshr": "bvlshr", "ashr": "bvashr",
-            "and": "bvand", "or": "bvor", "xor": "bvxor",
-        }[t.op]
-        return f"({op} {_smt_term(t.lhs)} {_smt_term(t.rhs)})"
+        return f"(bv{t.op} {_smt_term(t.lhs)} {_smt_term(t.rhs)})"
     if isinstance(t, TNeg):
         return f"(bvneg {_smt_term(t.arg)})"
     if isinstance(t, TExtend):
@@ -455,15 +451,7 @@ def eval_term(t: Term, env: dict[str, int]) -> int:
     if isinstance(t, TVar):
         return env[t.var.name]
     if isinstance(t, TBin):
-        a, b = eval_term(t.lhs, env), eval_term(t.rhs, env)
-        w = t.width
-        return {
-            "add": bvarith.add, "sub": bvarith.sub, "mul": bvarith.mul,
-            "udiv": bvarith.udiv, "sdiv": bvarith.sdiv,
-            "urem": bvarith.urem, "srem": bvarith.srem,
-            "shl": bvarith.shl, "lshr": bvarith.lshr, "ashr": bvarith.ashr,
-            "and": bvarith.bvand, "or": bvarith.bvor, "xor": bvarith.bvxor,
-        }[t.op](a, b, w)
+        return bvarith.BINARY[t.op](eval_term(t.lhs, env), eval_term(t.rhs, env), t.width)
     if isinstance(t, TNeg):
         return bvarith.neg(eval_term(t.arg, env), t.width)
     if isinstance(t, TExtend):

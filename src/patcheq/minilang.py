@@ -568,9 +568,8 @@ def _body_to_expr(stmts: tuple[Stmt, ...], env: dict[str, Expr]) -> Expr:
         rest = stmts[idx + 1:]
         if isinstance(s, Return):
             return _subst(s.value, env)
-        if isinstance(s, (Let, Assign)):
-            env = dict(env)
-            env[s.name] = _subst(s.value, env)
+        if not _block_has_return((s,)):
+            env = _apply_returnless((s,), env)
             continue
         if isinstance(s, If):
             cond = _subst(s.cond, env)
@@ -581,20 +580,8 @@ def _body_to_expr(stmts: tuple[Stmt, ...], env: dict[str, Expr]) -> Expr:
             if then_total and not (s.other and _block_has_return(s.other)):
                 tail = (tuple(s.other) if s.other else ()) + rest
                 return Cond(cond, _body_to_expr(s.then, env), _body_to_expr(tail, env))
-            if not _block_has_return(s.then) and not (s.other and _block_has_return(s.other)):
-                env_t = _apply_returnless(s.then, env)
-                env_f = _apply_returnless(s.other, env) if s.other else dict(env)
-                merged = dict(env)
-                for name in set(env_t) | set(env_f):
-                    tval, fval = env_t.get(name), env_f.get(name)
-                    if tval is None or fval is None:
-                        continue
-                    merged[name] = tval if tval is fval else Cond(cond, tval, fval)
-                env = merged
-                continue
             raise InlineError("callee mixes returning and falling-through paths")
-        if isinstance(s, While):
-            raise InlineError("loops are not supported in inlined callees")
+        raise InlineError("loops are not supported in inlined callees")
     raise InlineError("callee body does not return on every path")
 
 

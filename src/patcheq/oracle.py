@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import bvarith
-from .formula import BvVar, Formula, serialize_formula
+from .formula import BvVar, FNot, Formula, point_formula, serialize_formula
 from .smtbv.sexpr import SexprError, parse_all
 
 GRACE_MS = 2000
@@ -246,12 +246,7 @@ class SolverSession:
 
     def block_model(self, variables: list[BvVar], model: dict[str, int]):
         """Exclude one input assignment from all later checks in this session."""
-        parts = []
-        for var in variables:
-            raw = bvarith.to_unsigned(model[var.name], var.sort.width)
-            parts.append(f"(= {var.name} (_ bv{raw} {var.sort.width}))")
-        conj = parts[0] if len(parts) == 1 else "(and " + " ".join(parts) + ")"
-        self._send(f"(assert (not {conj}))")
+        self.assert_formula(FNot(point_formula(variables, [model[v.name] for v in variables])))
 
 
 class ProtocolViolation(Exception):

@@ -355,12 +355,11 @@ class RangeSearch:
 
     # --- relational search (bisection of all variables at once) ---
 
-    def relational(self, r: RangeVector | None = None, limit: int | None = None) -> RegionSet:
-        r = r or full_domain(self.variables)
+    def relational(self, limit: int | None = None) -> RegionSet:
         limit = default_limit(len(self.variables)) if limit is None else limit
         out = RegionSet()
         try:
-            self._bisect(self.variables, r, 0, limit, out.regions)
+            self._bisect(self.variables, full_domain(self.variables), 0, limit, out.regions)
         except BudgetExhausted:
             out.incomplete = True
         return out
@@ -381,11 +380,10 @@ class RangeSearch:
                 return RegionList(per_var, incomplete=True)
         return RegionList(per_var)
 
-    def iterative(self, r: RangeVector | None = None, limit: int | None = None) -> RegionList:
-        r = r or full_domain(self.variables)
+    def iterative(self, limit: int | None = None) -> RegionList:
         limit = default_limit(len(self.variables)) if limit is None else limit
         return self._per_variable(
-            lambda n, var, found: self._bisect((var,), (r[n],), 0, limit, found))
+            lambda n, var, found: self._bisect((var,), full_domain((var,)), 0, limit, found))
 
     # --- priority search ---
 
@@ -443,42 +441,35 @@ class RangeSearch:
                 break
         return RangePair(hi, found.hi)
 
-    def _partitions(self, var: BvVar, p: RangePair) -> list[RangePair]:
-        out = []
-        if p.hi >= 1:
-            out.append(RangePair(max(p.lo, 1), p.hi))
-        if var.sort.signed and p.lo <= -1:
-            out.append(RangePair(p.lo, min(p.hi, -1)))
-        if p.lo <= 0 <= p.hi:
-            out.append(RangePair(0, 0))
-        return out
+    def _partitions(self, var: BvVar) -> list[RangePair]:
+        """The domain's positive part, its negative part (signed sorts) and zero."""
+        out = [RangePair(1, var.sort.max_value)]
+        if var.sort.signed:
+            out.append(RangePair(var.sort.min_value, -1))
+        return out + [RangePair(0, 0)]
 
-    def iterative_priority(self, r: RangeVector | None = None) -> RegionList:
-        r = r or full_domain(self.variables)
-
+    def iterative_priority(self) -> RegionList:
         def search_var(n: int, var: BvVar, found: list[CertifiedRegion]):
-            for partition in self._partitions(var, r[n]):
+            for partition in self._partitions(var):
                 self.priority(var, partition, found)
 
         return self._per_variable(search_var)
 
     # --- combined ---
 
-    def combined(self, r: RangeVector | None = None,
-                 limit: int | None = None) -> tuple[RegionList, list[str]]:
+    def combined(self, limit: int | None = None) -> tuple[RegionList, list[str]]:
         """Best per-variable bound of iterative vs iterative priority.
 
         Ties keep the iterative entry.  Returns the merged list and the
         winning method name per variable.
         """
-        list_iter = self.iterative(r, limit)
-        list_prio = self.iterative_priority(r)
+        list_iter = self.iterative(limit)
+        list_prio = self.iterative_priority()
         return merge_combined(list_iter, list_prio)
 
     # --- entry point producing a full quantification result ---
 
-    def run(self, method: str, r: RangeVector | None = None,
-            limit: int | None = None) -> QuantResult:
+    def run(self, method: str, limit: int | None = None) -> QuantResult:
         """Quantify with ``method``; ``solver_calls`` counts this run's queries only."""
         start = time.monotonic()
         first_query = self.query_count
@@ -488,17 +479,17 @@ class RangeSearch:
             domain_total *= d
         sources = None
         if method == "relational":
-            region_set = self.relational(r, limit)
+            region_set = self.relational(limit)
             bound = eq_lower_bound_relational(region_set.vectors())
             condition = render_condition_relational(self.variables, region_set.vectors())
             regions: RegionSet | RegionList = region_set
         else:
             if method == "iterative":
-                region_list = self.iterative(r, limit)
+                region_list = self.iterative(limit)
             elif method == "priority":
-                region_list = self.iterative_priority(r)
+                region_list = self.iterative_priority()
             elif method == "combined":
-                region_list, sources = self.combined(r, limit)
+                region_list, sources = self.combined(limit)
             else:
                 raise ValueError(f"unknown method {method!r}")
             intervals = [region_list.intervals(n) for n in range(len(self.variables))]

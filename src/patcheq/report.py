@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .classifier import Verdict, eq_check
 from .enumcount import EnumCase, enumerate_models
-from .formula import FALSE, TRUE, Formula, FNot, pretty, serialize_formula
+from .formula import FALSE, TRUE, Formula, FNot, for_, point_formula, pretty, serialize_formula
 from .minilang import parse, typecheck
 from .oracle import Budget, SolverConfig
 from .rangesearch import RangeSearch, default_limit
-from .summarizer import Summary, summarize, require_same_signature
+from .summarizer import DEFAULT_UNROLL_LIMIT, Summary, summarize, require_same_signature
 
 MODEL_LIST_CAP = 64
 
@@ -128,6 +128,26 @@ def load_function(path: str | Path):
         raise AnalysisError(f"parse/typecheck {path}", str(err)) from err
 
 
+def summarize_function(fn, unroll_limit: int) -> Summary:
+    """summarize, failing with the analysis stage "summarize"."""
+    try:
+        return summarize(fn, unroll_limit)
+    except Exception as err:
+        raise AnalysisError("summarize", str(err)) from err
+
+
+def load_pair(original_path: str | Path, patched_path: str | Path,
+              unroll_limit: int) -> tuple[Summary, Summary]:
+    """Load, type check, signature check and summarize both versions of a pair."""
+    f1 = load_function(original_path)
+    f2 = load_function(patched_path)
+    try:
+        require_same_signature(f1, f2)
+    except Exception as err:
+        raise AnalysisError("signature", str(err)) from err
+    return summarize_function(f1, unroll_limit), summarize_function(f2, unroll_limit)
+
+
 def analyze_pair(
     name: str,
     original_path: str | Path,
@@ -135,7 +155,7 @@ def analyze_pair(
     method: str,
     cfg: SolverConfig,
     depth_limit: int | None = None,
-    unroll_limit: int | None = None,
+    unroll_limit: int = DEFAULT_UNROLL_LIMIT,
 ) -> ImpactReport:
     """Classify first; quantify only on partial equivalence.
 
@@ -147,18 +167,7 @@ def analyze_pair(
     if depth_limit is not None and depth_limit < 0:
         raise AnalysisError("config", f"depth limit {depth_limit} is negative")
     start = time.monotonic()
-    f1 = load_function(original_path)
-    f2 = load_function(patched_path)
-    try:
-        require_same_signature(f1, f2)
-    except Exception as err:
-        raise AnalysisError("signature", str(err)) from err
-    try:
-        kwargs = {} if unroll_limit is None else {"unroll_limit": unroll_limit}
-        s1 = summarize(f1, **kwargs)
-        s2 = summarize(f2, **kwargs)
-    except Exception as err:
-        raise AnalysisError("summarize", str(err)) from err
+    s1, s2 = load_pair(original_path, patched_path, unroll_limit)
 
     with RangeSearch(s1, s2, cfg, Budget(cfg.budget_ms)) as search:
         verdict = eq_check(s1, s2, cfg, search=search)
@@ -235,17 +244,7 @@ def analyze_pair(
 
 
 def _models_condition(summary: Summary, models: list[tuple[int, ...]]) -> Formula:
-    from .formula import feq, for_, fand, tconst, tvar
-    from . import bvarith
-
-    disjuncts = []
-    for point in models:
-        parts = []
-        for var, value in zip(summary.inputs, point):
-            raw = bvarith.to_unsigned(value, var.sort.width)
-            parts.append(feq(tvar(var), tconst(raw, var.sort.width)))
-        disjuncts.append(fand(parts))
-    return for_(disjuncts) if disjuncts else FALSE
+    return for_(point_formula(summary.inputs, point) for point in models)
 
 
 # ---------------------------------------------------------------------------

@@ -289,9 +289,6 @@ class Blaster:
             extra, arg = node.args
             bits = self.blast(arg)
             out = bits + [bits[-1]] * extra
-        elif k == "concat":
-            hi_part, lo_part = node.args
-            out = self.blast(lo_part) + self.blast(hi_part)
         else:
             raise ValueError(f"cannot blast node kind {k!r}")
         self.cache[node.nid] = out

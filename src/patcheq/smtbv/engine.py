@@ -126,9 +126,6 @@ class SmtEngine:
             self.levels.pop()
         self.last_model = None
 
-    def reset(self):
-        self.__init__()
-
     def declared(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for lvl in self.levels:

@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import sys
 
+from .. import bvarith
 from .engine import SmtEngine, SmtError
 from .sexpr import SexprError, balanced, parse_all
 from .terms import Node
 
-_BV_BINARY = {
-    "bvadd": "add", "bvsub": "sub", "bvmul": "mul",
-    "bvudiv": "udiv", "bvurem": "urem",
-    "bvshl": "shl", "bvlshr": "lshr",
-    "bvand": "and", "bvor": "or", "bvxor": "xor",
-}
-
 
 class SmtSession:
-    """One solver instance; ``handle`` consumes a parsed command."""
+    """One solver instance; ``handle`` consumes a parsed command.
+
+    The accepted SMT-LIB is what patcheq sends: Boolean and bit-vector
+    constants, declared and defined names, the binary operators of
+    ``bvarith.BINARY`` under their ``bv`` names, ``bvneg``, ``not``/``and``/``or``,
+    ``=``, ``bvult``/``bvule``/``bvslt``/``bvsle``, ``extract``, ``zero_extend``
+    and ``sign_extend``.  Anything else is an error.
+    """
 
     def __init__(self):
         self.engine = SmtEngine()
@@ -31,10 +32,6 @@ class SmtSession:
                 return t.TRUE
             if e == "false":
                 return t.FALSE
-            if e.startswith("#x"):
-                return t.const(int(e[2:], 16), 4 * (len(e) - 2))
-            if e.startswith("#b"):
-                return t.const(int(e[2:], 2), len(e) - 2)
             defined = self.engine.lookup_definition(e)
             if defined is not None:
                 return defined
@@ -47,96 +44,63 @@ class SmtSession:
         head = e[0]
         if head == "_":
             if len(e) == 3 and isinstance(e[1], str) and e[1].startswith("bv"):
+                if int(e[2]) < 1:
+                    raise SmtError("bit-vector width must be positive")
                 return t.const(int(e[1][2:]), int(e[2]))
             raise SmtError(f"unsupported indexed term {e!r}")
-        if isinstance(head, list) and head and head[0] == "_":
-            op = head[1]
-            args = [self.parse_term(x) for x in e[1:]]
-            if op == "extract":
-                return t.extract(int(head[2]), int(head[3]), args[0])
-            if op == "zero_extend":
-                return t.zext(int(head[2]), args[0])
-            if op == "sign_extend":
-                return t.sext(int(head[2]), args[0])
-            raise SmtError(f"unsupported indexed op {op}")
         args = [self.parse_term(x) for x in e[1:]]
+        if isinstance(head, list):
+            return self._indexed(head, args)
         if head == "=":
-            self._need(2, args, head)
-            self._same_width(args, head)
+            self._expect(head, args, 2, None)
             return t.eq(args[0], args[1])
-        if head == "distinct":
-            self._need(2, args, head)
-            return t.bnot(t.eq(args[0], args[1]))
         if head == "not":
-            self._need(1, args, head)
+            self._expect(head, args, 1, True)
             return t.bnot(args[0])
-        if head == "and":
-            return t.band(args)
-        if head == "or":
-            return t.bor(args)
-        if head == "xor":
-            out = args[0]
-            for a in args[1:]:
-                out = t.bnot(t.beq(out, a))
-            return out
-        if head == "=>":
-            self._need(2, args, head)
-            return t.implies(args[0], args[1])
-        if head == "ite":
-            self._need(3, args, head)
-            if args[1].width == 0:
-                return t.bite(args[0], args[1], args[2])
-            return t.ite(args[0], args[1], args[2])
-        if head in _BV_BINARY:
-            self._need(2, args, head)
-            self._same_width(args, head)
-            return t.bv2(_BV_BINARY[head], args[0], args[1])
-        if head == "bvsdiv":
-            self._same_width(args, head)
-            return t.sdiv(args[0], args[1])
-        if head == "bvsrem":
-            self._same_width(args, head)
-            return t.srem(args[0], args[1])
-        if head == "bvashr":
-            self._same_width(args, head)
-            return t.ashr(args[0], args[1])
+        if head in ("and", "or"):
+            self._expect(head, args, None, True)
+            return t.band(args) if head == "and" else t.bor(args)
         if head == "bvneg":
+            self._expect(head, args, 1, False)
             return t.neg(args[0])
-        if head == "bvnot":
-            return t.bvnot(args[0])
-        if head == "concat":
-            return t.concat(args[0], args[1])
-        if head == "bvult":
-            self._same_width(args, head)
-            return t.ult(args[0], args[1])
-        if head == "bvule":
-            self._same_width(args, head)
-            return t.ule(args[0], args[1])
-        if head == "bvugt":
-            return t.ult(args[1], args[0])
-        if head == "bvuge":
-            return t.ule(args[1], args[0])
-        if head == "bvslt":
-            self._same_width(args, head)
-            return t.slt(args[0], args[1])
-        if head == "bvsle":
-            self._same_width(args, head)
-            return t.sle(args[0], args[1])
-        if head == "bvsgt":
-            return t.slt(args[1], args[0])
-        if head == "bvsge":
-            return t.sle(args[1], args[0])
+        if head in ("bvult", "bvule", "bvslt", "bvsle"):
+            self._expect(head, args, 2, False)
+            return getattr(t, head[2:])(args[0], args[1])
+        op = head[2:] if isinstance(head, str) and head.startswith("bv") else None
+        if op in bvarith.BINARY:
+            self._expect(head, args, 2, False)
+            if op in ("sdiv", "srem", "ashr"):  # desugared into the other ten
+                return getattr(t, op)(args[0], args[1])
+            return t.bv2(op, args[0], args[1])
         raise SmtError(f"unsupported operator {head!r}")
 
-    @staticmethod
-    def _need(n: int, args, head):
-        if len(args) != n:
-            raise SmtError(f"{head} expects {n} arguments")
+    def _indexed(self, head: list, args: list[Node]) -> Node:
+        t = self.engine.table
+        name = head[1] if len(head) > 1 and head[0] == "_" else None
+        if name == "extract" and len(head) == 4:
+            self._expect(name, args, 1, False)
+            hi, lo = int(head[2]), int(head[3])
+            if not 0 <= lo <= hi < args[0].width:
+                raise SmtError(f"extract bounds {hi} {lo} outside the operand")
+            return t.extract(hi, lo, args[0])
+        if name in ("zero_extend", "sign_extend") and len(head) == 3:
+            self._expect(name, args, 1, False)
+            extra = int(head[2])
+            if extra < 0:
+                raise SmtError(f"{name} by a negative width")
+            return (t.zext if name == "zero_extend" else t.sext)(extra, args[0])
+        raise SmtError(f"unsupported indexed op {head!r}")
 
     @staticmethod
-    def _same_width(args, head):
+    def _expect(head, args: list[Node], count: int | None, boolean: bool | None):
+        """Check the argument count (None: at least one) and that all arguments
+        share one sort, Boolean or bit-vector as ``boolean`` asks (None: either)."""
+        if (len(args) != count) if count is not None else not args:
+            raise SmtError(f"{head} expects {count or 'at least one'} argument(s)")
         if len({a.width for a in args}) > 1:
             raise SmtError(f"{head}: operand width mismatch")
+        if boolean is not None and (args[0].width == 0) != boolean:
+            raise SmtError(f"{head} expects {'Boolean' if boolean else 'bit-vector'} arguments")
 
     # --- commands ---
 
@@ -144,25 +108,19 @@ class SmtSession:
         if not isinstance(cmd, list) or not cmd:
             raise SmtError(f"bad command {cmd!r}")
         head = cmd[0]
-        if head in ("set-logic", "set-info", "echo"):
+        if head == "set-logic":
             return None
         if head == "set-option":
             if len(cmd) >= 3 and cmd[1] == ":timeout":
                 self.engine.timeout_ms = int(cmd[2])
             return None
-        if head in ("declare-const", "declare-fun"):
-            name = cmd[1]
-            sort = cmd[-1]
-            if (
-                not isinstance(sort, list)
-                or len(sort) != 3
-                or sort[0] != "_"
-                or sort[1] != "BitVec"
-            ):
-                raise SmtError("only (_ BitVec w) sorts are supported")
-            if head == "declare-fun" and cmd[2] != []:
-                raise SmtError("only zero-arity declare-fun is supported")
-            self.engine.declare(name, int(sort[2]))
+        if head == "declare-const":
+            sort = cmd[2] if len(cmd) == 3 and isinstance(cmd[1], str) else None
+            if not isinstance(sort, list) or len(sort) != 3 or sort[:2] != ["_", "BitVec"]:
+                raise SmtError("declare-const expects a name and a (_ BitVec w) sort")
+            if int(sort[2]) < 1:
+                raise SmtError("bit-vector width must be positive")
+            self.engine.declare(cmd[1], int(sort[2]))
             return None
         if head == "define-fun":
             if len(cmd) != 5 or not isinstance(cmd[1], str):
@@ -174,23 +132,24 @@ class SmtSession:
             self.engine.define(cmd[1], self.parse_term(cmd[4]))
             return None
         if head == "assert":
+            if len(cmd) != 2:
+                raise SmtError("assert expects one term")
             self.engine.assert_node(self.parse_term(cmd[1]))
             return None
-        if head == "push":
-            self.engine.push(int(cmd[1]) if len(cmd) > 1 else 1)
-            return None
-        if head == "pop":
-            self.engine.pop(int(cmd[1]) if len(cmd) > 1 else 1)
+        if head in ("push", "pop"):
+            n = int(cmd[1]) if len(cmd) > 1 else 1
+            if n < 0 or len(cmd) > 2:
+                raise SmtError(f"{head} expects a non-negative count")
+            (self.engine.push if head == "push" else self.engine.pop)(n)
             return None
         if head == "check-sat":
             return self.engine.check_sat()
         if head == "get-value":
-            pairs = self.engine.get_values(list(cmd[1]))
+            if len(cmd) != 2 or not isinstance(cmd[1], list):
+                raise SmtError("get-value expects a list of names")
+            pairs = self.engine.get_values(cmd[1])
             body = " ".join(f"({name} (_ bv{value} {width}))" for name, value, width in pairs)
             return f"({body})"
-        if head == "reset":
-            self.engine.reset()
-            return None
         if head == "exit":
             return "__exit__"
         raise SmtError(f"unsupported command {head!r}")
@@ -218,7 +177,7 @@ def run_stdio(stdin=None, stdout=None) -> int:
         for cmd in commands:
             try:
                 reply = session.handle(cmd)
-            except (SmtError, ValueError, IndexError, KeyError) as err:
+            except (SmtError, ValueError, TypeError, IndexError, KeyError) as err:
                 print(f'(error "{err}")', file=stdout, flush=True)
                 continue
             if reply == "__exit__":

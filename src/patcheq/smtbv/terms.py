@@ -118,17 +118,6 @@ class TermTable:
             a, b = b, a
         return self._node("beq", 0, (a, b))
 
-    def implies(self, a: Node, b: Node) -> Node:
-        return self.bor([self.bnot(a), b])
-
-    def bite(self, c: Node, a: Node, b: Node) -> Node:
-        # boolean-valued ite
-        if c.kind == "bconst":
-            return a if c.args[0] else b
-        if a.nid == b.nid:
-            return a
-        return self.bor([self.band([c, a]), self.band([self.bnot(c), b])])
-
     # --- atoms ---
 
     def eq(self, a: Node, b: Node) -> Node:
@@ -171,8 +160,7 @@ class TermTable:
 
     def _fold2(self, op: str, a: Node, b: Node):
         if a.kind == "const" and b.kind == "const":
-            fn = getattr(bvarith, _FOLD_NAMES[op])
-            return self.const(fn(a.args[0], b.args[0], a.width), a.width)
+            return self.const(bvarith.BINARY[op](a.args[0], b.args[0], a.width), a.width)
         return None
 
     def bv2(self, op: str, a: Node, b: Node) -> Node:
@@ -313,18 +301,6 @@ class TermTable:
             return self.const(bvarith.to_unsigned(v, a.width + extra), a.width + extra)
         return self._node("sext", a.width + extra, (extra, a))
 
-    def concat(self, a: Node, b: Node) -> Node:
-        # a is the high part per SMT-LIB
-        if a.kind == "const" and b.kind == "const":
-            return self.const((a.args[0] << b.width) | b.args[0], a.width + b.width)
-        return self._node("concat", a.width + b.width, (a, b))
-
-
-_FOLD_NAMES = {
-    "add": "add", "sub": "sub", "mul": "mul", "udiv": "udiv", "urem": "urem",
-    "shl": "shl", "lshr": "lshr", "and": "bvand", "or": "bvor", "xor": "bvxor",
-}
-
 
 # ---------------------------------------------------------------------------
 # Concrete evaluation
@@ -375,12 +351,8 @@ def eval_node(node: Node, env: dict[str, int], memo: dict[int, int] | None = Non
         elif k == "sext":
             extra, a = n.args
             v = bvarith.to_unsigned(bvarith.to_signed(rec(a), a.width), n.width)
-        elif k == "concat":
-            a, b = n.args
-            v = (rec(a) << b.width) | rec(b)
         else:
-            fn = getattr(bvarith, _FOLD_NAMES[k])
-            v = fn(rec(n.args[0]), rec(n.args[1]), n.width)
+            v = bvarith.BINARY[k](rec(n.args[0]), rec(n.args[1]), n.width)
         memo[n.nid] = v
         return v
 
@@ -454,8 +426,6 @@ def _expr(n: Node, a: list[str]) -> str:
     if k == "sext":
         inner = n.args[1].width
         return f"{a[0]} | {m ^ bvarith.mask(inner)} if {a[0]} >> {inner - 1} else {a[0]}"
-    if k == "concat":
-        return f"({a[0]} << {n.args[1].width}) | {a[1]}"
     x, y = a
     if k in ("add", "sub", "mul"):
         return f"({x} {_ARITH[k]} {y}) & {m}"
@@ -678,11 +648,8 @@ class Simplifier:
             out = t.zext(n.args[0], self.run(n.args[1]))
         elif k == "sext":
             out = t.sext(n.args[0], self.run(n.args[1]))
-        elif k == "concat":
-            out = t.concat(self.run(n.args[0]), self.run(n.args[1]))
         else:
-            a, b = self.run(n.args[0]), self.run(n.args[1])
-            out = t.bv2(k, a, b) if k in _FOLD_NAMES else t._node(k, n.width, (a, b))
+            out = t.bv2(k, self.run(n.args[0]), self.run(n.args[1]))
         self.memo[n.nid] = out
         return out
 

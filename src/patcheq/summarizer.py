@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import bvarith, minilang
 from .formula import (
     BvVar, Formula, Term, TConst, FAnd, FNot, FOr, FTrue, FFalse, TRUE, FALSE,
-    fand, feq, fle, flt, for_, tbin, tconst, textend, textract, tneg, tvar,
+    eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract, tneg, tvar,
 )
 from .minilang import (
     Ascribe, Assign, Binary, Cast, Cond, Expr, If, IntSort, Let, Lit, Return,
@@ -70,9 +70,7 @@ def _require_sorted(e: Expr) -> IntSort:
 
 def _mk_bin(op: str, lhs: Term, rhs: Term) -> Term:
     if isinstance(lhs, TConst) and isinstance(rhs, TConst):
-        from .formula import eval_term
-
-        return tconst(eval_term(tbin(op, lhs, rhs), {}), lhs.width)
+        return tconst(bvarith.BINARY[op](lhs.value, rhs.value, lhs.width), lhs.width)
     return tbin(op, lhs, rhs)
 
 
@@ -139,8 +137,6 @@ def _cast_term(t: Term, src: IntSort, dst: IntSort) -> Term:
     else:
         out = textend("sign" if src.signed else "zero", dst.width - src.width, t)
     if isinstance(t, TConst):
-        from .formula import eval_term
-
         return tconst(eval_term(out, {}), dst.width)
     return out
 
@@ -357,6 +353,17 @@ def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT, prune
 # --- concrete interpreter ---
 
 
+# minilang operator -> (unsigned, signed) operator name.  Summaries are
+# checked against eval_concrete, so it keeps this reading of its own rather
+# than sharing translate_expr's.
+_CONCRETE_BINARY = {
+    "+": ("add", "add"), "-": ("sub", "sub"), "*": ("mul", "mul"),
+    "/": ("udiv", "sdiv"), "%": ("urem", "srem"),
+    "<<": ("shl", "shl"), ">>": ("lshr", "ashr"),
+    "&": ("and", "and"), "|": ("or", "or"), "^": ("xor", "xor"),
+}
+
+
 def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
                   unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> int:
     """Run a function on concrete arguments with wraparound semantics.
@@ -399,29 +406,9 @@ def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
             if e.op == "~":
                 return bvarith.bvnot(eval_expr(e.arg), sort.width)
             raise SummarizeError("'!' in value position")
-        if isinstance(e, Binary):
-            w = sort.width
-            a, b = eval_expr(e.lhs), eval_expr(e.rhs)
-            if e.op == "+":
-                return bvarith.add(a, b, w)
-            if e.op == "-":
-                return bvarith.sub(a, b, w)
-            if e.op == "*":
-                return bvarith.mul(a, b, w)
-            if e.op == "/":
-                return (bvarith.sdiv if sort.signed else bvarith.udiv)(a, b, w)
-            if e.op == "%":
-                return (bvarith.srem if sort.signed else bvarith.urem)(a, b, w)
-            if e.op == "<<":
-                return bvarith.shl(a, b, w)
-            if e.op == ">>":
-                return (bvarith.ashr if sort.signed else bvarith.lshr)(a, b, w)
-            if e.op == "&":
-                return a & b
-            if e.op == "|":
-                return a | b
-            if e.op == "^":
-                return a ^ b
+        if isinstance(e, Binary) and e.op in _CONCRETE_BINARY:
+            name = _CONCRETE_BINARY[e.op][sort.signed]
+            return bvarith.BINARY[name](eval_expr(e.lhs), eval_expr(e.rhs), sort.width)
         if isinstance(e, Cond):
             return eval_expr(e.then) if eval_cond(e.cond) else eval_expr(e.other)
         raise SummarizeError(f"cannot evaluate {type(e).__name__}")

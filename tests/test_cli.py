@@ -168,6 +168,35 @@ def test_negative_depth_limit_exits_2(corpus_dir, monkeypatch, capsys, flag, env
     assert "depth limit -1 is negative" in capsys.readouterr().err
 
 
+LIVE_LOOP = "fn f(x: i8) -> i8 { while (x > 0) { x = x - 1; } return x; }"
+
+
+@pytest.mark.parametrize("command, patched, flags, stage", [
+    ("check", "fn f(y: i8) -> i8 { return y; }", [], "signature"),
+    ("check", LIVE_LOOP, ["--unroll-limit", "2"], "summarize"),
+    ("summarize", None, ["--unroll-limit", "2"], "summarize"),
+])
+def test_analysis_failures_exit_1_with_their_stage(tmp_path, capsys, command, patched,
+                                                    flags, stage):
+    original = "fn f(x: i8) -> i8 { return x; }" if patched else LIVE_LOOP
+    (tmp_path / "a.fn").write_text(original)
+    (tmp_path / "b.fn").write_text(patched or original)
+    files = [str(tmp_path / "a.fn")] + ([str(tmp_path / "b.fn")] if patched else [])
+    code, out, err = run_cli([command, *files, *flags], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {stage}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["summarize", "check"])
+def test_unroll_limit_below_one_exits_2(corpus_dir, capsys, command):
+    files = [str(corpus_dir / "eqbench_ltfive/original.fn")] * (1 if command == "summarize" else 2)
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([command, *files, "--unroll-limit", "0"], capsys)
+    assert exit_info.value.code == 2
+    assert "unroll limit 0 is below 1" in capsys.readouterr().err
+
+
 def test_env_vars_mirror_flags(corpus_dir, monkeypatch, capsys):
     monkeypatch.setenv("PATCHEQ_ALGORITHM", "enumerate")
     monkeypatch.setenv("PATCHEQ_FORMAT", "json")

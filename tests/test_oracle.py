@@ -1,12 +1,15 @@
 """Solver client: verdicts, models, blocking, timeouts, failure modes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from patcheq.formula import (
-    BvVar, FIff, FNot, fand, feq, flt, tbin, tconst, tvar,
+    BvVar, FIff, FNot, fand, feq, flt, serialize_formula, tbin, tconst, tvar,
 )
 from patcheq.minilang import SORTS
 from patcheq.oracle import Budget, SolverConfig, SolverConfigError, SolverSession
+from patcheq.report import _models_condition
 from patcheq.summarizer import eval_concrete, summarize
 
 from conftest import corpus_fn
@@ -62,6 +65,23 @@ def test_block_single_divergence_then_unsat(cfg):
         assert model == {"count": 0}
         session.block_model(list(s1.inputs), model)
         assert session.check_sat() == "unsat"
+
+
+@pytest.mark.parametrize("sorts, point, sent", [
+    (("u8",), (5,), "(assert (not (= x0 (_ bv5 8))))"),
+    (("i8", "u16"), (-5, 300),
+     "(assert (not (and (= x0 (_ bv251 8)) (= x1 (_ bv300 16)))))"),
+])
+def test_blocking_clause_is_the_negated_report_condition(cfg, monkeypatch, sorts, point, sent):
+    variables = [BvVar(f"x{i}", SORTS[name], "input") for i, name in enumerate(sorts)]
+    texts = []
+    with SolverSession(cfg, tuple(variables)) as session:
+        monkeypatch.setattr(session, "_send", texts.append)
+        session.block_model(variables, {v.name: value for v, value in zip(variables, point)})
+        monkeypatch.undo()
+    condition = _models_condition(SimpleNamespace(inputs=variables), [point])
+    assert texts == [sent]  # the bytes the solver gets
+    assert sent == f"(assert {serialize_formula(FNot(condition))})"
 
 
 def test_block_all_width8_inputs(cfg):

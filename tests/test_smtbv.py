@@ -5,11 +5,17 @@ import itertools
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patcheq import bvarith
+from patcheq.formula import (
+    BvVar, eval_formula, feq, fle, flt, serialize_formula, tbin, tconst, textend, textract,
+    tneg, tvar,
+)
 from patcheq.smtbv.engine import SmtEngine, SmtError
 from patcheq.smtbv.protocol import SmtSession, run_stdio
 from patcheq.smtbv.sat import Solver
@@ -213,13 +219,106 @@ def test_protocol_reports_errors_and_continues():
     assert lines[1] == "unsat"  # the session keeps going; nothing is below 0
 
 
+# --- protocol contract: exactly the SMT-LIB that serialize_formula writes ---
+
+
+@dataclass(frozen=True)
+class _Narrow:
+    """A bit-vector sort narrower than any minilang sort, to enumerate exhaustively."""
+
+    width: int
+
+
+COMPARISONS = ("ult", "ule", "slt", "sle")
+
+
+def _contract_queries(head, x, y):
+    """Small queries around one operator: its result against every constant."""
+    w = x.width
+    if head in COMPARISONS:
+        make = flt if head.endswith("lt") else fle
+        consts = [tconst(c, w) for c in range(1 << w)]
+        signed = head.startswith("s")
+        return [make(signed, x, c) for c in consts] + [make(signed, c, x) for c in consts]
+    if head in bvarith.BINARY:
+        term = tbin(head, x, y)
+    elif head == "neg":
+        term = tneg(x)
+    elif head == "extract":
+        term = textract(w - 1, w // 2, x)
+    else:
+        term = textend(head, 2, x)
+    return [feq(term, tconst(c, term.width)) for c in range(1 << term.width)]
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("head", [*bvarith.BINARY, "neg", "zero", "sign", "extract",
+                                  *COMPARISONS])
+def test_every_operator_agrees_with_eval_formula(head, width):
+    x, y = (BvVar(name, _Narrow(width), "input") for name in "xy")
+    s = SmtSession()
+    _handle_all(s, f"(declare-const x (_ BitVec {width})) (declare-const y (_ BitVec {width}))")
+    points = [{"x": a, "y": b} for a, b in itertools.product(range(1 << width), repeat=2)]
+    for query in _contract_queries(head, tvar(x), tvar(y)):
+        _handle_all(s, f"(push 1) (assert {serialize_formula(query)})")
+        verdict = s.handle(["check-sat"])
+        assert verdict == ("sat" if any(eval_formula(query, p) for p in points) else "unsat")
+        if verdict == "sat":
+            reply = parse_all(s.handle(["get-value", ["x", "y"]]))[0]
+            assert eval_formula(query, {name: int(value[1][2:]) for name, value in reply})
+        s.handle(["pop", "1"])
+
+
+@pytest.mark.parametrize("command", [
+    "(assert (= (concat x x) (_ bv0 16)))",
+    "(assert (distinct x (_ bv0 8)))",
+    "(assert (xor true false))",
+    "(assert (=> true false))",
+    "(assert (ite true true false))",
+    "(assert (= (ite true x x) x))",
+    "(assert (= (bvnot x) x))",
+    "(assert (bvugt x x))",
+    "(assert (bvuge x x))",
+    "(assert (bvsgt x x))",
+    "(assert (bvsge x x))",
+    "(assert (= x #x00))",
+    "(assert (= x #b00000000))",
+    "(declare-fun y () (_ BitVec 8))",
+    "(reset)",
+    "(set-info :status sat)",
+    '(echo "hello")',
+    # the remaining vocabulary with a wrong argument count or sort
+    "(assert (bvadd x))",
+    "(assert (= (bvneg x x) x))",
+    "(assert (not true false))",
+    "(assert (and))",
+    "(assert (bvult x))",
+    "(assert (bvult true false))",
+    "(assert (and x x))",
+    "(assert (= ((_ extract 3 0) x x) (_ bv0 4)))",
+    "(assert (= ((_ extract 8 0) x) (_ bv0 9)))",
+    "(assert (= ((_ zero_extend 1) x x) (_ bv0 9)))",
+    "(assert (= (_ bv0 0) (_ bv0 0)))",
+    "(assert true true)",
+    "(assert (= x (_ bv1 (8))))",
+    "(declare-const y (_ BitVec (8)))",
+    "(push (1))",
+    "(push -1)",
+])
+def test_input_outside_the_vocabulary_is_an_error_and_the_session_continues(command):
+    script = f"(declare-const x (_ BitVec 8))\n{command}\n(assert (bvult x (_ bv0 8)))\n(check-sat)\n"
+    out = io.StringIO()
+    assert run_stdio(io.StringIO(script), out) == 0
+    assert [line.split(" ")[0] for line in out.getvalue().splitlines()] == ["(error", "unsat"]
+
+
 # --- compiled evaluator ---
 
 WIDTHS = (1, 8, 33, 64)
 _BV_OPS = ("add", "sub", "mul", "udiv", "urem", "shl", "lshr", "and", "or", "xor")
 TERM_KINDS = _BV_OPS + ("sdiv", "srem", "ashr", "neg", "bvnot", "ite",
-                        "extract", "zext", "sext", "concat")
-FORMULA_KINDS = ("eq", "ult", "slt", "ule", "sle", "bnot", "band", "bor", "beq", "bite")
+                        "extract", "zext", "sext")
+FORMULA_KINDS = ("eq", "ult", "slt", "ule", "sle", "bnot", "band", "bor", "beq")
 
 
 def _draw_term(data, t, width, depth, kind=None):
@@ -246,13 +345,10 @@ def _draw_term(data, t, width, depth, kind=None):
         source = data.draw(st.sampled_from([w for w in WIDTHS if w >= width]))
         lo = data.draw(st.integers(0, source - width))
         return t.extract(lo + width - 1, lo, _draw_term(data, t, source, sub))
-    if width == 1:  # no narrower operand for the rest
+    if width == 1:  # no narrower operand to extend
         return _draw_term(data, t, width, 0)
-    if kind in ("zext", "sext"):
-        inner = data.draw(st.sampled_from([w for w in WIDTHS if w < width]))
-        return getattr(t, kind)(width - inner, _draw_term(data, t, inner, sub))
-    high = data.draw(st.integers(1, width - 1))  # concat
-    return t.concat(_draw_term(data, t, high, sub), _draw_term(data, t, width - high, sub))
+    inner = data.draw(st.sampled_from([w for w in WIDTHS if w < width]))
+    return getattr(t, kind)(width - inner, _draw_term(data, t, inner, sub))
 
 
 def _draw_formula(data, t, depth, kind=None):
@@ -267,10 +363,7 @@ def _draw_formula(data, t, depth, kind=None):
         return t.bnot(_draw_formula(data, t, sub))
     if kind in ("band", "bor"):
         return getattr(t, kind)([_draw_formula(data, t, sub) for _ in range(3)])
-    if kind == "beq":
-        return t.beq(_draw_formula(data, t, sub), _draw_formula(data, t, sub))
-    return t.bite(_draw_formula(data, t, sub), _draw_formula(data, t, sub),
-                  _draw_formula(data, t, sub))
+    return t.beq(_draw_formula(data, t, sub), _draw_formula(data, t, sub))
 
 
 @pytest.mark.parametrize("kind", TERM_KINDS + FORMULA_KINDS)
@@ -281,7 +374,7 @@ def test_compiled_evaluator_matches_eval_node(kind, data):
     if kind in FORMULA_KINDS:
         node = _draw_formula(data, t, 3, kind)
     else:
-        widths = WIDTHS[1:] if kind in ("zext", "sext", "concat") else WIDTHS
+        widths = WIDTHS[1:] if kind in ("zext", "sext") else WIDTHS
         node = _draw_term(data, t, data.draw(st.sampled_from(widths)), 3, kind)
     env = {}
     for name, var in sorted(free_vars(node).items()):
