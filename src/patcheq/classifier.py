@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .formula import FIff, FNot
 from .oracle import Budget, SolverConfig
 from .rangesearch import SUMMARIES, BudgetExhausted, RangeSearch
-from .summarizer import SignatureMismatch, Summary  # noqa: F401  (re-exported)
+from .summarizer import Summary
 
 
 class Verdict(enum.Enum):

@@ -3,7 +3,7 @@
 Global options may also come from environment variables with the PATCHEQ_
 prefix (PATCHEQ_SOLVER_CMD, PATCHEQ_QUERY_TIMEOUT_MS, PATCHEQ_BUDGET_MS,
 PATCHEQ_ALGORITHM, PATCHEQ_DEPTH_LIMIT, PATCHEQ_FORMAT, PATCHEQ_JOBS,
-PATCHEQ_STABLE).  Exit status: 0 success, 1 expectation or analysis failure,
+PATCHEQ_STABLE, PATCHEQ_PERCENT_PLACES).  Exit status: 0 success, 1 expectation or analysis failure,
 2 infrastructure error.
 """
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .classifier import Verdict, eq_check
-from .formula import serialize
+from .formula import pretty, serialize
 from .minilang import MiniLangError
 from .oracle import SolverConfig, SolverConfigError, default_solver_command
 from .report import (
@@ -50,13 +50,19 @@ def _unroll_limit(text: str) -> int:
     return int(text)
 
 
+def _percent_places(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"percent places {text} is negative")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--solver-cmd", default=_env("SOLVER_CMD", None),
                         help="solver command line (default: z3 -in if present, else bundled)")
     common.add_argument("--query-timeout-ms", type=int,
-                        default=int(_env("QUERY_TIMEOUT_MS", 10_000)))
-    common.add_argument("--budget-ms", type=int, default=int(_env("BUDGET_MS", 120_000)))
+                        default=_env("QUERY_TIMEOUT_MS", "10000"))
+    common.add_argument("--budget-ms", type=int, default=_env("BUDGET_MS", "120000"))
     common.add_argument("--depth-limit", type=_depth_limit,
                         default=_env("DEPTH_LIMIT", None),
                         help="range-search depth limit (default 8 single-var, 4 multi-var)")
@@ -64,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env("ALGORITHM", None))
     common.add_argument("--format", choices=("json", "text"),
                         default=_env("FORMAT", "text"))
-    common.add_argument("--jobs", type=int, default=int(_env("JOBS", 1)))
+    common.add_argument("--jobs", type=int, default=_env("JOBS", "1"))
     common.add_argument("--stable", action="store_true",
                         default=str(_env("STABLE", "")).lower() in ("1", "true"),
                         help="omit timing fields for byte-identical reports")
     common.add_argument("--unroll-limit", type=_unroll_limit, default=DEFAULT_UNROLL_LIMIT)
-    common.add_argument("--percent-places", type=int,
-                        default=int(_env("PERCENT_PLACES", 2)),
+    common.add_argument("--percent-places", type=_percent_places,
+                        default=_env("PERCENT_PLACES", "2"),
                         help="decimal places for rendered percentages")
 
     parser = argparse.ArgumentParser(
@@ -161,8 +167,8 @@ def _render_text(report: ImpactReport, places: int = 2) -> str:
         f"eq count:    {'=' if report.exact else '>='} {report.eq_lower_bound} of {report.domain_size}",
         f"eq percent:  {'=' if report.exact else '>='} {fraction_decimal(report.eq_percent, places)}",
         f"impact:      {_impact_text(report, places)}",
-        f"condition:   {report.to_json()['condition']['pretty']}",
-        f"impact cond: {report.to_json()['impact_condition']['pretty']}",
+        f"condition:   {pretty(report.condition)}",
+        f"impact cond: {pretty(report.impact_condition)}",
         f"solver calls: {report.solver_calls}",
     ]
     if report.witness:
@@ -193,7 +199,11 @@ def cmd_impact(args, cfg) -> int:
 
 def cmd_corpus(args, cfg) -> int:
     directory = Path(args.directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"{directory} is not a directory")
     manifests = sorted(directory.rglob("*.case"))
+    if not manifests:
+        raise FileNotFoundError(f"no *.case manifest under {directory}")
     cases = [load_case(m) for m in manifests]
     results: list[tuple] = [None] * len(cases)
 

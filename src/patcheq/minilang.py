@@ -1,10 +1,10 @@
-"""A fixed-width integer C subset: parsing, call inlining, and type checking.
+"""A fixed-width integer C subset: parsing, type checking, and printing.
 
 Programs are single functions over typed integer parameters with one return
 value.  Control flow is if/else and bounded while; all arithmetic is
-fixed-width two's-complement wraparound.  Function calls are resolved by
-inlining at parse time (callees must be defined earlier in the same source),
-so every function handed to later stages is call-free.
+fixed-width two's-complement wraparound.  A call names a function defined
+earlier in the same source; the parser links the call to that function, and
+later stages execute the callee in its own scope, so recursion cannot occur.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class ParseError(MiniLangError):
 
 class TypeError_(MiniLangError):
     """Sort mismatch, scope violation, missing return, or rejected construct."""
-
-
-class InlineError(MiniLangError):
-    """Call site cannot be inlined (loops or partial-return callee bodies)."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,28 +130,12 @@ class Binary(Expr):
 
 
 @dataclass(frozen=True)
-class Cond(Expr):
-    """Internal if-then-else expression produced by call inlining."""
-
-    cond: Expr
-    then: Expr
-    other: Expr
-
-
-@dataclass(frozen=True)
-class Ascribe(Expr):
-    """Internal sort assertion wrapped around inlined call arguments."""
-
-    expected: IntSort
-    arg: Expr
-
-
-@dataclass(frozen=True)
 class Call(Expr):
-    """Transient during parsing; eliminated by inlining before parse returns."""
+    """A call of ``fn``, a function defined earlier in the same source."""
 
     name: str
     args: tuple[Expr, ...]
+    fn: TypedFunction = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -261,6 +241,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.functions: dict[str, TypedFunction] = {}  # defined so far, by name
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -289,6 +270,7 @@ class _Parser:
         fns = []
         while not self.peek().kind == "eof":
             fns.append(self.parse_fn())
+            self.functions[fns[-1].name] = fns[-1]
         if not fns:
             self.error("empty input: expected at least one function")
         return fns
@@ -482,6 +464,9 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             if self.at("("):
+                callee = self.functions.get(tok.text)
+                if callee is None:
+                    self.error(f"unknown function {tok.text!r} (callees must be defined first)", tok)
                 self.next()
                 args = []
                 while not self.at(")"):
@@ -489,13 +474,28 @@ class _Parser:
                         self.expect(",")
                     args.append(self.parse_expr())
                 self.expect(")")
-                return Call(tok.text, tuple(args))
+                if len(args) != len(callee.params):
+                    self.error(
+                        f"call to {tok.text!r} has {len(args)} argument(s), expected {len(callee.params)}",
+                        tok,
+                    )
+                return Call(tok.text, tuple(args), callee)
             return Var(tok.text)
         self.error(f"expected expression, found {tok.text!r}")
 
 
+def parse_unit(source: str) -> list[TypedFunction]:
+    """Parse all functions in a source text, in order of definition."""
+    return _Parser(_lex(source)).parse_unit()
+
+
+def parse(source: str) -> TypedFunction:
+    """Parse a source text; the last function defined is the unit of analysis."""
+    return parse_unit(source)[-1]
+
+
 # ---------------------------------------------------------------------------
-# Call inlining
+# Type checking
 
 
 def _block_returns(stmts: tuple[Stmt, ...]) -> bool:
@@ -507,156 +507,6 @@ def _block_returns(stmts: tuple[Stmt, ...]) -> bool:
             if _block_returns(s.then) and _block_returns(s.other):
                 return True
     return False
-
-
-def _block_has_return(stmts: tuple[Stmt, ...]) -> bool:
-    for s in stmts:
-        if isinstance(s, Return):
-            return True
-        if isinstance(s, If):
-            if _block_has_return(s.then) or (s.other and _block_has_return(s.other)):
-                return True
-        if isinstance(s, While) and _block_has_return(s.body):
-            return True
-    return False
-
-
-def _subst(e: Expr, env: dict[str, Expr]) -> Expr:
-    if isinstance(e, Var):
-        return env.get(e.name, e)
-    if isinstance(e, Lit):
-        return e
-    if isinstance(e, Cast):
-        return Cast(e.target, _subst(e.arg, env))
-    if isinstance(e, Ascribe):
-        return Ascribe(e.expected, _subst(e.arg, env))
-    if isinstance(e, Unary):
-        return Unary(e.op, _subst(e.arg, env))
-    if isinstance(e, Binary):
-        return Binary(e.op, _subst(e.lhs, env), _subst(e.rhs, env))
-    if isinstance(e, Cond):
-        return Cond(_subst(e.cond, env), _subst(e.then, env), _subst(e.other, env))
-    raise InlineError(f"cannot substitute through {type(e).__name__}")
-
-
-def _apply_returnless(stmts: tuple[Stmt, ...], env: dict[str, Expr]) -> dict[str, Expr]:
-    """Run a return-free block as a pure environment transformer."""
-    env = dict(env)
-    for s in stmts:
-        if isinstance(s, (Let, Assign)):
-            env[s.name] = _subst(s.value, env)
-        elif isinstance(s, If):
-            cond = _subst(s.cond, env)
-            env_t = _apply_returnless(s.then, env)
-            env_f = _apply_returnless(s.other, env) if s.other else dict(env)
-            merged = dict(env)
-            for name in set(env_t) | set(env_f):
-                tval = env_t.get(name, env.get(name))
-                fval = env_f.get(name, env.get(name))
-                if tval is None or fval is None:
-                    continue  # branch-local binding, dies at the join
-                merged[name] = tval if tval is fval else Cond(cond, tval, fval)
-            env = merged
-        else:
-            raise InlineError("loops are not supported in inlined callees")
-    return env
-
-
-def _body_to_expr(stmts: tuple[Stmt, ...], env: dict[str, Expr]) -> Expr:
-    """Convert a total statement block into one conditional expression."""
-    for idx, s in enumerate(stmts):
-        rest = stmts[idx + 1:]
-        if isinstance(s, Return):
-            return _subst(s.value, env)
-        if not _block_has_return((s,)):
-            env = _apply_returnless((s,), env)
-            continue
-        if isinstance(s, If):
-            cond = _subst(s.cond, env)
-            then_total = _block_returns(s.then)
-            other_total = s.other is not None and _block_returns(s.other)
-            if then_total and other_total:
-                return Cond(cond, _body_to_expr(s.then, env), _body_to_expr(s.other, env))
-            if then_total and not (s.other and _block_has_return(s.other)):
-                tail = (tuple(s.other) if s.other else ()) + rest
-                return Cond(cond, _body_to_expr(s.then, env), _body_to_expr(tail, env))
-            raise InlineError("callee mixes returning and falling-through paths")
-        raise InlineError("loops are not supported in inlined callees")
-    raise InlineError("callee body does not return on every path")
-
-
-def _inline_expr(e: Expr, registry: dict[str, TypedFunction]) -> Expr:
-    if isinstance(e, Call):
-        if e.name not in registry:
-            raise InlineError(f"unknown function {e.name!r} (callees must be defined first)")
-        callee = registry[e.name]
-        if len(e.args) != len(callee.params):
-            raise InlineError(
-                f"call to {e.name!r} has {len(e.args)} argument(s), expected {len(callee.params)}"
-            )
-        env = {
-            pname: Ascribe(psort, _inline_expr(arg, registry))
-            for (pname, psort), arg in zip(callee.params, e.args)
-        }
-        return _body_to_expr(callee.body, env)
-    if isinstance(e, Cast):
-        return Cast(e.target, _inline_expr(e.arg, registry))
-    if isinstance(e, Ascribe):
-        return Ascribe(e.expected, _inline_expr(e.arg, registry))
-    if isinstance(e, Unary):
-        return Unary(e.op, _inline_expr(e.arg, registry))
-    if isinstance(e, Binary):
-        return Binary(e.op, _inline_expr(e.lhs, registry), _inline_expr(e.rhs, registry))
-    if isinstance(e, Cond):
-        return Cond(
-            _inline_expr(e.cond, registry),
-            _inline_expr(e.then, registry),
-            _inline_expr(e.other, registry),
-        )
-    return e
-
-
-def _inline_block(stmts: tuple[Stmt, ...], registry: dict[str, TypedFunction]) -> tuple[Stmt, ...]:
-    out = []
-    for s in stmts:
-        if isinstance(s, Let):
-            out.append(Let(s.name, s.declared, _inline_expr(s.value, registry)))
-        elif isinstance(s, Assign):
-            out.append(Assign(s.name, _inline_expr(s.value, registry)))
-        elif isinstance(s, If):
-            out.append(
-                If(
-                    _inline_expr(s.cond, registry),
-                    _inline_block(s.then, registry),
-                    _inline_block(s.other, registry) if s.other else None,
-                )
-            )
-        elif isinstance(s, While):
-            out.append(While(_inline_expr(s.cond, registry), _inline_block(s.body, registry)))
-        elif isinstance(s, Return):
-            out.append(Return(_inline_expr(s.value, registry)))
-    return tuple(out)
-
-
-def parse_unit(source: str) -> list[TypedFunction]:
-    """Parse all functions in a source text, inlining calls as they appear."""
-    fns = _Parser(_lex(source)).parse_unit()
-    registry: dict[str, TypedFunction] = {}
-    out = []
-    for fn in fns:
-        inlined = replace(fn, body=_inline_block(fn.body, registry))
-        registry[fn.name] = inlined
-        out.append(inlined)
-    return out
-
-
-def parse(source: str) -> TypedFunction:
-    """Parse a source text; the last function defined is the unit of analysis."""
-    return parse_unit(source)[-1]
-
-
-# ---------------------------------------------------------------------------
-# Type checking
 
 
 def typecheck(fn: TypedFunction) -> TypedFunction:
@@ -697,9 +547,6 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
             inner_expected = e.target if isinstance(e.arg, Lit) else None
             arg = infer(e.arg, env, inner_expected)
             return replace(e, arg=arg, sort=e.target)
-        if isinstance(e, Ascribe):
-            arg = infer(e.arg, env, e.expected)
-            return arg  # transparent after checking
         if isinstance(e, Unary):
             if e.op == "!":
                 raise TypeError_("logical '!' produces a condition, not a value")
@@ -714,14 +561,14 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
                 raise TypeError_(f"unknown operator {e.op!r}")
             lhs, rhs = _infer_same_sort(e.lhs, e.rhs, env, expected, infer)
             return replace(e, lhs=lhs, rhs=rhs, sort=lhs.sort)
-        if isinstance(e, Cond):
-            cond = check_cond(e.cond, env)
-            then = infer(e.then, env, expected)
-            exp2 = then.sort if expected is None else expected
-            other = infer(e.other, env, exp2 if isinstance(exp2, IntSort) else None)
-            if then.sort != other.sort:
-                raise TypeError_("conditional branches have different sorts")
-            return replace(e, cond=cond, then=then, other=other, sort=then.sort)
+        if isinstance(e, Call):
+            callee = typecheck(e.fn)  # in its own scope: parameters only
+            args = tuple(infer(a, env, sort) for a, (_, sort) in zip(e.args, callee.params))
+            if expected is not None and callee.return_sort != expected:
+                raise TypeError_(
+                    f"sort mismatch: call to {e.name!r} yields {callee.return_sort.name}, expected {expected.name}"
+                )
+            return replace(e, args=args, fn=callee, sort=callee.return_sort)
         raise TypeError_(f"cannot type {type(e).__name__}")
 
     def check_cond(e: Expr, env: dict[str, IntSort]) -> Expr:
@@ -803,99 +650,34 @@ def _fmt_expr(e: Expr, parent_prec: int = 0) -> str:
         prec = _PRECEDENCE[e.op]
         s = f"{_fmt_expr(e.lhs, prec)} {e.op} {_fmt_expr(e.rhs, prec + 1)}"
         return f"({s})" if parent_prec > prec else s
-    if isinstance(e, Ascribe):
-        return _fmt_expr(e.arg, parent_prec)
+    if isinstance(e, Call):
+        return f"{e.name}({', '.join(_fmt_expr(a) for a in e.args)})"
     raise MiniLangError(f"cannot print {type(e).__name__} inline")
 
 
-def _contains_cond(e: Expr) -> bool:
-    if isinstance(e, Cond):
-        return True
-    if isinstance(e, (Cast, Unary, Ascribe)):
-        return _contains_cond(e.arg)
-    if isinstance(e, Binary):
-        return _contains_cond(e.lhs) or _contains_cond(e.rhs)
-    return False
-
-
-class _CondLowerer:
-    """Rewrite internal conditional expressions back to if/else statements."""
-
-    def __init__(self, return_sort: IntSort):
-        self.counter = 0
-        self.return_sort = return_sort
-
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"__v{self.counter}"
-
-    def lower_expr(self, e: Expr, out: list[str], indent: str) -> Expr:
-        if isinstance(e, Cond):
-            name = self.fresh()
-            sort = e.sort if isinstance(e.sort, IntSort) else self.return_sort
-            out.append(f"{indent}let {name}: {sort.name} = 0;")
-            self.emit_if(e, name, out, indent)
-            return Var(name)
-        if isinstance(e, Cast):
-            return Cast(e.target, self.lower_expr(e.arg, out, indent))
-        if isinstance(e, Unary):
-            return Unary(e.op, self.lower_expr(e.arg, out, indent))
-        if isinstance(e, Ascribe):
-            return self.lower_expr(e.arg, out, indent)
-        if isinstance(e, Binary):
-            return Binary(e.op, self.lower_expr(e.lhs, out, indent), self.lower_expr(e.rhs, out, indent))
-        return e
-
-    def emit_if(self, e: Cond, target: str, out: list[str], indent: str):
-        cond = self.lower_expr(e.cond, out, indent)
-        out.append(f"{indent}if ({_fmt_expr(cond)}) {{")
-        self.emit_assign(e.then, target, out, indent + "    ")
-        out.append(f"{indent}}} else {{")
-        self.emit_assign(e.other, target, out, indent + "    ")
-        out.append(f"{indent}}}")
-
-    def emit_assign(self, e: Expr, target: str, out: list[str], indent: str):
-        if isinstance(e, Cond):
-            self.emit_if(e, target, out, indent)
-        else:
-            lowered = self.lower_expr(e, out, indent)
-            out.append(f"{indent}{target} = {_fmt_expr(lowered)};")
-
-
 def to_source(fn: TypedFunction) -> str:
-    """Render a function back to surface syntax.
-
-    Conditional expressions introduced by inlining are lowered to if/else
-    statements with fresh temporaries, so the output always reparses.
-    """
-    lowerer = _CondLowerer(fn.return_sort)
+    """Render a function back to surface syntax; callees are not printed."""
 
     def fmt_block(stmts: tuple[Stmt, ...], indent: str) -> list[str]:
         lines = []
         for s in stmts:
             if isinstance(s, Let):
-                value = lowerer.lower_expr(s.value, lines, indent)
-                lines.append(f"{indent}let {s.name}: {s.declared.name} = {_fmt_expr(value)};")
+                lines.append(f"{indent}let {s.name}: {s.declared.name} = {_fmt_expr(s.value)};")
             elif isinstance(s, Assign):
-                value = lowerer.lower_expr(s.value, lines, indent)
-                lines.append(f"{indent}{s.name} = {_fmt_expr(value)};")
+                lines.append(f"{indent}{s.name} = {_fmt_expr(s.value)};")
             elif isinstance(s, If):
-                cond = lowerer.lower_expr(s.cond, lines, indent)
-                lines.append(f"{indent}if ({_fmt_expr(cond)}) {{")
+                lines.append(f"{indent}if ({_fmt_expr(s.cond)}) {{")
                 lines.extend(fmt_block(s.then, indent + "    "))
                 if s.other is not None:
                     lines.append(f"{indent}}} else {{")
                     lines.extend(fmt_block(s.other, indent + "    "))
                 lines.append(f"{indent}}}")
             elif isinstance(s, While):
-                if _contains_cond(s.cond):
-                    raise MiniLangError("cannot print a loop with an inlined-call condition")
                 lines.append(f"{indent}while ({_fmt_expr(s.cond)}) {{")
                 lines.extend(fmt_block(s.body, indent + "    "))
                 lines.append(f"{indent}}}")
             elif isinstance(s, Return):
-                value = lowerer.lower_expr(s.value, lines, indent)
-                lines.append(f"{indent}return {_fmt_expr(value)};")
+                lines.append(f"{indent}return {_fmt_expr(s.value)};")
         return lines
 
     params = ", ".join(f"{n}: {s.name}" for n, s in fn.params)
@@ -915,14 +697,12 @@ def strip_sorts(fn: TypedFunction) -> TypedFunction:
             return Var(e.name)
         if isinstance(e, Cast):
             return Cast(e.target, walk_e(e.arg))
-        if isinstance(e, Ascribe):
-            return Ascribe(e.expected, walk_e(e.arg))
         if isinstance(e, Unary):
             return Unary(e.op, walk_e(e.arg))
         if isinstance(e, Binary):
             return Binary(e.op, walk_e(e.lhs), walk_e(e.rhs))
-        if isinstance(e, Cond):
-            return Cond(walk_e(e.cond), walk_e(e.then), walk_e(e.other))
+        if isinstance(e, Call):
+            return Call(e.name, tuple(walk_e(a) for a in e.args), e.fn)
         return e
 
     def walk_s(s: Stmt) -> Stmt:

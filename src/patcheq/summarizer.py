@@ -3,9 +3,11 @@
 A summary is a disjunction of per-path constraints: each explored path
 contributes (path condition over inputs) and (output = return term).  Local
 variables are eliminated by substitution during execution, so the summary's
-free variables are exactly the inputs plus the single output.  Loops are
-unrolled up to a hard limit; a loop still symbolically live at the limit is
-an error, never a truncation.
+free variables are exactly the inputs plus the single output.  A call runs
+the callee's body on the argument terms, and each callee path that returns
+becomes one variant of the call expression.  Loops are unrolled up to a
+hard limit; a loop still symbolically live at the limit is an error, never a
+truncation.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .formula import (
     eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract, tneg, tvar,
 )
 from .minilang import (
-    Ascribe, Assign, Binary, Cast, Cond, Expr, If, IntSort, Let, Lit, Return,
-    Stmt, TypedFunction, Unary, Var, While,
+    Assign, Binary, Call, Cast, Expr, If, IntSort, Let, Lit, Return, Stmt,
+    TypedFunction, Unary, Var, While,
 )
 
 DEFAULT_UNROLL_LIMIT = 64
@@ -150,23 +152,23 @@ _ARITH_TO_TERM = {
 # --- symbolic execution ---
 
 
+def _fell_off(env, path):
+    raise SummarizeError("fell off the end of a block without returning")
+
+
 class _PathExploder:
-    def __init__(self, fn: TypedFunction, output: BvVar, unroll_limit: int, prune=None):
-        self.fn = fn
-        self.output = output
+    def __init__(self, ret, unroll_limit: int, prune=None):
+        self.ret = ret  # callable(path, term), once per path that reaches a return
         self.unroll_limit = unroll_limit
         self.prune = prune  # optional callable(list[Formula]) -> bool (satisfiable?)
-        self.disjuncts: list[Formula] = []
 
     def translate_expr(self, e: Expr, env: dict[str, Term]) -> list[tuple[list[Formula], Term]]:
-        """Return (extra path conditions, term) variants; conditionals fork."""
+        """Return (extra path conditions, term) variants; calls fork on the callee's paths."""
         sort = _require_sorted(e)
         if isinstance(e, Lit):
             return [([], tconst(bvarith.to_unsigned(e.value, sort.width), sort.width))]
         if isinstance(e, Var):
             return [([], env[e.name])]
-        if isinstance(e, Ascribe):
-            return self.translate_expr(e.arg, env)
         if isinstance(e, Cast):
             src = _require_sorted(e.arg)
             return [
@@ -206,19 +208,15 @@ class _PathExploder:
                     else:
                         raise SummarizeError(f"unexpected operator {op!r} in value position")
             return variants
-        if isinstance(e, Cond):
+        if isinstance(e, Call):
+            args = [([], ())]
+            for a in e.args:
+                args = [(c1 + c2, ts + (t,)) for c1, ts in args for c2, t in self.translate_expr(a, env)]
             out = []
-            for conds, phi in self.translate_cond(e.cond, env):
-                if isinstance(phi, FTrue):
-                    out.extend((conds + c2, t) for c2, t in self.translate_expr(e.then, env))
-                    continue
-                if isinstance(phi, FFalse):
-                    out.extend((conds + c2, t) for c2, t in self.translate_expr(e.other, env))
-                    continue
-                for c2, t in self.translate_expr(e.then, env):
-                    out.append((conds + [phi] + c2, t))
-                for c2, t in self.translate_expr(e.other, env):
-                    out.append((conds + [_mk_not(phi)] + c2, t))
+            sub = _PathExploder(lambda path, t: out.append((path, t)), self.unroll_limit, self.prune)
+            for conds, terms in args:
+                params = {name: t for (name, _), t in zip(e.fn.params, terms)}
+                sub.exec_straight(e.fn.body, params, conds, _fell_off)
             return out
         raise SummarizeError(f"cannot translate {type(e).__name__}")
 
@@ -269,8 +267,7 @@ class _PathExploder:
                 new_path = path + conds
                 if conds and not self.feasible(new_path):
                     continue
-                body = new_path + [feq(tvar(self.output), t)]
-                self.disjuncts.append(FAnd(tuple(body)) if len(body) > 1 else body[0])
+                self.ret(new_path, t)
             return
         if isinstance(head, If):
             for conds, phi in self.translate_cond(head.cond, env):
@@ -339,15 +336,17 @@ def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT, prune
         raise SummarizeError("unroll limit must be at least 1")
     inputs = tuple(BvVar(name, sort, "input") for name, sort in fn.params)
     output = BvVar(_fresh_output_name(fn), fn.return_sort, "output")
-    ex = _PathExploder(fn, output, unroll_limit, prune)
+    disjuncts: list[Formula] = []
 
-    def fell_off(env, path):
-        raise SummarizeError("fell off the end of a block without returning")
+    def ret(path, t):
+        body = path + [feq(tvar(output), t)]
+        disjuncts.append(FAnd(tuple(body)) if len(body) > 1 else body[0])
 
-    ex.exec_straight(fn.body, {v.name: tvar(v) for v in inputs}, [], fell_off)
-    if not ex.disjuncts:
+    ex = _PathExploder(ret, unroll_limit, prune)
+    ex.exec_straight(fn.body, {v.name: tvar(v) for v in inputs}, [], _fell_off)
+    if not disjuncts:
         raise SummarizeError("no feasible path reached a return")
-    return Summary(inputs, output, FOr(tuple(ex.disjuncts)), len(ex.disjuncts))
+    return Summary(inputs, output, FOr(tuple(disjuncts)), len(disjuncts))
 
 
 # --- concrete interpreter ---
@@ -390,8 +389,6 @@ def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
             return bvarith.to_unsigned(e.value, sort.width)
         if isinstance(e, Var):
             return env[e.name][0]
-        if isinstance(e, Ascribe):
-            return eval_expr(e.arg)
         if isinstance(e, Cast):
             src = _require_sorted(e.arg)
             v = eval_expr(e.arg)
@@ -409,8 +406,12 @@ def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
         if isinstance(e, Binary) and e.op in _CONCRETE_BINARY:
             name = _CONCRETE_BINARY[e.op][sort.signed]
             return bvarith.BINARY[name](eval_expr(e.lhs), eval_expr(e.rhs), sort.width)
-        if isinstance(e, Cond):
-            return eval_expr(e.then) if eval_cond(e.cond) else eval_expr(e.other)
+        if isinstance(e, Call):
+            args = [
+                bvarith.to_signed(v, s.width) if s.signed else v
+                for v, (_, s) in zip((eval_expr(a) for a in e.args), e.fn.params)
+            ]
+            return bvarith.to_unsigned(eval_concrete(e.fn, args, unroll_limit), sort.width)
         raise SummarizeError(f"cannot evaluate {type(e).__name__}")
 
     def eval_cond(e: Expr) -> bool:

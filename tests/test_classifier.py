@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from patcheq.classifier import SignatureMismatch, Verdict, eq_check
+from patcheq.classifier import Verdict, eq_check
 from patcheq.enumcount import brute_force_eq_count
 from patcheq.randgen import random_pair
-from patcheq.summarizer import eval_concrete, summarize
+from patcheq.summarizer import SignatureMismatch, eval_concrete, summarize
 
 from conftest import corpus_fn, fn
 

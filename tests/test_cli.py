@@ -141,10 +141,17 @@ def test_corpus_continues_past_broken_case(tmp_path, capsys):
     assert "equivalent" in out
 
 
-def test_empty_corpus_directory_succeeds(tmp_path, capsys):
-    code, out, _ = run_cli(["corpus", str(tmp_path)], capsys)
-    assert code == 0
-    assert "0 case(s), 0 failed" in out
+@pytest.mark.parametrize("subdir, message", [
+    ("no/such/dir", "is not a directory"),
+    ("", "no *.case manifest"),
+], ids=["missing", "empty"])
+def test_corpus_without_manifests_is_infrastructure_error(tmp_path, capsys, subdir, message):
+    # a mistyped path must not pass as an empty, all-green corpus
+    (tmp_path / "notes.txt").write_text("not a manifest")
+    code, out, err = run_cli(["corpus", str(tmp_path / subdir)], capsys)
+    assert code == 2
+    assert err.startswith("infrastructure error: ") and message in err
+    assert out == ""
 
 
 def test_missing_solver_is_infrastructure_error(capsys, corpus_dir):
@@ -166,6 +173,22 @@ def test_negative_depth_limit_exits_2(corpus_dir, monkeypatch, capsys, flag, env
                  str(corpus_dir / "eqbench_ltfive/patched.fn"), *flag], capsys)
     assert exit_info.value.code == 2
     assert "depth limit -1 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    (["--percent-places", "-1"], {}, "percent places -1 is negative"),
+    ([], {"PATCHEQ_PERCENT_PLACES": "-1"}, "percent places -1 is negative"),
+    ([], {"PATCHEQ_BUDGET_MS": "2s"}, "invalid int value: '2s'"),
+    ([], {"PATCHEQ_JOBS": "many"}, "invalid int value: 'many'"),
+])
+def test_bad_numeric_option_exits_2(corpus_dir, monkeypatch, capsys, flag, env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    case = corpus_dir / "cve_2012_2384_cliprects"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["impact", str(case / "original.fn"), str(case / "patched.fn"), *flag], capsys)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 LIVE_LOOP = "fn f(x: i8) -> i8 { while (x > 0) { x = x - 1; } return x; }"

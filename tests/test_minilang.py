@@ -1,4 +1,4 @@
-"""Parsing, inlining, type checking, and printing of the mini-language."""
+"""Parsing, calls, type checking, and printing of the mini-language."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patcheq.minilang import (
-    If, InlineError, ParseError, Return, TypeError_, Var,
+    If, ParseError, Return, TypeError_, Var,
     parse, parse_unit, strip_sorts, to_source, typecheck,
 )
 from patcheq.randgen import random_function
@@ -105,7 +105,7 @@ def test_literal_range_checked():
     fn("fn f(x: u8) -> u8 { return x + 200; }")
 
 
-# --- inlining ---
+# --- calls ---
 
 LTFIVE = """
 fn lib(x: i32) -> i32 { if (x < 0) { return 0; } else { return x; } }
@@ -116,11 +116,10 @@ fn client(x: i32) -> i32 { if (x < 0) { return -lib((-x)*5)/5; } return lib((x+1
 def test_inline_two_function_unit():
     unit = parse_unit(LTFIVE)
     assert [f.name for f in unit] == ["lib", "client"]
-    client = parse(LTFIVE)
-    assert client.name == "client"
-    # calls are gone, conditional expressions remain
-    text = to_source(typecheck(client))
-    reparsed = fn(text)
+    lib, client = unit
+    assert parse(LTFIVE).name == "client"
+    # a call prints as a call, so the client reparses after its callee
+    reparsed = fn(to_source(lib) + to_source(client))
     for x in (-7, 0, 5, 429496729, -429496730):
         assert eval_concrete(typecheck(client), [x]) == eval_concrete(reparsed, [x])
 
@@ -149,18 +148,10 @@ fn c(x: i32) -> i32 { return b(x) + a(x); }
     assert eval_concrete(f, [3]) == (3 + 1) * 2 + (3 + 1)
 
 
-def test_inline_rejects_loops():
-    src = """
-fn spin(x: i32) -> i32 { while (x > 0) { x = x - 1; } return x; }
-fn caller(x: i32) -> i32 { return spin(x); }
-"""
-    with pytest.raises(InlineError, match="loops"):
-        parse(src)
-
-
 def test_call_to_undefined_function():
-    with pytest.raises(InlineError, match="unknown function"):
+    with pytest.raises(ParseError, match="unknown function") as err:
         parse("fn caller(x: i32) -> i32 { return helper(x); }")
+    assert (err.value.line, err.value.col) == (1, 35)  # at the call
 
 
 def test_call_arity_checked():
@@ -168,8 +159,23 @@ def test_call_arity_checked():
 fn a(x: i32) -> i32 { return x; }
 fn caller(x: i32) -> i32 { return a(x, x); }
 """
-    with pytest.raises(InlineError, match="argument"):
+    with pytest.raises(ParseError, match="argument") as err:
         parse(src)
+    assert (err.value.line, err.value.col) == (3, 35)
+
+
+@pytest.mark.parametrize("src, message", [
+    # a callee sees only its parameters, not the caller's variables
+    ("fn g(a: i32) -> i32 { return a + x; }\n"
+     "fn f(x: i32) -> i32 { return g(1); }", "unknown variable 'x'"),
+    ("fn g(a: u8) -> u8 { let b: i8 = a; return a; }\n"
+     "fn f(x: u8) -> u8 { return g(x); }", "'a' is u8, expected i8"),
+    ("fn g(a: i8) -> i16 { return (i16) a; }\n"
+     "fn f(x: i8) -> i8 { return g(x); }", "call to 'g' yields i16, expected i8"),
+])
+def test_call_checks_the_callee_in_its_own_scope(src, message):
+    with pytest.raises(TypeError_, match=message):
+        fn(src)
 
 
 def test_call_argument_sort_enforced():

@@ -160,6 +160,41 @@ WIDTH8_BATTERY = [
         if (n == 1) { return -v; }
         return n;
     }""",
+    # a callee with a loop
+    """fn g(a: u8) -> u8 {
+        let i: u8 = 0;
+        while (i < a && i < 3) { i = i + 1; }
+        return i * 10;
+    }
+    fn f(x: u8) -> u8 { return g(x) + g(x / 2); }""",
+    # a callee that mixes returning and falling-through paths
+    """fn g(a: i8) -> i8 {
+        if (a > 50) { return 1; }
+        if (a < -50) { a = a + 100; } else { return a * 2; }
+        return a - 3;
+    }
+    fn f(x: i8) -> i8 { return g(x); }""",
+    # a call chain, with literal arguments and a two-parameter callee
+    """fn a(v: i8, w: i8) -> i8 { if (v < w) { return w - v; } return v - w; }
+    fn b(v: i8) -> i8 { return a(v, 7) * 2; }
+    fn f(x: i8) -> i8 { return b(x) + a(-3, x); }""",
+    # a call used twice in one expression
+    """fn g(a: u8) -> u8 { if (a > 127) { return a - 128; } return a + 1; }
+    fn f(x: u8) -> u8 { return g(x) * g(x + 64); }""",
+    # calls in an if condition and in a while condition
+    """fn g(a: i8) -> i8 { if (a < 0) { return 0; } return a; }
+    fn f(x: i8) -> i8 {
+        let n: i8 = 0;
+        if (g(x) > 20) { n = 1; }
+        while (g(x - n) > 60 && n < 5) { n = n + 2; }
+        return n;
+    }""",
+    # a cast of a callee that returns a literal, and a comparison with one
+    """fn g(a: i8) -> i8 { if (a > 3) { return 1; } return -1; }
+    fn f(x: i8) -> u8 {
+        if (g(x) == 1) { return (u8) g(x - 5); }
+        return (u8) g(x) + 9;
+    }""",
 ]
 
 
