@@ -230,7 +230,6 @@ def cmd_corpus(args, cfg) -> int:
     verdict_counts: dict[str, int] = {}
     impacts: list[Fraction] = []
     failed = 0
-    rows = []
     for case, report, failures in results:
         if report is not None:
             verdict_counts[report.verdict.name] = verdict_counts.get(report.verdict.name, 0) + 1
@@ -238,7 +237,6 @@ def cmd_corpus(args, cfg) -> int:
                 impacts.append(report.impact_percent)
         if failures:
             failed += 1
-        rows.append((case, report, failures))
 
     mean_impact = sum(impacts, Fraction(0)) / len(impacts) if impacts else Fraction(0)
     if args.format == "json":
@@ -251,26 +249,26 @@ def cmd_corpus(args, cfg) -> int:
                     "report": report.to_json(stable=args.stable, places=args.percent_places)
                     if report else None,
                 }
-                for case, report, failures in rows
+                for case, report, failures in results
             ],
             "aggregate": {
-                "total": len(rows),
+                "total": len(results),
                 "failed": failed,
                 "verdicts": verdict_counts,
                 "mean_impact_percent": fraction_decimal(mean_impact),
             },
         }, indent=2, sort_keys=True))
     else:
-        name_w = max([len(c.name) for c, _, _ in rows] + [4])
+        name_w = max([len(c.name) for c, _, _ in results] + [4])
         impacts_text = [_impact_text(report, args.percent_places) if report else "-"
-                        for _, report, _ in rows]
+                        for _, report, _ in results]
         impact_w = max([len(text) for text in impacts_text] + [6])
         print(f"{'case'.ljust(name_w)}  {'verdict'.ljust(24)}  {'impact'.ljust(impact_w)}  status")
-        for (case, report, failures), impact in zip(rows, impacts_text):
+        for (case, report, failures), impact in zip(results, impacts_text):
             verdict = report.verdict.value if report else "error"
             status = "ok" if not failures else "; ".join(failures)
             print(f"{case.name.ljust(name_w)}  {verdict.ljust(24)}  {impact.ljust(impact_w)}  {status}")
-        print(f"\n{len(rows)} case(s), {failed} failed; verdicts {verdict_counts}; "
+        print(f"\n{len(results)} case(s), {failed} failed; verdicts {verdict_counts}; "
               f"mean impact {fraction_decimal(mean_impact)}%")
     return EXIT_FAILED if failed else EXIT_OK
 

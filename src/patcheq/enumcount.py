@@ -1,21 +1,20 @@
 """Enumerative model counting and the exhaustive ground-truth oracle.
 
-Two blocked enumerations run round-robin on separate solver sessions: models
-of (S1 and S2) projected on inputs (the equivalent side) and models of
-not(S1 iff S2) (the divergent side).  Whichever side exhausts first gives an
-exact count; budget expiry downgrades to a lower bound.
+Two blocked enumerations run round-robin, each in a scope of its own on a
+RangeSearch session: models of (S1 and S2) projected on inputs (the equivalent
+side) and models of not(S1 iff S2) (the divergent side).  Whichever side
+exhausts first gives an exact count; budget expiry downgrades to a lower bound.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .formula import FIff, FNot
-from .oracle import Budget, ProtocolViolation, SolverConfig, SolverSession
+from .oracle import Budget, SolverConfig
 from .minilang import TypedFunction
 from .rangesearch import SUMMARIES, RangeSearch
 from .summarizer import Summary, eval_concrete
@@ -36,9 +35,7 @@ class EnumResult:
     neq_inputs: list[tuple[int, ...]]
     exact_eq_count: int | None
     eq_count_lower_bound: int
-    domain_size: int
     solver_calls: int
-    elapsed: float
 
 
 class DuplicateModel(Exception):
@@ -46,17 +43,21 @@ class DuplicateModel(Exception):
 
 
 class _Enumeration:
-    def __init__(self, session: SolverSession, summary: Summary, formulas):
-        self.session = session
-        try:
-            for f in formulas:
-                session.assert_formula(f)
-        except ProtocolViolation:
-            pass  # the solver died: the first check answers unknown
-        self.inputs = list(summary.inputs)
+    """One side's blocked enumeration, in a scope pushed on ``search``'s session."""
+
+    def __init__(self, search: RangeSearch, formulas):
+        self.session = search.live_session()
+        self.session.push()
+        for f in formulas:
+            self.session.assert_formula(f)
+        self.inputs = list(search.variables)
         self.models: list[tuple[int, ...]] = []
         self.seen: set[tuple[int, ...]] = set()
         self.calls = 0
+
+    def close(self):
+        """Pop the side's scope, blocking clauses included."""
+        self.session.pop()
 
     def step(self) -> str:
         """Draw one more model; returns 'model', 'done', or 'unknown'."""
@@ -74,11 +75,8 @@ class _Enumeration:
             raise DuplicateModel(f"solver repeated blocked assignment {key}")
         self.seen.add(key)
         self.models.append(key)
-        try:
-            self.session.block_model(self.inputs, model)
-        except ProtocolViolation:
-            return "unknown"
-        return "model"
+        self.session.block_model(self.inputs, model)
+        return "unknown" if self.session.dead else "model"
 
 
 def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
@@ -86,28 +84,27 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
                      search: RangeSearch | None = None) -> EnumResult:
     """Interleaved blocked enumeration of the eq and neq input sets.
 
-    The equivalent side takes over the session of ``search`` (a RangeSearch
-    over the same pair, whose budget then governs), or of a search of its own;
-    the divergent side gets a session of its own.  Both are closed on return.
+    The equivalent side runs in a scope on the session of ``search`` (a
+    RangeSearch over the same pair, whose budget then governs), or of a search
+    of its own; the divergent side runs on a second search over the pair and
+    budget.  Both scopes are popped, and the searches opened here closed, on
+    return.
     """
-    start = time.monotonic()
     domain = s1.domain_size
     with ExitStack() as stack:
         search = search or stack.enter_context(RangeSearch(s1, s2, cfg, budget))
         budget = search.budget
-        eq_session = search.take_session()
-        stack.callback(eq_session.close)
-        eq_side = _Enumeration(eq_session, s1, SUMMARIES)
-        neq_session = SolverSession(cfg, s1.decls)
-        stack.callback(neq_session.close)
-        neq_side = _Enumeration(neq_session, s1, [FNot(FIff(s1.formula, s2.formula))])
+        eq_side = _Enumeration(search, SUMMARIES)
+        stack.callback(eq_side.close)
+        neq_search = stack.enter_context(RangeSearch(s1, s2, cfg, budget))
+        neq_side = _Enumeration(neq_search, [FNot(FIff(*SUMMARIES))])
+        stack.callback(neq_side.close)
         for side, when_done in itertools.cycle(((eq_side, EnumCase.CASE1),
                                                 (neq_side, EnumCase.CASE2))):
             status = "unknown" if budget.expired else side.step()
             if status != "model":
                 case = when_done if status == "done" else EnumCase.CASE3
                 break
-    calls = eq_side.calls + neq_side.calls
     eq_models = sorted(eq_side.models)
     neq_models = sorted(neq_side.models)
     if case is EnumCase.CASE1:
@@ -122,9 +119,7 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
         neq_inputs=neq_models,
         exact_eq_count=exact,
         eq_count_lower_bound=exact if exact is not None else len(eq_models),
-        domain_size=domain,
-        solver_calls=calls,
-        elapsed=time.monotonic() - start,
+        solver_calls=eq_side.calls + neq_side.calls,
     )
 
 

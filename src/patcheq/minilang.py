@@ -94,6 +94,15 @@ ARITH_OPS = {"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"}
 CMP_OPS = {"<", "<=", ">", ">=", "==", "!="}
 LOGIC_OPS = {"&&", "||"}
 
+# C precedence of the binary operators, loosest first; the parser and the
+# printer both read it.
+_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+    "==": 6, "!=": 6, "<": 7, "<=": 7, ">": 7, ">=": 7,
+    "<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+}
+_UNARY_PREC = 11
+
 
 @dataclass(frozen=True)
 class Expr:
@@ -360,78 +369,12 @@ class _Parser:
             return Assign(name, value)
         self.error(f"expected statement, found {tok.text!r}")
 
-    # Expressions, C precedence (loosest binds last).
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.at("||"):
-            self.next()
-            e = Binary("||", e, self.parse_and())
-        return e
-
-    def parse_and(self) -> Expr:
-        e = self.parse_bitor()
-        while self.at("&&"):
-            self.next()
-            e = Binary("&&", e, self.parse_bitor())
-        return e
-
-    def parse_bitor(self) -> Expr:
-        e = self.parse_bitxor()
-        while self.at("|"):
-            self.next()
-            e = Binary("|", e, self.parse_bitxor())
-        return e
-
-    def parse_bitxor(self) -> Expr:
-        e = self.parse_bitand()
-        while self.at("^"):
-            self.next()
-            e = Binary("^", e, self.parse_bitand())
-        return e
-
-    def parse_bitand(self) -> Expr:
-        e = self.parse_equality()
-        while self.at("&"):
-            self.next()
-            e = Binary("&", e, self.parse_equality())
-        return e
-
-    def parse_equality(self) -> Expr:
-        e = self.parse_relational()
-        while self.peek().text in ("==", "!="):
-            op = self.next().text
-            e = Binary(op, e, self.parse_relational())
-        return e
-
-    def parse_relational(self) -> Expr:
-        e = self.parse_shift()
-        while self.peek().text in ("<", "<=", ">", ">="):
-            op = self.next().text
-            e = Binary(op, e, self.parse_shift())
-        return e
-
-    def parse_shift(self) -> Expr:
-        e = self.parse_additive()
-        while self.peek().text in ("<<", ">>"):
-            op = self.next().text
-            e = Binary(op, e, self.parse_additive())
-        return e
-
-    def parse_additive(self) -> Expr:
-        e = self.parse_multiplicative()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            e = Binary(op, e, self.parse_multiplicative())
-        return e
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Binary operators binding at ``min_prec`` or tighter, left-associative."""
         e = self.parse_unary()
-        while self.peek().text in ("*", "/", "%"):
+        while (prec := _PRECEDENCE.get(self.peek().text, 0)) >= min_prec:
             op = self.next().text
-            e = Binary(op, e, self.parse_unary())
+            e = Binary(op, e, self.parse_expr(prec + 1))
         return e
 
     def parse_unary(self) -> Expr:
@@ -522,6 +465,7 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
         if name in seen:
             raise TypeError_(f"duplicate parameter {name!r}")
         seen.add(name)
+    checked: dict[int, TypedFunction] = {}  # by callee identity, as Call.fn is compare=False
 
     def infer(e: Expr, env: dict[str, IntSort], expected: Optional[IntSort]) -> Expr:
         if isinstance(e, Lit):
@@ -562,7 +506,9 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
             lhs, rhs = _infer_same_sort(e.lhs, e.rhs, env, expected, infer)
             return replace(e, lhs=lhs, rhs=rhs, sort=lhs.sort)
         if isinstance(e, Call):
-            callee = typecheck(e.fn)  # in its own scope: parameters only
+            if id(e.fn) not in checked:
+                checked[id(e.fn)] = typecheck(e.fn)  # in its own scope: parameters only
+            callee = checked[id(e.fn)]
             args = tuple(infer(a, env, sort) for a, (_, sort) in zip(e.args, callee.params))
             if expected is not None and callee.return_sort != expected:
                 raise TypeError_(
@@ -623,14 +569,6 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
 
 # ---------------------------------------------------------------------------
 # Pretty printer
-
-_PRECEDENCE = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6, "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
-}
-_UNARY_PREC = 11
-
 
 def _fmt_expr(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Lit):

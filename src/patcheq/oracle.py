@@ -6,7 +6,9 @@ interpreter).  Commands used: set-logic, set-option, declare-const,
 define-fun, assert, check-sat, get-value, push, pop, exit.  An external solver
 must accept zero-arity Boolean define-fun, which is standard SMT-LIB 2.6 (z3
 does).  A query that outlives its timeout gets the session killed and reports
-unknown; unknown is never conflated with sat or unsat.
+unknown; unknown is never conflated with sat or unsat.  A session whose solver
+died stays dead: later commands are dropped, every check answers unknown and
+no model is read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import bvarith
 from .formula import BvVar, FNot, Formula, point_formula, serialize_formula
-from .smtbv.sexpr import SexprError, parse_all
+from .smtbv.sexpr import SexprError, balanced, parse_all
 
 GRACE_MS = 2000
 
@@ -105,48 +107,47 @@ class SolverSession:
     # --- plumbing ---
 
     def _send(self, text: str):
+        """Write one command; a broken pipe leaves the session dead."""
         if self.dead:
-            raise ProtocolViolation("session is dead")
+            return
         try:
             self.proc.stdin.write(text.encode() + b"\n")
             self.proc.stdin.flush()
-        except (BrokenPipeError, OSError):
+        except OSError:
             self._teardown()
-            raise ProtocolViolation("solver pipe closed")
 
-    def _read_line(self, deadline: float) -> str | None:
+    def _reply(self):
+        """The next reply, parsed; None, and a dead session, on timeout, EOF or garbage.
+
+        A reply may span lines (z3 prints a get-value of two or more names one
+        pair per line), so lines are buffered until the text is balanced.
+        """
+        deadline = time.monotonic() + (self.cfg.query_timeout_ms + GRACE_MS) / 1000.0
         fd = self.proc.stdout.fileno()
-        while True:
-            nl = self._buffer.find(b"\n")
-            if nl >= 0:
-                line = self._buffer[:nl]
-                self._buffer = self._buffer[nl + 1:]
-                return line.decode().strip()
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                return None
-            ready, _, _ = select.select([fd], [], [], timeout)
-            if not ready:
-                return None
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                return None  # EOF
-            self._buffer += chunk
-
-    def _read_sexpr(self, deadline: float) -> list | None:
-        text = ""
-        while True:
-            line = self._read_line(deadline)
-            if line is None:
-                return None
-            text += line + "\n"
-            try:
-                parsed = parse_all(text)
-            except SexprError:
-                self._teardown()
-                raise ProtocolViolation(f"unparsable solver reply: {text!r}")
-            if parsed:
-                return parsed[0]
+        end = 0
+        while not self.dead:
+            nl = self._buffer.find(b"\n", end)
+            if nl < 0:
+                timeout = deadline - time.monotonic()
+                if timeout <= 0 or not select.select([fd], [], [], timeout)[0]:
+                    break
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    break  # EOF
+                self._buffer += chunk
+                continue
+            end = nl + 1
+            text = self._buffer[:end].decode(errors="replace")
+            if balanced(text):
+                try:
+                    parsed = parse_all(text)
+                except SexprError:
+                    break
+                if parsed:
+                    self._buffer = self._buffer[end:]
+                    return parsed[0]
+        self._teardown()
+        return None
 
     def _teardown(self):
         self.dead = True
@@ -157,10 +158,7 @@ class SolverSession:
 
     def close(self):
         if not self.dead:
-            try:
-                self._send("(exit)")
-            except Exception:
-                pass
+            self._send("(exit)")
             self._teardown()
 
     def __enter__(self):
@@ -194,38 +192,18 @@ class SolverSession:
 
     def check_sat(self) -> str:
         """Returns sat/unsat/unknown; timeout or protocol failure is unknown."""
-        try:
-            self._send("(check-sat)")
-        except ProtocolViolation:
-            return "unknown"
-        deadline = time.monotonic() + (self.cfg.query_timeout_ms + GRACE_MS) / 1000.0
-        while True:
-            line = self._read_line(deadline)
-            if line is None:
-                self._teardown()
-                return "unknown"
-            if line in ("sat", "unsat", "unknown"):
-                return line
-            if line.startswith("(error"):
-                self._teardown()
-                return "unknown"
-            # skip any informational output
+        self._send("(check-sat)")
+        reply = self._reply()
+        if reply in ("sat", "unsat", "unknown"):
+            return reply
+        self._teardown()
+        return "unknown"
 
     def get_values(self, variables: list[BvVar]) -> dict[str, int] | None:
         """Model values for exactly the requested variables, sort-interpreted."""
         names = " ".join(v.name for v in variables)
-        try:
-            self._send(f"(get-value ({names}))")
-        except ProtocolViolation:
-            return None
-        deadline = time.monotonic() + (self.cfg.query_timeout_ms + GRACE_MS) / 1000.0
-        try:
-            reply = self._read_sexpr(deadline)
-        except ProtocolViolation:
-            return None
-        if reply is None:
-            self._teardown()
-            return None
+        self._send(f"(get-value ({names}))")
+        reply = self._reply()
         by_name = {v.name: v for v in variables}
         out: dict[str, int] = {}
         try:

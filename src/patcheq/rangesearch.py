@@ -19,7 +19,6 @@ flagged incomplete.  All counting is exact big-integer/rational arithmetic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ from .formula import (
     BvVar, Formula, FName, FNot, FALSE, RangePair, fand, for_, iff_under_range,
     mk_range_constraint, require_agreeing_vars, var_range_constraint,
 )
-from .oracle import Budget, ProtocolViolation, SolverConfig, SolverSession
+from .oracle import Budget, SolverConfig, SolverSession
 from .summarizer import Summary, require_same_interface
 
 RangeVector = tuple[RangePair, ...]
@@ -226,13 +225,10 @@ class BudgetExhausted(Exception):
 class QuantResult:
     """Quantification outcome of one range-search run."""
 
-    method: str
-    regions: RegionSet | RegionList
     eq_lower_bound: int
     eq_percent_lower_bound: Fraction
     condition: Formula
     solver_calls: int
-    elapsed: float
     incomplete: bool
     per_var_source: list[str] | None = None  # combined: which method won per var
 
@@ -254,21 +250,16 @@ class RangeSearch:
 
     # --- session/query plumbing ---
 
-    def _session_ok(self) -> SolverSession:
+    def live_session(self) -> SolverSession:
+        """This search's session, both summaries defined; a dead one is replaced.
+
+        Callers may push a scope of their own on it and must pop it again.
+        """
         if self.session is None or self.session.dead:
             self.session = SolverSession(self.cfg, self.s1.decls)
             for ref, summary in zip(SUMMARIES, (self.s1, self.s2)):
                 self.session.define(ref.name, summary.formula)
         return self.session
-
-    def take_session(self) -> SolverSession:
-        """Hand the live session, both summaries defined, to the caller to close.
-
-        A later query of this search opens a fresh session.
-        """
-        session = self._session_ok()
-        self.session = None
-        return session
 
     def close(self):
         if self.session is not None:
@@ -299,20 +290,16 @@ class RangeSearch:
             raise BudgetExhausted
         self.query_count += 1
         model = None
+        session = self.live_session()
+        session.push()
         try:
-            session = self._session_ok()
-            session.push()
-            try:
-                for f in formulas:
-                    session.assert_formula(f)
-                verdict = session.check_sat()
-                if verdict == "sat" and model_vars:
-                    model = session.get_values(list(model_vars))
-            finally:
-                if not session.dead:
-                    session.pop()
-        except ProtocolViolation:  # the solver died; the next query respawns it
-            return "unknown", None
+            for f in formulas:
+                session.assert_formula(f)
+            verdict = session.check_sat()
+            if verdict == "sat" and model_vars:
+                model = session.get_values(list(model_vars))
+        finally:
+            session.pop()
         return verdict, model
 
     def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
@@ -471,7 +458,6 @@ class RangeSearch:
 
     def run(self, method: str, limit: int | None = None) -> QuantResult:
         """Quantify with ``method``; ``solver_calls`` counts this run's queries only."""
-        start = time.monotonic()
         first_query = self.query_count
         domain_sizes = [v.sort.domain_size for v in self.variables]
         domain_total = 1
@@ -482,7 +468,7 @@ class RangeSearch:
             region_set = self.relational(limit)
             bound = eq_lower_bound_relational(region_set.vectors())
             condition = render_condition_relational(self.variables, region_set.vectors())
-            regions: RegionSet | RegionList = region_set
+            incomplete = region_set.incomplete
         else:
             if method == "iterative":
                 region_list = self.iterative(limit)
@@ -495,15 +481,12 @@ class RangeSearch:
             intervals = [region_list.intervals(n) for n in range(len(self.variables))]
             bound = eq_lower_bound_iterative(intervals, domain_sizes)
             condition = render_condition_iterative(self.variables, intervals)
-            regions = region_list
+            incomplete = region_list.incomplete
         return QuantResult(
-            method=method,
-            regions=regions,
             eq_lower_bound=bound,
             eq_percent_lower_bound=Fraction(100 * bound, domain_total),
             condition=condition,
             solver_calls=self.query_count - first_query,
-            elapsed=time.monotonic() - start,
-            incomplete=regions.incomplete,
+            incomplete=incomplete,
             per_var_source=sources,
         )

@@ -18,7 +18,7 @@ from .enumcount import EnumCase, enumerate_models
 from .formula import FALSE, TRUE, Formula, FNot, for_, point_formula, pretty, serialize_formula
 from .minilang import parse, typecheck
 from .oracle import Budget, SolverConfig
-from .rangesearch import RangeSearch, default_limit
+from .rangesearch import RangeSearch
 from .summarizer import DEFAULT_UNROLL_LIMIT, Summary, summarize, require_same_signature
 
 MODEL_LIST_CAP = 64
@@ -174,8 +174,7 @@ def analyze_pair(
         if verdict.kind is Verdict.P_EQ and method == "enumerate":
             enum = enumerate_models(s1, s2, cfg, search=search)
         elif verdict.kind is Verdict.P_EQ:
-            limit = default_limit(len(s1.inputs)) if depth_limit is None else depth_limit
-            quant = search.run(method, limit=limit)
+            quant = search.run(method, limit=depth_limit)
     calls = verdict.solver_calls
     domain = s1.domain_size
 
@@ -212,23 +211,16 @@ def analyze_pair(
 
     if method == "enumerate":
         calls += enum.solver_calls
-        if enum.case is EnumCase.CASE1:
-            bound = enum.exact_eq_count
-            condition = _models_condition(s1, enum.eq_inputs)
-            exact = True
-        elif enum.case is EnumCase.CASE2:
-            bound = enum.exact_eq_count
+        bound = enum.eq_count_lower_bound
+        if enum.case is EnumCase.CASE2:
             condition = FNot(_models_condition(s1, enum.neq_inputs))
-            exact = True
         else:
-            bound = enum.eq_count_lower_bound
             condition = _models_condition(s1, enum.eq_inputs)
-            exact = False
         return finish(
             eq_lower_bound=bound,
             eq_percent=Fraction(100 * bound, domain),
             impact_percent=Fraction(100) - Fraction(100 * bound, domain),
-            exact=exact, condition=condition, solver_calls=calls,
+            exact=enum.exact_eq_count is not None, condition=condition, solver_calls=calls,
             incomplete=enum.case is EnumCase.CASE3,
             enum_case=enum.case, eq_models=enum.eq_inputs, neq_models=enum.neq_inputs,
         )
@@ -314,15 +306,12 @@ def check_expectations(case: CorpusCase, report: ImpactReport,
         )
     if method_overridden:
         return failures  # method-specific expectations no longer apply
-    def frac(text: str) -> Fraction:
-        return Fraction(text)
-
     if "expect_eq_fraction" in exp:
-        want = frac(exp["expect_eq_fraction"]) * 100
+        want = Fraction(exp["expect_eq_fraction"]) * 100
         if report.eq_percent != want:
             failures.append(f"eq percent {report.eq_percent}, expected {want}")
     if "expect_impact_fraction" in exp:
-        want = frac(exp["expect_impact_fraction"]) * 100
+        want = Fraction(exp["expect_impact_fraction"]) * 100
         if report.impact_percent != want:
             failures.append(f"impact percent {report.impact_percent}, expected {want}")
     if "expect_case" in exp:

@@ -12,10 +12,6 @@ import time
 from heapq import heappush, heappop
 
 
-def neg(lit: int) -> int:
-    return lit ^ 1
-
-
 UNASSIGNED = -1
 
 
@@ -239,9 +235,8 @@ class Solver:
                 return v
         return 0
 
-    def solve(self, assumptions=(), deadline: float | None = None,
-              conflict_budget: int | None = None):
-        """True = sat, False = unsat, None = deadline or budget exhausted."""
+    def solve(self, assumptions=(), deadline: float | None = None):
+        """True = sat, False = unsat, None = deadline passed."""
         if self.unsat:
             return False
         self._backtrack(0)
@@ -260,9 +255,6 @@ class Solver:
                 restart_conflicts += 1
                 if conflicts % 128 == 0:
                     if deadline is not None and time.monotonic() > deadline:
-                        self._backtrack(0)
-                        return None
-                    if conflict_budget is not None and conflicts > conflict_budget:
                         self._backtrack(0)
                         return None
                 if not self.trail_lim:
@@ -319,7 +311,3 @@ class Solver:
             if i == (1 << k) - 1:
                 return 1 << (k - 1)
             i = i - (1 << (k - 1)) + 1
-
-    def model_value(self, v: int) -> int:
-        val = self.assign[v]
-        return 0 if val == UNASSIGNED else val

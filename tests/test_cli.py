@@ -240,7 +240,8 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "patcheq.cli", "--help"],
         capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0
     assert "summarize" in proc.stdout and "corpus" in proc.stdout

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patcheq import minilang
 from patcheq.minilang import (
     If, ParseError, Return, TypeError_, Var,
     parse, parse_unit, strip_sorts, to_source, typecheck,
@@ -176,6 +177,23 @@ fn caller(x: i32) -> i32 { return a(x, x); }
 def test_call_checks_the_callee_in_its_own_scope(src, message):
     with pytest.raises(TypeError_, match=message):
         fn(src)
+
+
+def test_typecheck_checks_each_callee_once(monkeypatch):
+    # f_i(x) = f_{i-1}(x) + f_{i-1}(x): checking per call site costs 2^15 - 1
+    lines = ["fn f0(x: i8) -> i8 { return x + 1; }"]
+    lines += [f"fn f{i}(x: i8) -> i8 {{ return f{i - 1}(x) + f{i - 1}(x); }}" for i in range(1, 15)]
+    top = parse("\n".join(lines))
+    calls = []
+    real = minilang.typecheck
+
+    def counting(f):
+        calls.append(f.name)
+        return real(f)
+
+    monkeypatch.setattr(minilang, "typecheck", counting)
+    minilang.typecheck(top)
+    assert sorted(calls) == sorted(f"f{i}" for i in range(15))
 
 
 def test_call_argument_sort_enforced():

@@ -1,9 +1,11 @@
 """Solver client: verdicts, models, blocking, timeouts, failure modes."""
 
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+from patcheq.classifier import Verdict, eq_check
 from patcheq.formula import (
     BvVar, FIff, FNot, fand, feq, flt, serialize_formula, tbin, tconst, tvar,
 )
@@ -163,3 +165,46 @@ def test_budget_expiry_is_observable():
     time.sleep(0.01)
     assert budget.expired
     assert budget.remaining_ms() == 0
+
+
+# The bundled solver, but printing each get-value reply one pair per line, as
+# z3 does for two or more names.
+ONE_PAIR_PER_LINE = """
+import sys
+from patcheq.smtbv import run_stdio
+
+class OnePairPerLine:
+    def write(self, text):
+        sys.stdout.write(text.replace(") (", ")\\n (") if text.startswith("((") else text)
+
+    def flush(self):
+        sys.stdout.flush()
+
+sys.exit(run_stdio(stdout=OnePairPerLine()))
+"""
+
+
+@pytest.mark.parametrize("case", ["eqbench_dart", "cve_2018_fb_requeue_guard"])
+def test_a_reply_spanning_lines_is_read_whole(cfg, case):
+    s1, s2 = (summarize(corpus_fn(case, w)) for w in ("original.fn", "patched.fn"))
+    assert len(s1.inputs) == 2
+    stub = SolverConfig(solver_cmd=(sys.executable, "-c", ONE_PAIR_PER_LINE),
+                        query_timeout_ms=cfg.query_timeout_ms, budget_ms=cfg.budget_ms)
+    bundled = eq_check(s1, s2, cfg)
+    split = eq_check(s1, s2, stub)
+    assert bundled.kind is split.kind is Verdict.P_EQ
+    assert split.witness == bundled.witness is not None
+
+
+def test_a_dead_session_drops_commands_and_answers_unknown(cfg):
+    x = BvVar("x", SORTS["u8"], "input")
+    with SolverSession(cfg, (x,)) as session:
+        session.proc.kill()
+        session.proc.wait(timeout=10)
+        session.push()
+        session.assert_formula(feq(tvar(x), tconst(1, 8)))
+        session.pop()
+        assert session.dead
+        assert session.check_sat() == "unknown"
+        assert session.get_values([x]) is None
+        assert session.check_sat() == "unknown"

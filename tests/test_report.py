@@ -122,7 +122,7 @@ def test_a_solver_that_fails_to_start_leaves_no_process_behind(cfg, spawned, mon
     case = CORPUS / "cve_2010_4165_tcp_window"
     with pytest.raises(oracle.SolverConfigError):
         analyze_pair("one", case / "original.fn", case / "patched.fn", "enumerate", cfg)
-    assert len(spawned) == 1  # the classifier's, then taken over by the enumeration
+    assert len(spawned) == 1  # the classifier's; the divergent side's fails to start
     assert_all_exited(spawned)
 
 
