@@ -1,7 +1,7 @@
 """Command-line interface: summarize, check, impact, corpus.
 
-Global options may also come from environment variables with the PATCHEQ_
-prefix (PATCHEQ_SOLVER_CMD, PATCHEQ_QUERY_TIMEOUT_MS, PATCHEQ_BUDGET_MS,
+Options follow the subcommand and may also come from PATCHEQ_ environment
+variables (PATCHEQ_SOLVER_CMD, PATCHEQ_QUERY_TIMEOUT_MS, PATCHEQ_BUDGET_MS,
 PATCHEQ_ALGORITHM, PATCHEQ_DEPTH_LIMIT, PATCHEQ_FORMAT, PATCHEQ_JOBS,
 PATCHEQ_STABLE, PATCHEQ_PERCENT_PLACES).  Exit status: 0 success, 1 expectation or analysis failure,
 2 infrastructure error.
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patcheq",
         description="Quantitative patch impact analysis for numeric programs.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -255,7 +254,7 @@ def cmd_corpus(args, cfg) -> int:
                 "total": len(results),
                 "failed": failed,
                 "verdicts": verdict_counts,
-                "mean_impact_percent": fraction_decimal(mean_impact),
+                "mean_impact_percent": fraction_decimal(mean_impact, args.percent_places),
             },
         }, indent=2, sort_keys=True))
     else:
@@ -269,7 +268,7 @@ def cmd_corpus(args, cfg) -> int:
             status = "ok" if not failures else "; ".join(failures)
             print(f"{case.name.ljust(name_w)}  {verdict.ljust(24)}  {impact.ljust(impact_w)}  {status}")
         print(f"\n{len(results)} case(s), {failed} failed; verdicts {verdict_counts}; "
-              f"mean impact {fraction_decimal(mean_impact)}%")
+              f"mean impact {fraction_decimal(mean_impact, args.percent_places)}%")
     return EXIT_FAILED if failed else EXIT_OK
 
 

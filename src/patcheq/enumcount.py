@@ -34,8 +34,11 @@ class EnumResult:
     eq_inputs: list[tuple[int, ...]]
     neq_inputs: list[tuple[int, ...]]
     exact_eq_count: int | None
-    eq_count_lower_bound: int
     solver_calls: int
+
+    @property
+    def eq_count_lower_bound(self) -> int:
+        return len(self.eq_inputs) if self.exact_eq_count is None else self.exact_eq_count
 
 
 class DuplicateModel(Exception):
@@ -90,7 +93,6 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
     budget.  Both scopes are popped, and the searches opened here closed, on
     return.
     """
-    domain = s1.domain_size
     with ExitStack() as stack:
         search = search or stack.enter_context(RangeSearch(s1, s2, cfg, budget))
         budget = search.budget
@@ -110,7 +112,7 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
     if case is EnumCase.CASE1:
         exact = len(eq_models)
     elif case is EnumCase.CASE2:
-        exact = domain - len(neq_models)
+        exact = s1.domain_size - len(neq_models)
     else:
         exact = None
     return EnumResult(
@@ -118,7 +120,6 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
         eq_inputs=eq_models,
         neq_inputs=neq_models,
         exact_eq_count=exact,
-        eq_count_lower_bound=exact if exact is not None else len(eq_models),
         solver_calls=eq_side.calls + neq_side.calls,
     )
 

@@ -22,10 +22,6 @@ class SortMismatch(FormulaError):
     pass
 
 
-class VariableMismatch(FormulaError):
-    pass
-
-
 @dataclass(frozen=True)
 class BvVar:
     """A free bit-vector variable, partitioned into program inputs and outputs."""
@@ -225,39 +221,6 @@ def for_(items: Iterable[Formula]) -> Formula:
     return FOr(items)
 
 
-def free_vars(f: Formula) -> dict[str, BvVar]:
-    """Collect free variables; raises on same-name variables with unequal sorts."""
-    out: dict[str, BvVar] = {}
-
-    def walk_t(t: Term):
-        if isinstance(t, TVar):
-            prev = out.get(t.var.name)
-            if prev is not None and prev != t.var:
-                raise VariableMismatch(f"conflicting declarations of {t.var.name!r}")
-            out[t.var.name] = t.var
-        elif isinstance(t, TBin):
-            walk_t(t.lhs)
-            walk_t(t.rhs)
-        elif isinstance(t, (TNeg, TExtend, TExtract)):
-            walk_t(t.arg)
-
-    def walk_f(f: Formula):
-        if isinstance(f, (FEq, FLt, FLe)):
-            walk_t(f.lhs)
-            walk_t(f.rhs)
-        elif isinstance(f, FNot):
-            walk_f(f.arg)
-        elif isinstance(f, (FAnd, FOr)):
-            for item in f.items:
-                walk_f(item)
-        elif isinstance(f, FIff):
-            walk_f(f.lhs)
-            walk_f(f.rhs)
-
-    walk_f(f)
-    return out
-
-
 # --- range constraints ---
 
 
@@ -319,17 +282,8 @@ def point_formula(variables: Sequence[BvVar], values: Sequence[int]) -> Formula:
     )
 
 
-def require_agreeing_vars(s1: Formula, s2: Formula):
-    """Raise unless every variable named in both formulas is the same variable."""
-    vars1, vars2 = free_vars(s1), free_vars(s2)
-    for name in set(vars1) & set(vars2):
-        if vars1[name] != vars2[name]:
-            raise VariableMismatch(f"summaries disagree on variable {name!r}")
-
-
 def iff_under_range(s1: Formula, s2: Formula, rng: Formula) -> Formula:
     """(S1 and range) iff (S2 and range); callers negate for the validity check."""
-    require_agreeing_vars(s1, s2)
     return FIff(fand([s1, rng]), fand([s2, rng]))
 
 

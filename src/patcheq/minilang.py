@@ -625,44 +625,6 @@ def to_source(fn: TypedFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def strip_sorts(fn: TypedFunction) -> TypedFunction:
-    """Drop sort annotations, for structural comparison across parse round trips."""
-
-    def walk_e(e: Expr) -> Expr:
-        if isinstance(e, Lit):
-            return Lit(e.value)
-        if isinstance(e, Var):
-            return Var(e.name)
-        if isinstance(e, Cast):
-            return Cast(e.target, walk_e(e.arg))
-        if isinstance(e, Unary):
-            return Unary(e.op, walk_e(e.arg))
-        if isinstance(e, Binary):
-            return Binary(e.op, walk_e(e.lhs), walk_e(e.rhs))
-        if isinstance(e, Call):
-            return Call(e.name, tuple(walk_e(a) for a in e.args), e.fn)
-        return e
-
-    def walk_s(s: Stmt) -> Stmt:
-        if isinstance(s, Let):
-            return Let(s.name, s.declared, walk_e(s.value))
-        if isinstance(s, Assign):
-            return Assign(s.name, walk_e(s.value))
-        if isinstance(s, If):
-            return If(
-                walk_e(s.cond),
-                tuple(walk_s(x) for x in s.then),
-                tuple(walk_s(x) for x in s.other) if s.other else None,
-            )
-        if isinstance(s, While):
-            return While(walk_e(s.cond), tuple(walk_s(x) for x in s.body))
-        if isinstance(s, Return):
-            return Return(walk_e(s.value))
-        return s
-
-    return replace(fn, body=tuple(walk_s(s) for s in fn.body))
-
-
 def _infer_same_sort(lhs, rhs, env, expected, infer):
     """Resolve operand sorts for a binary node; literals adopt the other side."""
     if isinstance(lhs, Lit) and not isinstance(rhs, Lit):

@@ -71,16 +71,12 @@ class Budget:
     def expired(self) -> bool:
         return time.monotonic() >= self.deadline
 
-    def remaining_ms(self) -> int:
-        return max(0, int((self.deadline - time.monotonic()) * 1000))
-
 
 class SolverSession:
     """One solver process; owned by exactly one analysis at a time."""
 
     def __init__(self, cfg: SolverConfig, decls: tuple[BvVar, ...] = ()):
         self.cfg = cfg
-        self.decls: dict[str, BvVar] = {}
         self.dead = False
         env = os.environ.copy()
         if cfg.solver_cmd[:1] == (sys.executable,):
@@ -102,7 +98,7 @@ class SolverSession:
         self._send("(set-logic QF_BV)")
         self._send(f"(set-option :timeout {cfg.query_timeout_ms})")
         for var in decls:
-            self.declare(var)
+            self._send(f"(declare-const {var.name} (_ BitVec {var.sort.width}))")
 
     # --- plumbing ---
 
@@ -169,14 +165,6 @@ class SolverSession:
 
     # --- protocol operations ---
 
-    def declare(self, var: BvVar):
-        if var.name in self.decls:
-            if self.decls[var.name] != var:
-                raise ProtocolViolation(f"conflicting declaration of {var.name}")
-            return
-        self.decls[var.name] = var
-        self._send(f"(declare-const {var.name} (_ BitVec {var.sort.width}))")
-
     def define(self, name: str, f: Formula):
         """Bind ``name`` to a Boolean formula; ``FName(name)`` then refers to it."""
         self._send(f"(define-fun {name} () Bool {serialize_formula(f)})")
@@ -225,10 +213,6 @@ class SolverSession:
     def block_model(self, variables: list[BvVar], model: dict[str, int]):
         """Exclude one input assignment from all later checks in this session."""
         self.assert_formula(FNot(point_formula(variables, [model[v.name] for v in variables])))
-
-
-class ProtocolViolation(Exception):
-    pass
 
 
 def _parse_bv_value(value) -> int:

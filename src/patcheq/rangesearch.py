@@ -20,11 +20,10 @@ flagged incomplete.  All counting is exact big-integer/rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .formula import (
     BvVar, Formula, FName, FNot, FALSE, RangePair, fand, for_, iff_under_range,
-    mk_range_constraint, require_agreeing_vars, var_range_constraint,
+    mk_range_constraint, var_range_constraint,
 )
 from .oracle import Budget, SolverConfig, SolverSession
 from .summarizer import Summary, require_same_interface
@@ -226,7 +225,6 @@ class QuantResult:
     """Quantification outcome of one range-search run."""
 
     eq_lower_bound: int
-    eq_percent_lower_bound: Fraction
     condition: Formula
     solver_calls: int
     incomplete: bool
@@ -239,7 +237,6 @@ class RangeSearch:
     def __init__(self, s1: Summary, s2: Summary, cfg: SolverConfig,
                  budget: Budget | None = None):
         require_same_interface(s1, s2)
-        require_agreeing_vars(s1.formula, s2.formula)
         self.s1 = s1
         self.s2 = s2
         self.cfg = cfg
@@ -404,29 +401,23 @@ class RangeSearch:
         """Certified binary search from the found edge toward the frontier."""
         if frontier is None:
             return found
-        if found.lo >= 1:
-            lo, hi = found.hi, frontier  # (found.lo, frontier) is known not-eq
-            while hi - lo > 1:
-                mid = lo + (hi - lo) // 2
-                verdict = self.check_equiv((var,), (RangePair(found.lo, mid),))
-                if verdict == "unsat":
-                    lo = mid
-                elif verdict == "sat":
-                    hi = mid
-                else:
-                    break  # unknown probe: keep the last certified boundary
-            return RangePair(found.lo, lo)
-        lo, hi = frontier, found.lo
-        while hi - lo > 1:
-            mid = lo + (hi - lo) // 2
-            verdict = self.check_equiv((var,), (RangePair(mid, found.hi),))
+        # the moving edge is certified out to ``good``; out to ``bad`` is known not-eq
+        positive = found.lo >= 1
+        good, bad = (found.hi if positive else found.lo), frontier
+
+        def widened(edge: int) -> RangePair:
+            return RangePair(found.lo, edge) if positive else RangePair(edge, found.hi)
+
+        while abs(bad - good) > 1:
+            mid = good + (bad - good) // 2
+            verdict = self.check_equiv((var,), (widened(mid),))
             if verdict == "unsat":
-                hi = mid
+                good = mid
             elif verdict == "sat":
-                lo = mid
+                bad = mid
             else:
-                break
-        return RangePair(hi, found.hi)
+                break  # unknown probe: keep the last certified boundary
+        return widened(good)
 
     def _partitions(self, var: BvVar) -> list[RangePair]:
         """The domain's positive part, its negative part (signed sorts) and zero."""
@@ -459,10 +450,6 @@ class RangeSearch:
     def run(self, method: str, limit: int | None = None) -> QuantResult:
         """Quantify with ``method``; ``solver_calls`` counts this run's queries only."""
         first_query = self.query_count
-        domain_sizes = [v.sort.domain_size for v in self.variables]
-        domain_total = 1
-        for d in domain_sizes:
-            domain_total *= d
         sources = None
         if method == "relational":
             region_set = self.relational(limit)
@@ -479,12 +466,11 @@ class RangeSearch:
             else:
                 raise ValueError(f"unknown method {method!r}")
             intervals = [region_list.intervals(n) for n in range(len(self.variables))]
-            bound = eq_lower_bound_iterative(intervals, domain_sizes)
+            bound = eq_lower_bound_iterative(intervals, [v.sort.domain_size for v in self.variables])
             condition = render_condition_iterative(self.variables, intervals)
             incomplete = region_list.incomplete
         return QuantResult(
             eq_lower_bound=bound,
-            eq_percent_lower_bound=Fraction(100 * bound, domain_total),
             condition=condition,
             solver_calls=self.query_count - first_query,
             incomplete=incomplete,

@@ -56,8 +56,6 @@ class ImpactReport:
     method: str
     eq_lower_bound: int
     domain_size: int
-    eq_percent: Fraction
-    impact_percent: Fraction
     exact: bool
     condition: Formula
     witness: dict[str, int] | None
@@ -70,6 +68,14 @@ class ImpactReport:
     per_var_source: list[str] | None = None
     input_names: list[str] = field(default_factory=list)
     error: str | None = None
+
+    @property
+    def eq_percent(self) -> Fraction:
+        return Fraction(100 * self.eq_lower_bound, self.domain_size)
+
+    @property
+    def impact_percent(self) -> Fraction:
+        return 100 - self.eq_percent
 
     @property
     def impact_condition(self) -> Formula:
@@ -175,63 +181,48 @@ def analyze_pair(
             enum = enumerate_models(s1, s2, cfg, search=search)
         elif verdict.kind is Verdict.P_EQ:
             quant = search.run(method, limit=depth_limit)
-    calls = verdict.solver_calls
-    domain = s1.domain_size
 
-    def finish(**kw) -> ImpactReport:
+    def finish(quantify_calls: int = 0, **kw) -> ImpactReport:
         return ImpactReport(
             name=name,
             original=str(original_path),
             patched=str(patched_path),
             verdict=verdict.kind,
             method=method,
-            domain_size=domain,
+            domain_size=s1.domain_size,
             witness=verdict.witness,
+            solver_calls=verdict.solver_calls + quantify_calls,
             elapsed_ms=int((time.monotonic() - start) * 1000),
             input_names=[v.name for v in s1.inputs],
             **kw,
         )
 
     if verdict.kind is Verdict.T_EQ:
-        return finish(
-            eq_lower_bound=domain, eq_percent=Fraction(100), impact_percent=Fraction(0),
-            exact=True, condition=TRUE, solver_calls=calls, incomplete=False,
-        )
+        return finish(eq_lower_bound=s1.domain_size, exact=True, condition=TRUE, incomplete=False)
     if verdict.kind is Verdict.T_NEQ:
-        return finish(
-            eq_lower_bound=0, eq_percent=Fraction(0), impact_percent=Fraction(100),
-            exact=True, condition=FALSE, solver_calls=calls, incomplete=False,
-        )
+        return finish(eq_lower_bound=0, exact=True, condition=FALSE, incomplete=False)
     if verdict.kind is Verdict.UNKNOWN:
         return finish(
-            eq_lower_bound=0, eq_percent=Fraction(0), impact_percent=Fraction(100),
-            exact=False, condition=FALSE, solver_calls=calls, incomplete=True,
+            eq_lower_bound=0, exact=False, condition=FALSE, incomplete=True,
             error="classifier query unknown (timeout or solver failure)",
         )
 
     if method == "enumerate":
-        calls += enum.solver_calls
-        bound = enum.eq_count_lower_bound
         if enum.case is EnumCase.CASE2:
             condition = FNot(_models_condition(s1, enum.neq_inputs))
         else:
             condition = _models_condition(s1, enum.eq_inputs)
         return finish(
-            eq_lower_bound=bound,
-            eq_percent=Fraction(100 * bound, domain),
-            impact_percent=Fraction(100) - Fraction(100 * bound, domain),
-            exact=enum.exact_eq_count is not None, condition=condition, solver_calls=calls,
+            quantify_calls=enum.solver_calls, eq_lower_bound=enum.eq_count_lower_bound,
+            exact=enum.exact_eq_count is not None, condition=condition,
             incomplete=enum.case is EnumCase.CASE3,
             enum_case=enum.case, eq_models=enum.eq_inputs, neq_models=enum.neq_inputs,
         )
 
-    calls += quant.solver_calls
     return finish(
-        eq_lower_bound=quant.eq_lower_bound,
-        eq_percent=quant.eq_percent_lower_bound,
-        impact_percent=Fraction(100) - quant.eq_percent_lower_bound,
-        exact=False, condition=quant.condition, solver_calls=calls,
-        incomplete=quant.incomplete, per_var_source=quant.per_var_source,
+        quantify_calls=quant.solver_calls, eq_lower_bound=quant.eq_lower_bound, exact=False,
+        condition=quant.condition, incomplete=quant.incomplete,
+        per_var_source=quant.per_var_source,
     )
 
 
@@ -262,6 +253,7 @@ EXPECT_KEYS = {
     "expect_verdict", "expect_eq_fraction", "expect_impact_fraction",
     "expect_case", "expect_neq_count", "expect_exact_eq_count",
 }
+MANIFEST_KEYS = {"name", "original", "patched", "method", "depth_limit"} | EXPECT_KEYS
 
 
 def load_case(path: str | Path) -> CorpusCase:
@@ -274,7 +266,10 @@ def load_case(path: str | Path) -> CorpusCase:
         if "=" not in line:
             raise ManifestError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in MANIFEST_KEYS:
+            raise ManifestError(f"{path}:{line_no}: unknown key {key!r}")
+        fields[key] = value.strip()
     for required in ("original", "patched"):
         if required not in fields:
             raise ManifestError(f"{path}: missing {required}")

@@ -34,13 +34,8 @@ def tokenize(text: str):
             yield text[i: j + 1]
             i = j + 1
             continue
-        if c == "|":
-            j = text.index("|", i + 1)
-            yield text[i: j + 1]
-            i = j + 1
-            continue
         j = i
-        while j < n and text[j] not in " \t\r\n();\"|":
+        while j < n and text[j] not in " \t\r\n();\"":
             j += 1
         yield text[i:j]
         i = j

@@ -62,37 +62,25 @@ class TermTable:
         return self._node("bnot", 0, (a,))
 
     def band(self, items) -> Node:
-        flat: list[Node] = []
-        seen = set()
-        for x in items:
-            if x.kind == "bconst":
-                if not x.args[0]:
-                    return self.FALSE
-                continue
-            parts = x.args if x.kind == "band" else (x,)
-            for p in parts:
-                if p.nid in seen:
-                    continue
-                seen.add(p.nid)
-                flat.append(p)
-        neg_ids = {p.args[0].nid for p in flat if p.kind == "bnot"}
-        if any(p.nid in neg_ids for p in flat):
-            return self.FALSE
-        if not flat:
-            return self.TRUE
-        if len(flat) == 1:
-            return flat[0]
-        return self._node("band", 0, tuple(flat))
+        return self._flatten("band", items, self.FALSE)
 
     def bor(self, items) -> Node:
+        return self._flatten("bor", items, self.TRUE)
+
+    def _flatten(self, kind: str, items, absorbing: Node) -> Node:
+        """``kind`` over ``items``, flattened and deduplicated in order.
+
+        ``absorbing`` (FALSE for and, TRUE for or) is the result when an item
+        is it or an item occurs with its negation; the other constant is dropped.
+        """
         flat: list[Node] = []
         seen = set()
         for x in items:
             if x.kind == "bconst":
-                if x.args[0]:
-                    return self.TRUE
+                if x is absorbing:
+                    return absorbing
                 continue
-            parts = x.args if x.kind == "bor" else (x,)
+            parts = x.args if x.kind == kind else (x,)
             for p in parts:
                 if p.nid in seen:
                     continue
@@ -100,12 +88,12 @@ class TermTable:
                 flat.append(p)
         neg_ids = {p.args[0].nid for p in flat if p.kind == "bnot"}
         if any(p.nid in neg_ids for p in flat):
-            return self.TRUE
+            return absorbing
         if not flat:
-            return self.FALSE
+            return self.bnot(absorbing)
         if len(flat) == 1:
             return flat[0]
-        return self._node("bor", 0, tuple(flat))
+        return self._node(kind, 0, tuple(flat))
 
     def beq(self, a: Node, b: Node) -> Node:
         if a.nid == b.nid:

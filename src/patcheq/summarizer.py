@@ -47,7 +47,10 @@ class Summary:
     inputs: tuple[BvVar, ...]
     output: BvVar
     formula: FOr
-    path_count: int
+
+    @property
+    def path_count(self) -> int:
+        return len(self.formula.items)
 
     @property
     def decls(self) -> tuple[BvVar, ...]:
@@ -346,7 +349,7 @@ def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT, prune
     ex.exec_straight(fn.body, {v.name: tvar(v) for v in inputs}, [], _fell_off)
     if not disjuncts:
         raise SummarizeError("no feasible path reached a return")
-    return Summary(inputs, output, FOr(tuple(disjuncts)), len(disjuncts))
+    return Summary(inputs, output, FOr(tuple(disjuncts)))
 
 
 # --- concrete interpreter ---

@@ -112,6 +112,21 @@ def test_corpus_runs_bundled_cases(capsys, corpus_dir):
     assert "87.50" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_corpus_mean_impact_honours_percent_places(tmp_path, capsys, corpus_dir, fmt):
+    src = corpus_dir / "cve_2012_2384_cliprects"
+    for name in ("original.fn", "patched.fn", "pair.case"):
+        (tmp_path / name).write_text((src / name).read_text())
+    code, out, _ = run_cli(
+        ["corpus", str(tmp_path), "--percent-places", "4", "--format", fmt], capsys
+    )
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["aggregate"]["mean_impact_percent"] == "87.5000"
+    else:
+        assert "<= 87.5000%" in out and "mean impact 87.5000%" in out
+
+
 def test_corpus_expectation_failure_exits_one(tmp_path, capsys, corpus_dir):
     src = corpus_dir / "cve_2013_0859_doubles_metadata"
     for name in ("original.fn", "patched.fn"):
@@ -123,6 +138,20 @@ def test_corpus_expectation_failure_exits_one(tmp_path, capsys, corpus_dir):
     code, out, _ = run_cli(["corpus", str(tmp_path)], capsys)
     assert code == 1
     assert "expected T_EQ" in out
+
+
+def test_corpus_manifest_with_unknown_key_exits_2(tmp_path, capsys, corpus_dir):
+    # a misspelt expectation must not leave the case passing unchecked
+    src = corpus_dir / "cve_2013_0859_doubles_metadata"
+    for name in ("original.fn", "patched.fn"):
+        (tmp_path / name).write_text((src / name).read_text())
+    (tmp_path / "pair.case").write_text(
+        "original = original.fn\npatched = patched.fn\nexpect_verdcit = T_EQ\n"
+    )
+    code, out, err = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 2
+    assert "unknown key 'expect_verdcit'" in err
+    assert out == ""
 
 
 def test_corpus_continues_past_broken_case(tmp_path, capsys):
@@ -234,6 +263,15 @@ def test_env_vars_mirror_flags(corpus_dir, monkeypatch, capsys):
     data = json.loads(out)
     assert data["algorithm"] == "enumerate"
     assert data["case"] == "case2"
+
+
+def test_common_flags_before_the_subcommand_exit_2(corpus_dir, capsys):
+    # only the subcommands take them; before it they were parsed and then overwritten
+    case = corpus_dir / "eqbench_ltfive"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--format", "json", "check", str(case / "original.fn"), str(case / "patched.fn")])
+    assert exit_info.value.code == 2
+    assert "patcheq: error: argument command: invalid choice" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -7,9 +7,9 @@ import pytest
 
 from patcheq import bvarith
 from patcheq.formula import (
-    BvVar, FIff, FNot, FormulaError, VariableMismatch, eval_formula, feq,
+    BvVar, FIff, FNot, FormulaError, eval_formula, feq,
     iff_under_range, mk_range_constraint, pretty, serialize, serialize_formula,
-    tconst, tvar, TRUE,
+    tconst, tvar,
 )
 from patcheq.minilang import SORTS
 from patcheq.oracle import SolverSession
@@ -88,15 +88,6 @@ def test_iff_under_range_count_pair(cfg):
     with SolverSession(cfg, s1.decls) as session:
         session.assert_formula(FNot(iff_under_range(s1.formula, s2.formula, rng)))
         assert session.check_sat() == "unsat"
-
-
-def test_iff_variable_mismatch():
-    x_i = BvVar("x", I8, "input")
-    x_u = BvVar("x", U8, "input")
-    f1 = feq(tvar(x_i), tconst(1, 8))
-    f2 = feq(tvar(x_u), tconst(1, 8))
-    with pytest.raises(VariableMismatch):
-        iff_under_range(f1, f2, TRUE)
 
 
 def test_serialize_simple_equation():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from patcheq import minilang
 from patcheq.minilang import (
     If, ParseError, Return, TypeError_, Var,
-    parse, parse_unit, strip_sorts, to_source, typecheck,
+    parse, parse_unit, to_source, typecheck,
 )
 from patcheq.randgen import random_function
 from patcheq.summarizer import eval_concrete
@@ -213,7 +213,7 @@ fn caller(x: i32) -> i32 { return (i32) a(x); }
 def test_round_trip_structural(seed):
     f = random_function(random.Random(seed))
     reparsed = parse(to_source(f))
-    assert strip_sorts(reparsed) == strip_sorts(f)
+    assert reparsed == f
 
 
 @settings(max_examples=60, deadline=None)

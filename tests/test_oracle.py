@@ -122,10 +122,8 @@ def test_models_revalidate_concretely(cfg):
         for _ in range(5):
             assert session.check_sat() == "sat"
             model = session.get_values(list(s1.decls))
-            env = {
-                name: bvarith.to_unsigned(value, session.decls[name].sort.width)
-                for name, value in model.items()
-            }
+            widths = {v.name: v.sort.width for v in s1.decls}
+            env = {name: bvarith.to_unsigned(value, widths[name]) for name, value in model.items()}
             assert eval_formula(query, env)
             session.block_model(list(s1.inputs), model)
 
@@ -164,7 +162,6 @@ def test_budget_expiry_is_observable():
 
     time.sleep(0.01)
     assert budget.expired
-    assert budget.remaining_ms() == 0
 
 
 # The bundled solver, but printing each get-value reply one pair per line, as

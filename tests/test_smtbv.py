@@ -304,6 +304,7 @@ def test_every_operator_agrees_with_eval_formula(head, width):
     "(declare-const y (_ BitVec (8)))",
     "(push (1))",
     "(push -1)",
+    "(assert |x)",
 ])
 def test_input_outside_the_vocabulary_is_an_error_and_the_session_continues(command):
     script = f"(declare-const x (_ BitVec 8))\n{command}\n(assert (bvult x (_ bv0 8)))\n(check-sat)\n"
