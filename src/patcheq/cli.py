@@ -56,6 +56,14 @@ def _percent_places(text: str) -> int:
     return int(text)
 
 
+class _AfterSubcommand(argparse.Action):
+    """A common flag given before the subcommand, where none is read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} must come after the subcommand: "
+                     f"patcheq COMMAND {option_string} ...")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--solver-cmd", default=_env("SOLVER_CMD", None),
@@ -83,6 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="patcheq",
         description="Quantitative patch impact analysis for numeric programs.",
     )
+    for action in common._actions:
+        parser.add_argument(*action.option_strings, action=_AfterSubcommand, nargs="?",
+                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sum = sub.add_parser("summarize", parents=[common],

@@ -15,12 +15,23 @@ Four strategies over the input hyper-rectangle:
 A region enters a result only with an unsat certificate from the solver;
 unknown verdicts drop the region, and budget expiry returns a partial result
 flagged incomplete.  All counting is exact big-integer/rational arithmetic.
+
+Before a range check goes to the solver, both summaries are evaluated at a
+few points of the range: its two ends, its midpoint and RANDOM_POINTS more
+drawn from a seed fixed by the range.  A point where the summaries allow different
+outputs is a model of the equivalence check, and one where they share an
+output is a model of the conjunction check, so points only ever answer
+``sat``; ``unsat`` and every bound still come from the solver.
+``query_count``, and so ``solver_calls``, counts only queries sent to the
+solver.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
+from . import bvarith
 from .formula import (
     BvVar, Formula, FName, FNot, FALSE, RangePair, fand, for_, iff_under_range,
     mk_range_constraint, var_range_constraint,
@@ -36,6 +47,9 @@ SUMMARIES = (FName("summary!1"), FName("summary!2"))
 
 DEFAULT_LIMIT_SINGLE = 8
 DEFAULT_LIMIT_MULTI = 4
+
+# Seeded points evaluated per range, besides its two ends and its midpoint.
+RANDOM_POINTS = 8
 
 
 def default_limit(n_vars: int) -> int:
@@ -53,7 +67,6 @@ def full_domain(inputs: tuple[BvVar, ...]) -> RangeVector:
 @dataclass(frozen=True)
 class CertifiedRegion:
     vector: RangeVector
-    cert_query: int  # index of the unsat query that certified this region
 
     @property
     def interval(self) -> RangePair:
@@ -244,6 +257,9 @@ class RangeSearch:
         self.variables = s1.inputs
         self.session: SolverSession | None = None
         self.query_count = 0
+        # the last sampled range and what its points decided; classify_range
+        # and priority ask both checks of one range in a row
+        self._last_sample: tuple | None = None
 
     # --- session/query plumbing ---
 
@@ -299,8 +315,53 @@ class RangeSearch:
             session.pop()
         return verdict, model
 
+    def _sample(self, var_subset: tuple[BvVar, ...], vec: RangeVector):
+        """The range's ends, midpoint and seeded points, as input environments.
+
+        The seed is the range's repr, not its hash, so every process draws the
+        same points.  Inputs outside ``var_subset`` come from the same stream.
+        """
+        rand = random.Random(repr((tuple(v.name for v in var_subset), vec)))
+        bounds = dict(zip(var_subset, vec))
+        for k in range(3 + RANDOM_POINTS):
+            env = {}
+            for var in self.variables:
+                p = bounds.get(var)
+                if p is None:
+                    value = rand.randint(var.sort.min_value, var.sort.max_value)
+                elif k < 3:
+                    value = (p.lo, p.hi, p.lo + (p.hi - p.lo) // 2)[k]
+                else:
+                    value = rand.randint(p.lo, p.hi)
+                env[var.name] = bvarith.to_unsigned(value, var.sort.width)
+            yield env
+
+    def _points_decide(self, var_subset: tuple[BvVar, ...],
+                       vec: RangeVector) -> tuple[bool, bool]:
+        """Whether a sampled point diverges, and whether one shares an output.
+
+        A diverging point is a model of check_equiv's query, a shared output
+        one of check_conjunction's.  Raises BudgetExhausted, evaluating
+        nothing, once the budget has run out.
+        """
+        if self.budget.expired:
+            raise BudgetExhausted
+        key = (var_subset, vec)
+        if self._last_sample is None or self._last_sample[0] != key:
+            diverges = shares = False
+            for env in self._sample(var_subset, vec):
+                y1, y2 = self.s1.outputs(env), self.s2.outputs(env)
+                diverges = diverges or y1 != y2
+                shares = shares or bool(y1 & y2)
+                if diverges and shares:
+                    break
+            self._last_sample = (key, (diverges, shares))
+        return self._last_sample[1]
+
     def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is equivalent on this range."""
+        if self._points_decide(var_subset, vec)[0]:
+            return "sat"
         rng = self._range_formula(var_subset, vec)
         negated = FNot(iff_under_range(*SUMMARIES, rng))
         # The extra range conjunct is implied by the negated biconditional and
@@ -309,6 +370,8 @@ class RangeSearch:
 
     def check_conjunction(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is totally non-equivalent on this range."""
+        if self._points_decide(var_subset, vec)[1]:
+            return "sat"
         rng = self._range_formula(var_subset, vec)
         return self.query([*SUMMARIES, rng])[0]
 
@@ -330,7 +393,7 @@ class RangeSearch:
         """Certify ``vec`` as equivalent, or split it and recurse while partial."""
         status = self.classify_range(var_subset, vec)
         if status == "eq":
-            found.append(CertifiedRegion(vec, self.query_count))
+            found.append(CertifiedRegion(vec))
         elif status == "partial" and depth != limit:
             subs = divide_range(vec)
             if subs != [vec]:  # a vector of singletons cannot be split
@@ -381,7 +444,7 @@ class RangeSearch:
         verdict = self.check_equiv((var,), (partition,))
         if verdict == "unsat":
             widened = self.expand_boundary(var, partition, frontier)
-            found.append(CertifiedRegion((widened,), self.query_count))
+            found.append(CertifiedRegion((widened,)))
             return
         if verdict == "unknown":
             return

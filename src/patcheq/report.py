@@ -269,6 +269,8 @@ def load_case(path: str | Path) -> CorpusCase:
         key = key.strip()
         if key not in MANIFEST_KEYS:
             raise ManifestError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in fields:
+            raise ManifestError(f"{path}:{line_no}: repeated key {key!r}")
         fields[key] = value.strip()
     for required in ("original", "patched"):
         if required not in fields:

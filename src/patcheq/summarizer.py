@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from . import bvarith, minilang
 from .formula import (
     BvVar, Formula, Term, TConst, FAnd, FNot, FOr, FTrue, FFalse, TRUE, FALSE,
-    eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract, tneg, tvar,
+    eval_formula, eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract,
+    tneg, tvar,
 )
 from .minilang import (
     Assign, Binary, Call, Cast, Expr, If, IntSort, Let, Lit, Return, Stmt,
@@ -62,6 +63,19 @@ class Summary:
         for v in self.inputs:
             n *= v.sort.domain_size
         return n
+
+    def outputs(self, env: dict[str, int]) -> set[int]:
+        """The output values the summary allows at one input point.
+
+        ``env`` maps every input name to its unsigned canonical value; each
+        disjunct is (path conditions) and (output = term), as summarize builds it.
+        """
+        values = set()
+        for disjunct in self.formula.items:
+            *path, ret = disjunct.items if isinstance(disjunct, FAnd) else (disjunct,)
+            if all(eval_formula(c, env) for c in path):
+                values.add(eval_term(ret.rhs, env))
+        return values
 
 
 def _require_sorted(e: Expr) -> IntSort:

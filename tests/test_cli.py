@@ -266,12 +266,13 @@ def test_env_vars_mirror_flags(corpus_dir, monkeypatch, capsys):
 
 
 def test_common_flags_before_the_subcommand_exit_2(corpus_dir, capsys):
-    # only the subcommands take them; before it they were parsed and then overwritten
+    # only the subcommands read them, so the error names the misplaced flag
     case = corpus_dir / "eqbench_ltfive"
     with pytest.raises(SystemExit) as exit_info:
         main(["--format", "json", "check", str(case / "original.fn"), str(case / "patched.fn")])
     assert exit_info.value.code == 2
-    assert "patcheq: error: argument command: invalid choice" in capsys.readouterr().err
+    assert ("patcheq: error: --format must come after the subcommand"
+            in capsys.readouterr().err)
 
 
 def test_console_entry_point_runs():

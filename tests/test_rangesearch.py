@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from patcheq import bvarith
 from patcheq.enumcount import brute_force_eq_count
 from patcheq.formula import (
-    FALSE, FIff, FNot, RangePair, eval_formula, mk_range_constraint, serialize_formula,
+    FALSE, FIff, FNot, RangePair, eval_formula, iff_under_range, mk_range_constraint,
+    serialize_formula,
 )
 from patcheq.oracle import Budget, SolverSession
 from patcheq.randgen import random_pair
 from patcheq.rangesearch import (
-    RangeSearch, divide_range, eq_lower_bound_iterative, eq_lower_bound_relational,
+    SUMMARIES, RangeSearch, divide_range, eq_lower_bound_iterative, eq_lower_bound_relational,
     full_domain, merge_combined, prioritized_divide_range,
     render_condition_iterative, render_condition_relational,
 )
@@ -356,8 +357,60 @@ def test_certificates_reproduce_unsat(cfg):
     with RangeSearch(s1, s2, cfg) as rs:
         out = rs.iterative_priority()
         for cert in out.per_var[0]:
-            assert cert.cert_query > 0
             assert rs.check_equiv((s1.inputs[0],), (cert.interval,)) == "unsat"
+
+
+# --- point answers ---
+
+
+def test_a_point_answer_leaves_the_solver_alone(cfg, monkeypatch):
+    s1, s2 = summary_pair(
+        "fn f(x: u8) -> u8 { return x; }",
+        "fn f(x: u8) -> u8 { if (x < 128) { return 0; } return x; }",
+    )
+    full = full_domain(s1.inputs)
+    with RangeSearch(s1, s2, cfg) as rs:
+        rs.live_session()
+        sent = []
+        monkeypatch.setattr(SolverSession, "_send", lambda session, text: sent.append(text))
+        # the midpoint x = 127 diverges and x = 255 agrees: the sample decides both
+        assert rs.check_equiv(s1.inputs, full) == "sat"
+        assert rs.check_conjunction(s1.inputs, full) == "sat"
+        assert rs.classify_range(s1.inputs, full) == "partial"
+        assert rs.query_count == 0
+        assert sent == []
+        monkeypatch.undo()
+        # no point of [128, 255] diverges: only the solver can answer unsat
+        assert rs.check_equiv(s1.inputs, (RangePair(128, 255),)) == "unsat"
+        assert rs.query_count == 1
+
+
+def test_point_answers_agree_with_the_solver(cfg):
+    # every check the sample answers without the solver gets sat from it too
+    rng = random.Random(4242)
+    decided = 0
+    for _ in range(12):
+        f1, f2 = random_pair(rng)
+        s1, s2 = summarize(f1), summarize(f2)
+        ranges = [(s1.inputs, vec) for vec in [full_domain(s1.inputs),
+                                               *divide_range(full_domain(s1.inputs))]]
+        for var in s1.inputs:
+            halves = divide_range(full_domain((var,)))
+            ranges += [((var,), vec) for half in halves for vec in [half, *divide_range(half)]]
+        with RangeSearch(s1, s2, cfg) as rs:
+            for var_subset, vec in ranges:
+                rng_f = mk_range_constraint(var_subset, [p.lo for p in vec], [p.hi for p in vec])
+                for check, formulas in (
+                    (rs.check_equiv, [FNot(iff_under_range(*SUMMARIES, rng_f)), rng_f]),
+                    (rs.check_conjunction, [*SUMMARIES, rng_f]),
+                ):
+                    before = rs.query_count
+                    verdict = check(var_subset, vec)
+                    if rs.query_count == before:
+                        assert verdict == "sat"
+                        assert rs.query(formulas)[0] == "sat", (f1, f2, vec)
+                        decided += 1
+    assert decided >= 150
 
 
 # --- condition rendering ---
@@ -470,13 +523,14 @@ def test_solver_death_between_queries_gives_unknown_then_a_fresh_session(cfg):
               for which in ("original.fn", "patched.fn"))
     with RangeSearch(s1, s2, cfg) as rs:
         uninterrupted = rs.run("combined")
-    full = full_domain(s1.inputs)
+    # points answer check_equiv on the full domain, so ask the solver directly
+    diverges = [FNot(FIff(*SUMMARIES))]
     with RangeSearch(s1, s2, cfg) as rs:
-        assert rs.check_equiv(s1.inputs, full) == "sat"
+        assert rs.query(diverges)[0] == "sat"
         dead = rs.session
         _kill_child(rs)
-        assert rs.check_equiv(s1.inputs, full) == "unknown"
-        assert rs.check_equiv(s1.inputs, full) == "sat"
+        assert rs.query(diverges)[0] == "unknown"
+        assert rs.query(diverges)[0] == "sat"
         assert rs.session is not dead and not rs.session.dead
         _kill_child(rs)
         result = rs.run("combined")
@@ -499,4 +553,4 @@ def test_an_error_inside_a_query_pops_its_scope(cfg, monkeypatch):
         with pytest.raises(RuntimeError):
             rs.query([FALSE])
         # a FALSE left asserted would make every later query unsat
-        assert rs.check_conjunction(s1.inputs, full_domain(s1.inputs)) == "sat"
+        assert rs.query([*SUMMARIES])[0] == "sat"

@@ -78,7 +78,7 @@ def test_expired_budget_stops_the_classifier_before_any_solver_starts(cfg, monke
 
 
 @pytest.mark.parametrize("case, method, processes, calls", [
-    ("eqbench_ltfive", "combined", 1, 269),
+    ("eqbench_ltfive", "combined", 1, 78),  # 2 classifier queries, 76 range queries
     ("cve_2010_4165_tcp_window", "enumerate", 2, 116),
 ])
 def test_one_solver_process_serves_classifier_and_quantification(
@@ -154,7 +154,8 @@ def test_negative_depth_limit_is_a_config_error(cfg, spawned):
     assert spawned == []
     report = analyze_pair("zero", case / "original.fn", case / "patched.fn", "relational",
                           cfg, depth_limit=0)
-    assert report.solver_calls == 2 + 2  # classifier, then one classified range
+    # the classifier's two queries; sampled points answer both checks of the one range
+    assert report.solver_calls == 2 + 0
     assert_all_exited(spawned)
 
 
@@ -167,6 +168,17 @@ def test_manifest_rejects_negative_depth_limit(tmp_path):
         load_case(manifest)
     manifest.write_text("original = a.fn\npatched = b.fn\ndepth_limit = 0\n")
     assert load_case(manifest).depth_limit == 0
+
+
+def test_manifest_rejects_a_repeated_key(tmp_path):
+    # the later value must not silently replace the earlier one
+    for name in ("a.fn", "b.fn"):
+        (tmp_path / name).write_text("fn f(x: i8) -> i8 { return x; }")
+    manifest = tmp_path / "x.case"
+    manifest.write_text(
+        "original = a.fn\npatched = b.fn\nexpect_verdict = T_EQ\nexpect_verdict = P_EQ\n")
+    with pytest.raises(ManifestError, match="x.case:4: repeated key 'expect_verdict'"):
+        load_case(manifest)
 
 
 def test_signature_mismatch_names_the_stage(cfg, tmp_path):

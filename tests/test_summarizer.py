@@ -200,7 +200,8 @@ WIDTH8_BATTERY = [
 
 @pytest.mark.parametrize("source", WIDTH8_BATTERY)
 def test_summary_iff_exhaustive_width8(source):
-    # The summary holds on (i, o) exactly when the program maps i to o
+    # The summary holds on (i, o) exactly when the program maps i to o,
+    # and o is the one output it allows at i
     f = fn(source)
     summary = summarize(f)
     sorts = [s for _, s in f.params]
@@ -211,6 +212,7 @@ def test_summary_iff_exhaustive_width8(source):
             v.name: bvarith.to_unsigned(val, v.sort.width)
             for v, val in zip(summary.inputs, point)
         }
+        assert summary.outputs(env) == {bvarith.to_unsigned(expected, out_w)}
         env[summary.output.name] = bvarith.to_unsigned(expected, out_w)
         assert eval_formula(summary.formula, env)
         env[summary.output.name] = bvarith.to_unsigned(expected + 1, out_w)
