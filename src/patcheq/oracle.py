@@ -2,25 +2,31 @@
 
 The solver is an external executable configured by command line (default:
 ``z3 -in`` when present on PATH, otherwise the bundled ``patcheq.smtbv``
-interpreter).  Commands used: set-logic, set-option, declare-const,
-define-fun, assert, check-sat, get-value, push, pop, exit.  An external solver
-must accept zero-arity Boolean define-fun, which is standard SMT-LIB 2.6 (z3
-does).  A query that outlives its timeout gets the session killed and reports
-unknown; unknown is never conflated with sat or unsat.  A session whose solver
-died stays dead: later commands are dropped, every check answers unknown and
-no model is read.
+interpreter, started as ``python -S -c BOOT``: no ``site``, and no compiling,
+as each session first writes it ``bundled_preamble()``).  Commands used:
+set-logic, set-option, declare-const, define-fun, assert, check-sat,
+get-value, push, pop, exit.  An external solver must accept zero-arity
+Boolean define-fun, which is standard SMT-LIB 2.6 (z3 does).  A query that
+outlives its timeout gets the session killed and reports unknown; unknown is
+never conflated with sat or unsat.  A session whose solver died stays dead:
+later commands are dropped, every check answers unknown and no model is read.
 """
 
 from __future__ import annotations
 
+import functools
+import marshal
 import os
 import select
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import bvarith
 from .formula import BvVar, FNot, Formula, point_formula, serialize_formula
@@ -35,8 +41,39 @@ class SolverConfigError(Exception):
     """The solver executable is missing or the configuration is invalid."""
 
 
+# Serves bundled_preamble()'s modules ahead of every other finder, then SMT-LIB.
+BOOT = """\
+import marshal, sys
+modules = marshal.loads(sys.stdin.buffer.read(int(sys.stdin.buffer.readline())))
+class Handed:
+    def find_spec(name, *_):
+        if name in modules:
+            return type(sys.__spec__)(name, Handed, is_package=modules[name][0])
+    def create_module(spec):
+        return None
+    def exec_module(module):
+        exec(modules[module.__name__][1], module.__dict__)
+sys.meta_path.insert(0, Handed)
+from patcheq.smtbv.protocol import run_stdio
+sys.exit(run_stdio())
+"""
+
+
 def bundled_solver_command() -> tuple[str, ...]:
-    return (sys.executable, "-m", "patcheq.smtbv")
+    return (sys.executable, "-S", "-c", BOOT)
+
+
+@functools.cache
+def bundled_preamble() -> bytes:
+    """What ``BOOT`` reads first: the bundled solver's modules, compiled once per process."""
+    pkg = Path(__file__).resolve().parent
+    modules = {}
+    for path in [pkg / "__init__.py", pkg / "bvarith.py", *pkg.glob("smtbv/*.py")]:
+        name = ".".join(("patcheq", *path.relative_to(pkg).with_suffix("").parts))
+        code = compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
+        modules[name.removesuffix(".__init__")] = (path.stem == "__init__", code)
+    data = marshal.dumps(modules)
+    return b"%d\n" % len(data) + data
 
 
 def default_solver_command() -> tuple[str, ...]:
@@ -95,6 +132,8 @@ class SolverSession:
         except FileNotFoundError as err:
             raise SolverConfigError(f"solver executable not found: {cfg.solver_cmd[0]}") from err
         self._buffer = b""
+        if cfg.solver_cmd == bundled_solver_command():
+            self._write(bundled_preamble())
         self._send("(set-logic QF_BV)")
         self._send(f"(set-option :timeout {cfg.query_timeout_ms})")
         for var in decls:
@@ -104,10 +143,13 @@ class SolverSession:
 
     def _send(self, text: str):
         """Write one command; a broken pipe leaves the session dead."""
+        self._write(text.encode() + b"\n")
+
+    def _write(self, data: bytes):
         if self.dead:
             return
         try:
-            self.proc.stdin.write(text.encode() + b"\n")
+            self.proc.stdin.write(data)
             self.proc.stdin.flush()
         except OSError:
             self._teardown()
@@ -146,11 +188,11 @@ class SolverSession:
         return None
 
     def _teardown(self):
+        """Kill the child at most once, never reaping it (``Popen.kill()`` may, in ``poll()``)."""
+        if not self.dead and self.proc.returncode is None:
+            with suppress(OSError):
+                os.kill(self.proc.pid, signal.SIGKILL)
         self.dead = True
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
 
     def close(self):
         if not self.dead:

@@ -381,12 +381,12 @@ _CONCRETE_BINARY = {
 
 
 def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
-                  unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> int:
+                  unroll_limit: int = DEFAULT_UNROLL_LIMIT, calls: dict | None = None) -> int:
     """Run a function on concrete arguments with wraparound semantics.
 
     Arguments and the result use the sort's own interpretation (signed ints
     for signed sorts).  Loop iterations are bounded by the same unroll limit
-    as summarize.
+    as summarize.  ``calls`` memoises callee results per argument tuple.
     """
     if len(inputs) != len(fn.params):
         raise SummarizeError(f"expected {len(fn.params)} arguments")
@@ -395,6 +395,7 @@ def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
         if not sort.contains(value):
             raise SummarizeError(f"argument {value} out of range for {name}: {sort.name}")
         env[name] = (bvarith.to_unsigned(value, sort.width), sort)
+    calls = {} if calls is None else calls
 
     class _Returned(Exception):
         def __init__(self, value):
@@ -424,11 +425,13 @@ def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
             name = _CONCRETE_BINARY[e.op][sort.signed]
             return bvarith.BINARY[name](eval_expr(e.lhs), eval_expr(e.rhs), sort.width)
         if isinstance(e, Call):
-            args = [
+            args = tuple(
                 bvarith.to_signed(v, s.width) if s.signed else v
                 for v, (_, s) in zip((eval_expr(a) for a in e.args), e.fn.params)
-            ]
-            return bvarith.to_unsigned(eval_concrete(e.fn, args, unroll_limit), sort.width)
+            )
+            if (key := (id(e.fn), args)) not in calls:
+                calls[key] = eval_concrete(e.fn, args, unroll_limit, calls)
+            return bvarith.to_unsigned(calls[key], sort.width)
         raise SummarizeError(f"cannot evaluate {type(e).__name__}")
 
     def eval_cond(e: Expr) -> bool:

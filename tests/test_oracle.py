@@ -1,10 +1,13 @@
 """Solver client: verdicts, models, blocking, timeouts, failure modes."""
 
+import marshal
+import os
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+from patcheq import oracle
 from patcheq.classifier import Verdict, eq_check
 from patcheq.formula import (
     BvVar, FIff, FNot, fand, feq, flt, serialize_formula, tbin, tconst, tvar,
@@ -205,3 +208,27 @@ def test_a_dead_session_drops_commands_and_answers_unknown(cfg):
         assert session.check_sat() == "unknown"
         assert session.get_values([x]) is None
         assert session.check_sat() == "unknown"
+
+
+def test_close_never_reaps_a_child_that_already_exited():
+    session = SolverSession(SolverConfig(solver_cmd=(sys.executable, "-c", "pass")))
+    pid = session.proc.pid
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    session.close()
+    assert session.dead
+    assert os.waitpid(pid, 0)[0] == pid  # the status is still there for its owner
+
+
+DYING_PACKAGE = marshal.dumps({"patcheq": (True, compile("raise SystemExit(3)", "patcheq", "exec"))})
+
+
+@pytest.mark.parametrize("preamble", [
+    b"junk\n",  # no length line
+    b"4\njunk",  # not marshal data
+    b"%d\n" % len(DYING_PACKAGE) + DYING_PACKAGE,  # the package exits as it is imported
+])
+def test_a_dead_bootstrap_answers_unknown(cfg, monkeypatch, preamble):
+    monkeypatch.setattr(oracle, "bundled_preamble", lambda: preamble)
+    with SolverSession(cfg) as session:
+        assert session.check_sat() == "unknown"
+        assert session.dead

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import marshal
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from patcheq.formula import (
     BvVar, eval_formula, feq, fle, flt, serialize_formula, tbin, tconst, textend, textract,
     tneg, tvar,
 )
+from patcheq.oracle import bundled_preamble, bundled_solver_command
 from patcheq.smtbv.engine import SmtEngine, SmtError
 from patcheq.smtbv.protocol import SmtSession, run_stdio
 from patcheq.smtbv.sat import Solver
@@ -23,6 +25,8 @@ from patcheq.smtbv.sexpr import parse_all
 from patcheq.smtbv.terms import TermTable, compile_node, eval_node, free_vars
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# for child interpreters: import from the checkout and leave no __pycache__ in it
+CHILD_ENV = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_sat_core_basics():
@@ -192,7 +196,7 @@ def test_protocol_subprocess_round_trip():
     proc = subprocess.run(
         [sys.executable, "-m", "patcheq.smtbv"],
         input=script, capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=CHILD_ENV,
     )
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     assert lines[0] == "sat"
@@ -212,7 +216,7 @@ def test_protocol_reports_errors_and_continues():
     proc = subprocess.run(
         [sys.executable, "-m", "patcheq.smtbv"],
         input=script, capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=CHILD_ENV,
     )
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     assert lines[0].startswith("(error")  # unknown operator reported
@@ -506,7 +510,7 @@ def test_probe_caches_stay_flat_over_many_range_queries():
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=CHILD_ENV,
     )
 
 
@@ -519,6 +523,71 @@ def test_solver_child_does_not_import_the_analysis_stack():
         "assert 'patcheq.report' not in sys.modules\n"
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_the_client_does_not_load_the_solver_engine():
+    proc = _fresh_python(
+        "import sys\n"
+        "import patcheq.oracle\n"
+        "assert 'patcheq.smtbv.engine' not in sys.modules\n"
+        "from patcheq.smtbv import run_stdio, SmtSession\n"
+        "from patcheq.smtbv.protocol import SmtSession as direct\n"
+        "assert SmtSession is direct and callable(run_stdio)\n"
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_the_preamble_holds_every_module_the_solver_child_loads():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, patcheq.smtbv.protocol\n"
+         "print(' '.join(m for m in sys.modules if m.startswith('patcheq')))\n"],
+        capture_output=True, text=True, timeout=60,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    length, _, body = bundled_preamble().partition(b"\n")
+    assert len(body) == int(length)
+    assert "patcheq.smtbv.engine" in loaded
+    assert loaded <= set(marshal.loads(body))
+
+
+# declare, define, push, check-sat, get-value, pop, as a session sends them
+RECORDED_SESSION = b"""(set-logic QF_BV)
+(set-option :timeout 20000)
+(declare-const x (_ BitVec 8))
+(declare-const y (_ BitVec 8))
+(define-fun both () Bool (and (bvult x (_ bv3 8)) (= (bvadd x y) (_ bv255 8))))
+(push 1)
+(assert both)
+(check-sat)
+(get-value (x y))
+(pop 1)
+(push 1)
+(assert (and both (bvult y (_ bv10 8))))
+(check-sat)
+(pop 1)
+(check-sat)
+(exit)
+"""
+
+
+def test_the_handed_over_child_replies_byte_for_byte_like_python_m(tmp_path):
+    # no PYTHONPATH and a foreign working directory: every module must come from the preamble
+    handed = subprocess.run(
+        bundled_solver_command(), input=bundled_preamble() + RECORDED_SESSION,
+        capture_output=True, timeout=60, cwd=tmp_path, env={"PATH": "/usr/bin:/bin"},
+    )
+    by_hand = subprocess.run(
+        [sys.executable, "-m", "patcheq.smtbv"], input=RECORDED_SESSION,
+        capture_output=True, timeout=60, env=CHILD_ENV,
+    )
+    assert handed.returncode == by_hand.returncode == 0, handed.stderr + by_hand.stderr
+    assert handed.stdout == by_hand.stdout
+    replies = handed.stdout.decode().splitlines()
+    assert [replies[0], replies[2], replies[3]] == ["sat", "unsat", "sat"]
+    assert replies[1].startswith("((x (_ bv")
 
 
 def test_package_exports_still_resolve():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from patcheq import bvarith
+from patcheq import bvarith, summarizer
 from patcheq.formula import FAnd, FEq, FIff, FNot, FOr, eval_formula
 from patcheq.oracle import SolverSession
 from patcheq.summarizer import (
@@ -290,6 +290,32 @@ def test_concrete_loop_unrolls_and_symbolic_loop_errors():
     with pytest.raises(UnrollLimitExceeded):
         eval_concrete(live, [100], unroll_limit=8)
     assert eval_concrete(live, [5], unroll_limit=8) == 0
+
+
+def test_a_callee_runs_once_per_argument_tuple(monkeypatch):
+    # f_i(x) = f_{i-1}(x) + f_{i-1}(x) ran f0 2^12 times before callee values were memoised
+    depth = 12
+    chain = "fn f0(x: i16) -> i16 { return x + 1; }\n" + "".join(
+        f"fn f{i}(x: i16) -> i16 {{ return f{i - 1}(x) + f{i - 1}(x); }}\n"
+        for i in range(1, depth + 1))
+    spread = fn("""
+fn g(x: i16) -> i16 { return x * 3; }
+fn h(x: i16) -> i16 { return x * 3; }
+fn top(x: i16) -> i16 { return g(x) + g(x) + g(x + 1) + h(x); }
+""")
+    runs = []
+    counted = summarizer.eval_concrete
+
+    def counting(callee, inputs, *rest):
+        runs.append(callee.name)
+        return counted(callee, inputs, *rest)
+
+    monkeypatch.setattr(summarizer, "eval_concrete", counting)
+    assert summarizer.eval_concrete(fn(chain), [3]) == (3 + 1) << depth
+    assert len(runs) == depth + 1
+    runs.clear()
+    assert summarizer.eval_concrete(spread, [5]) == 15 + 15 + 18 + 15
+    assert sorted(runs) == ["g", "g", "h", "top"]  # equal arguments share a run, not a callee
 
 
 def test_signature_check():
