@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .formula import FIff, FNot
-from .oracle import Budget, SolverConfig
+from .oracle import SolverConfig
 from .rangesearch import SUMMARIES, BudgetExhausted, RangeSearch
 from .summarizer import Summary
 
@@ -34,7 +34,6 @@ class VerdictResult:
 
 
 def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
-             budget: Budget | None = None,
              search: RangeSearch | None = None) -> VerdictResult:
     """Decide the equivalence trichotomy for two summaries.
 
@@ -42,7 +41,7 @@ def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
     session, under its budget, and leave it open; otherwise a search of its own
     is opened and closed.  ``solver_calls`` counts these queries only.
     """
-    with (nullcontext(search) if search else RangeSearch(s1, s2, cfg, budget)) as search:
+    with (nullcontext(search) if search else RangeSearch(s1, s2, cfg)) as search:
         first_query = search.query_count
         kind, witness = _classify(search)
     return VerdictResult(kind, witness, search.query_count - first_query)

@@ -14,7 +14,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .formula import FIff, FNot
-from .oracle import Budget, SolverConfig
+from .oracle import SolverConfig
 from .minilang import TypedFunction
 from .rangesearch import SUMMARIES, RangeSearch
 from .summarizer import Summary, eval_concrete
@@ -83,18 +83,17 @@ class _Enumeration:
 
 
 def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
-                     budget: Budget | None = None,
                      search: RangeSearch | None = None) -> EnumResult:
     """Interleaved blocked enumeration of the eq and neq input sets.
 
     The equivalent side runs in a scope on the session of ``search`` (a
     RangeSearch over the same pair, whose budget then governs), or of a search
-    of its own; the divergent side runs on a second search over the pair and
-    budget.  Both scopes are popped, and the searches opened here closed, on
-    return.
+    of its own under ``cfg``'s budget; the divergent side runs on a second
+    search over the pair and budget.  Both scopes are popped, and the searches
+    opened here closed, on return.
     """
     with ExitStack() as stack:
-        search = search or stack.enter_context(RangeSearch(s1, s2, cfg, budget))
+        search = search or stack.enter_context(RangeSearch(s1, s2, cfg))
         budget = search.budget
         eq_side = _Enumeration(search, SUMMARIES)
         stack.callback(eq_side.close)

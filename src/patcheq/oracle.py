@@ -129,8 +129,9 @@ class SolverSession:
                 stderr=subprocess.DEVNULL,
                 env=env,
             )
-        except FileNotFoundError as err:
-            raise SolverConfigError(f"solver executable not found: {cfg.solver_cmd[0]}") from err
+        except OSError as err:  # missing, not executable, a directory, ...
+            reason = "not found" if isinstance(err, FileNotFoundError) else f"cannot be run ({err.strerror})"
+            raise SolverConfigError(f"solver executable {reason}: {cfg.solver_cmd[0]}") from err
         self._buffer = b""
         if cfg.solver_cmd == bundled_solver_command():
             self._write(bundled_preamble())

@@ -249,11 +249,28 @@ class ManifestError(Exception):
     pass
 
 
-EXPECT_KEYS = {
-    "expect_verdict", "expect_eq_fraction", "expect_impact_fraction",
-    "expect_case", "expect_neq_count", "expect_exact_eq_count",
+def _is_fraction(text: str) -> bool:
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+# manifest key -> (does it accept this value?, what the value must be)
+_MANIFEST_VALUES = {
+    "method": (ALL_METHODS.__contains__, "one of " + ", ".join(ALL_METHODS)),
+    "depth_limit": (str.isdecimal, "a non-negative integer"),
+    "expect_verdict": (Verdict.__members__.__contains__, "one of " + ", ".join(Verdict.__members__)),
+    "expect_case": (lambda v: v == "none" or v in EnumCase.__members__,
+                    "none or one of " + ", ".join(EnumCase.__members__)),
+    "expect_eq_fraction": (_is_fraction, "a fraction"),
+    "expect_impact_fraction": (_is_fraction, "a fraction"),
+    "expect_neq_count": (str.isdecimal, "a non-negative integer"),
+    "expect_exact_eq_count": (str.isdecimal, "a non-negative integer"),
 }
-MANIFEST_KEYS = {"name", "original", "patched", "method", "depth_limit"} | EXPECT_KEYS
+EXPECT_KEYS = {key for key in _MANIFEST_VALUES if key.startswith("expect_")}
+MANIFEST_KEYS = {"name", "original", "patched"} | _MANIFEST_VALUES.keys()
 
 
 def load_case(path: str | Path) -> CorpusCase:
@@ -275,8 +292,9 @@ def load_case(path: str | Path) -> CorpusCase:
     for required in ("original", "patched"):
         if required not in fields:
             raise ManifestError(f"{path}: missing {required}")
-    if "depth_limit" in fields and not fields["depth_limit"].isdecimal():
-        raise ManifestError(f"{path}: depth_limit must be a non-negative integer")
+    for key, (accepts, what) in _MANIFEST_VALUES.items():
+        if key in fields and not accepts(fields[key]):
+            raise ManifestError(f"{path}: {key} must be {what}, not {fields[key]!r}")
     case = CorpusCase(
         name=fields.get("name", path.stem),
         path=path,

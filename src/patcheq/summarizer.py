@@ -1,18 +1,20 @@
 """Symbolic summaries by exhaustive path enumeration, and concrete evaluation.
 
-A summary is a disjunction of per-path constraints: each explored path
-contributes (path condition over inputs) and (output = return term).  Local
-variables are eliminated by substitution during execution, so the summary's
-free variables are exactly the inputs plus the single output.  A call runs
-the callee's body on the argument terms, and each callee path that returns
-becomes one variant of the call expression.  Loops are unrolled up to a
-hard limit; a loop still symbolically live at the limit is an error, never a
-truncation.
+A summary is the list of a function's paths, each a (path conditions over
+inputs, return term) pair; as a formula it is the disjunction of (path
+conditions) and (output = return term).  Local variables are eliminated by
+substitution during execution, so the summary's free variables are exactly
+the inputs plus the single output.  A call runs the callee's body once per
+distinct argument terms, and each callee path becomes one variant of the
+call expression.  Loops are unrolled up to a hard limit; a loop still
+symbolically live at the limit is an error, never a truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 from . import bvarith, minilang
 from .formula import (
     BvVar, Formula, Term, TConst, FAnd, FNot, FOr, FTrue, FFalse, TRUE, FALSE,
@@ -47,11 +49,17 @@ class Summary:
 
     inputs: tuple[BvVar, ...]
     output: BvVar
-    formula: FOr
+    paths: tuple[tuple[tuple[Formula, ...], Term], ...]  # (path conditions, return term)
+
+    @cached_property
+    def formula(self) -> FOr:
+        """One disjunct per path: (path conditions) and (output = return term)."""
+        bodies = [(*conds, feq(tvar(self.output), t)) for conds, t in self.paths]
+        return FOr(tuple(FAnd(body) if len(body) > 1 else body[0] for body in bodies))
 
     @property
     def path_count(self) -> int:
-        return len(self.formula.items)
+        return len(self.paths)
 
     @property
     def decls(self) -> tuple[BvVar, ...]:
@@ -67,15 +75,10 @@ class Summary:
     def outputs(self, env: dict[str, int]) -> set[int]:
         """The output values the summary allows at one input point.
 
-        ``env`` maps every input name to its unsigned canonical value; each
-        disjunct is (path conditions) and (output = term), as summarize builds it.
+        ``env`` maps every input name to its unsigned canonical value.
         """
-        values = set()
-        for disjunct in self.formula.items:
-            *path, ret = disjunct.items if isinstance(disjunct, FAnd) else (disjunct,)
-            if all(eval_formula(c, env) for c in path):
-                values.add(eval_term(ret.rhs, env))
-        return values
+        return {eval_term(t, env) for conds, t in self.paths
+                if all(eval_formula(c, env) for c in conds)}
 
 
 def _require_sorted(e: Expr) -> IntSort:
@@ -160,10 +163,27 @@ def _cast_term(t: Term, src: IntSort, dst: IntSort) -> Term:
     return out
 
 
-_ARITH_TO_TERM = {
-    "+": "add", "-": "sub", "*": "mul",
-    "&": "and", "|": "or", "^": "xor", "<<": "shl",
+# minilang operator -> (unsigned, signed) term operator
+_TERM_BINARY = {
+    "+": ("add", "add"), "-": ("sub", "sub"), "*": ("mul", "mul"),
+    "/": ("udiv", "sdiv"), "%": ("urem", "srem"),
+    "<<": ("shl", "shl"), ">>": ("lshr", "ashr"),
+    "&": ("and", "and"), "|": ("or", "or"), "^": ("xor", "xor"),
 }
+
+
+def _branches(phi: Formula) -> list[tuple[bool, list[Formula]]]:
+    """The sides a branch condition allows, true side first: (taken, added conditions)."""
+    if isinstance(phi, FTrue):
+        return [(True, [])]
+    if isinstance(phi, FFalse):
+        return [(False, [])]
+    return [(True, [phi]), (False, [_mk_not(phi)])]
+
+
+def _cross(lhs: list, rhs: list, join) -> list:
+    """Each (conditions, value) variant of ``lhs`` with each of ``rhs``, in that order."""
+    return [(cl + cr, join(vl, vr)) for cl, vl in lhs for cr, vr in rhs]
 
 
 # --- symbolic execution ---
@@ -174,10 +194,16 @@ def _fell_off(env, path):
 
 
 class _PathExploder:
-    def __init__(self, ret, unroll_limit: int, prune=None):
-        self.ret = ret  # callable(path, term), once per path that reaches a return
+    def __init__(self, unroll_limit: int):
         self.unroll_limit = unroll_limit
-        self.prune = prune  # optional callable(list[Formula]) -> bool (satisfiable?)
+        self.calls: dict[tuple, list] = {}  # (callee id, argument terms) -> its paths
+
+    def run(self, fn: TypedFunction, args: tuple[Term, ...]) -> list[tuple[list[Formula], Term]]:
+        """Every path of ``fn``'s body on argument terms ``args``: (conditions, return term)."""
+        out = []
+        params = {name: t for (name, _), t in zip(fn.params, args)}
+        self.exec_straight(fn.body, params, [], out, _fell_off)
+        return out
 
     def translate_expr(self, e: Expr, env: dict[str, Term]) -> list[tuple[list[Formula], Term]]:
         """Return (extra path conditions, term) variants; calls fork on the callee's paths."""
@@ -194,13 +220,11 @@ class _PathExploder:
             ]
         if isinstance(e, Unary):
             if e.op == "-":
-                out = []
-                for conds, t in self.translate_expr(e.arg, env):
-                    if isinstance(t, TConst):
-                        out.append((conds, tconst(bvarith.neg(t.value, t.width), t.width)))
-                    else:
-                        out.append((conds, tneg(t)))
-                return out
+                return [
+                    (conds, tconst(bvarith.neg(t.value, t.width), t.width)
+                     if isinstance(t, TConst) else tneg(t))
+                    for conds, t in self.translate_expr(e.arg, env)
+                ]
             if e.op == "~":
                 ones = tconst(bvarith.mask(sort.width), sort.width)
                 return [
@@ -209,128 +233,78 @@ class _PathExploder:
                 ]
             raise SummarizeError(f"unexpected unary {e.op!r} in value position")
         if isinstance(e, Binary):
-            op = e.op
-            variants = []
-            for cl, tl in self.translate_expr(e.lhs, env):
-                for cr, tr in self.translate_expr(e.rhs, env):
-                    conds = cl + cr
-                    if op in _ARITH_TO_TERM:
-                        variants.append((conds, _mk_bin(_ARITH_TO_TERM[op], tl, tr)))
-                    elif op == "/":
-                        variants.append((conds, _mk_bin("sdiv" if sort.signed else "udiv", tl, tr)))
-                    elif op == "%":
-                        variants.append((conds, _mk_bin("srem" if sort.signed else "urem", tl, tr)))
-                    elif op == ">>":
-                        variants.append((conds, _mk_bin("ashr" if sort.signed else "lshr", tl, tr)))
-                    else:
-                        raise SummarizeError(f"unexpected operator {op!r} in value position")
-            return variants
+            if e.op not in _TERM_BINARY:
+                raise SummarizeError(f"unexpected operator {e.op!r} in value position")
+            op = _TERM_BINARY[e.op][sort.signed]
+            return _cross(self.translate_expr(e.lhs, env), self.translate_expr(e.rhs, env),
+                          lambda tl, tr: _mk_bin(op, tl, tr))
         if isinstance(e, Call):
             args = [([], ())]
             for a in e.args:
-                args = [(c1 + c2, ts + (t,)) for c1, ts in args for c2, t in self.translate_expr(a, env)]
+                args = _cross(args, self.translate_expr(a, env), lambda ts, t: ts + (t,))
             out = []
-            sub = _PathExploder(lambda path, t: out.append((path, t)), self.unroll_limit, self.prune)
             for conds, terms in args:
-                params = {name: t for (name, _), t in zip(e.fn.params, terms)}
-                sub.exec_straight(e.fn.body, params, conds, _fell_off)
+                key = (id(e.fn), terms)
+                if key not in self.calls:
+                    self.calls[key] = self.run(e.fn, terms)
+                out += [(conds + path, t) for path, t in self.calls[key]]
             return out
         raise SummarizeError(f"cannot translate {type(e).__name__}")
 
     def translate_cond(self, e: Expr, env: dict[str, Term]) -> list[tuple[list[Formula], Formula]]:
         if isinstance(e, Binary) and e.op in minilang.CMP_OPS:
             signed = _require_sorted(e.lhs).signed
-            out = []
-            for cl, tl in self.translate_expr(e.lhs, env):
-                for cr, tr in self.translate_expr(e.rhs, env):
-                    out.append((cl + cr, _mk_cmp(e.op, signed, tl, tr)))
-            return out
+            return _cross(self.translate_expr(e.lhs, env), self.translate_expr(e.rhs, env),
+                          lambda tl, tr: _mk_cmp(e.op, signed, tl, tr))
         if isinstance(e, Binary) and e.op in minilang.LOGIC_OPS:
-            out = []
-            for cl, fl in self.translate_cond(e.lhs, env):
-                for cr, fr in self.translate_cond(e.rhs, env):
-                    conds = cl + cr
-                    if e.op == "&&":
-                        out.append((conds, _mk_and([fl, fr])))
-                    else:
-                        out.append((conds, _mk_or([fl, fr])))
-            return out
+            join = _mk_and if e.op == "&&" else _mk_or
+            return _cross(self.translate_cond(e.lhs, env), self.translate_cond(e.rhs, env),
+                          lambda fl, fr: join([fl, fr]))
         if isinstance(e, Unary) and e.op == "!":
             return [(c, _mk_not(f)) for c, f in self.translate_cond(e.arg, env)]
         raise SummarizeError(f"cannot translate condition {type(e).__name__}")
 
-    def feasible(self, path: list[Formula]) -> bool:
-        if self.prune is None:
-            return True
-        return self.prune(path)
-
-    def exec_straight(self, stmts: tuple[Stmt, ...], env, path, k):
-        """Run ``stmts`` on every path; a path that reaches their end calls ``k(env, path)``."""
+    def exec_straight(self, stmts: tuple[Stmt, ...], env, path, out, k):
+        """Run ``stmts`` on every path; a return adds (path, term) to ``out``, and a
+        path that reaches their end calls ``k(env, path)``."""
         if not stmts:
             k(env, path)
             return
         head, rest = stmts[0], stmts[1:]
         if isinstance(head, (Let, Assign)):
             for conds, t in self.translate_expr(head.value, env):
-                new_path = path + conds
-                if conds and not self.feasible(new_path):
-                    continue
-                new_env = dict(env)
-                new_env[head.name] = t
-                self.exec_straight(rest, new_env, new_path, k)
+                self.exec_straight(rest, {**env, head.name: t}, path + conds, out, k)
             return
         if isinstance(head, Return):
-            for conds, t in self.translate_expr(head.value, env):
-                new_path = path + conds
-                if conds and not self.feasible(new_path):
-                    continue
-                self.ret(new_path, t)
+            out += [(path + conds, t) for conds, t in self.translate_expr(head.value, env)]
             return
         if isinstance(head, If):
             for conds, phi in self.translate_cond(head.cond, env):
-                base = path + conds
-                if conds and not self.feasible(base):
-                    continue
-                if isinstance(phi, FTrue):
-                    self.exec_straight(head.then + rest, dict(env), base, k)
-                elif isinstance(phi, FFalse):
-                    self.exec_straight((head.other or ()) + rest, dict(env), base, k)
-                else:
-                    tp = base + [phi]
-                    if self.feasible(tp):
-                        self.exec_straight(head.then + rest, dict(env), tp, k)
-                    fp = base + [_mk_not(phi)]
-                    if self.feasible(fp):
-                        self.exec_straight((head.other or ()) + rest, dict(env), fp, k)
+                for taken, extra in _branches(phi):
+                    block = head.then if taken else head.other or ()
+                    self.exec_straight(block + rest, dict(env), path + conds + extra, out, k)
             return
         if isinstance(head, While):
             def after_loop(env2, path2):
-                self.exec_straight(rest, env2, path2, k)
+                self.exec_straight(rest, env2, path2, out, k)
 
-            self.run_loop_nested(head, 0, env, path, after_loop)
+            self.run_loop_nested(head, 0, env, path, out, after_loop)
             return
         raise SummarizeError(f"cannot execute {type(head).__name__}")
 
-    def run_loop_nested(self, loop: While, iteration: int, env, path, k):
+    def run_loop_nested(self, loop: While, iteration: int, env, path, out, k):
         for conds, phi in self.translate_cond(loop.cond, env):
-            base = path + conds
-            if conds and not self.feasible(base):
-                continue
-            if isinstance(phi, FFalse):
-                k(dict(env), base)
-                continue
-            exit_path = base if isinstance(phi, FTrue) else base + [_mk_not(phi)]
-            enter_path = base if isinstance(phi, FTrue) else base + [phi]
-            if not isinstance(phi, FTrue) and self.feasible(exit_path):
-                k(dict(env), exit_path)
-            if self.feasible(enter_path):
+            for entered, extra in reversed(_branches(phi)):  # the exit path first
+                if not entered:
+                    k(dict(env), path + conds + extra)
+                    continue
                 if iteration >= self.unroll_limit:
                     raise UnrollLimitExceeded(self.unroll_limit)
 
                 def continue_loop(env2, path2):
-                    self.run_loop_nested(loop, iteration + 1, env2, path2, k)
+                    self.run_loop_nested(loop, iteration + 1, env2, path2, out, k)
 
-                self.exec_straight(loop.body, dict(env), enter_path, continue_loop)
+                self.exec_straight(loop.body, dict(env), path + conds + extra, out, continue_loop)
 
 
 def _fresh_output_name(fn: TypedFunction) -> str:
@@ -341,32 +315,22 @@ def _fresh_output_name(fn: TypedFunction) -> str:
     return name
 
 
-def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT, prune=None) -> Summary:
-    """Explore every path of a type-checked function and build its summary.
-
-    ``prune``, when given, is a callable taking a list of path-condition
-    formulas and returning whether they are jointly satisfiable; infeasible
-    prefixes are then skipped.  Summaries are logically identical with
-    pruning on or off.
-    """
+def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> Summary:
+    """Explore every path of a type-checked function and build its summary."""
     if unroll_limit < 1:
         raise SummarizeError("unroll limit must be at least 1")
     inputs = tuple(BvVar(name, sort, "input") for name, sort in fn.params)
     output = BvVar(_fresh_output_name(fn), fn.return_sort, "output")
-    disjuncts: list[Formula] = []
-
-    def ret(path, t):
-        body = path + [feq(tvar(output), t)]
-        disjuncts.append(FAnd(tuple(body)) if len(body) > 1 else body[0])
-
-    ex = _PathExploder(ret, unroll_limit, prune)
-    ex.exec_straight(fn.body, {v.name: tvar(v) for v in inputs}, [], _fell_off)
-    if not disjuncts:
-        raise SummarizeError("no feasible path reached a return")
-    return Summary(inputs, output, FOr(tuple(disjuncts)))
+    paths = _PathExploder(unroll_limit).run(fn, tuple(tvar(v) for v in inputs))
+    return Summary(inputs, output, tuple((tuple(conds), t) for conds, t in paths))
 
 
 # --- concrete interpreter ---
+
+
+class _Returned(Exception):
+    def __init__(self, value):
+        self.value = value
 
 
 # minilang operator -> (unsigned, signed) operator name.  Summaries are
@@ -396,10 +360,6 @@ def eval_concrete(fn: TypedFunction, inputs: list[int] | tuple[int, ...],
             raise SummarizeError(f"argument {value} out of range for {name}: {sort.name}")
         env[name] = (bvarith.to_unsigned(value, sort.width), sort)
     calls = {} if calls is None else calls
-
-    class _Returned(Exception):
-        def __init__(self, value):
-            self.value = value
 
     def eval_expr(e: Expr) -> int:
         sort = _require_sorted(e)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from patcheq.cli import main
+from patcheq.oracle import bundled_solver_command
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
-SOLVER = f"{sys.executable} -m patcheq.smtbv"
+SOLVER = shlex.join(bundled_solver_command())
 
 
 def run_cli(argv, capsys):
@@ -154,6 +156,19 @@ def test_corpus_manifest_with_unknown_key_exits_2(tmp_path, capsys, corpus_dir):
     assert out == ""
 
 
+def test_corpus_manifest_with_a_bad_value_exits_2(tmp_path, capsys, corpus_dir):
+    src = corpus_dir / "cve_2013_0859_doubles_metadata"
+    for name in ("original.fn", "patched.fn"):
+        (tmp_path / name).write_text((src / name).read_text())
+    (tmp_path / "pair.case").write_text(
+        "original = original.fn\npatched = patched.fn\nexpect_neq_count = many\n"
+    )
+    code, out, err = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 2
+    assert "expect_neq_count must be a non-negative integer" in err
+    assert out == ""
+
+
 def test_corpus_continues_past_broken_case(tmp_path, capsys):
     (tmp_path / "bad.fn").write_text("fn f(x: i32 -> i32 { return x; }")
     (tmp_path / "ok_orig.fn").write_text("fn f(x: i8) -> i8 { return x; }")
@@ -191,6 +206,21 @@ def test_missing_solver_is_infrastructure_error(capsys, corpus_dir):
         "--solver-cmd", "/nonexistent/solver-binary",
     ])
     assert code == 2
+
+
+def test_unrunnable_solver_is_infrastructure_error(tmp_path, capsys, corpus_dir):
+    solver = tmp_path / "solver"
+    solver.write_text("not a program")
+    solver.chmod(0o644)
+    code = main([
+        "check",
+        str(corpus_dir / "eqbench_dart/original.fn"),
+        str(corpus_dir / "eqbench_dart/patched.fn"),
+        "--solver-cmd", str(solver),
+    ])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("infrastructure error: solver executable cannot be run")
 
 
 @pytest.mark.parametrize("flag, env", [(["--depth-limit=-1"], None), ([], "-1")])

@@ -10,6 +10,7 @@ from patcheq.enumcount import (
 )
 from patcheq.oracle import Budget, SolverConfig, SolverSession
 from patcheq.randgen import random_pair
+from patcheq.rangesearch import RangeSearch
 from patcheq.summarizer import eval_concrete, summarize
 
 from conftest import corpus_fn, fn
@@ -73,7 +74,8 @@ def test_budget_expiry_downgrades_to_case3(cfg):
     s1 = summarize(fn("fn f(x: i32) -> i32 { return x; }"))
     s2 = summarize(fn("fn f(x: i32) -> i32 { if (x == 7) { return 0; } return x; }"))
     slow = SolverConfig(solver_cmd=cfg.solver_cmd, query_timeout_ms=1000, budget_ms=1000)
-    result = enumerate_models(s1, s2, slow, budget=Budget(1))
+    with RangeSearch(s1, s2, slow, Budget(1)) as search:
+        result = enumerate_models(s1, s2, slow, search=search)
     assert result.case is EnumCase.CASE3
     assert result.exact_eq_count is None
     assert result.eq_count_lower_bound == len(result.eq_inputs)

@@ -181,6 +181,26 @@ def test_manifest_rejects_a_repeated_key(tmp_path):
         load_case(manifest)
 
 
+@pytest.mark.parametrize("line", [
+    "method = bogus",
+    "expect_verdict = EQUIVALENT",
+    "expect_case = CASE4",
+    "expect_eq_fraction = half",
+    "expect_impact_fraction = 1/0",
+    "expect_neq_count = many",
+    "expect_exact_eq_count = -1",
+])
+def test_manifest_rejects_a_bad_value(tmp_path, line):
+    # checked on load, not after the analysis has run or as a failed expectation
+    for name in ("a.fn", "b.fn"):
+        (tmp_path / name).write_text("fn f(x: i8) -> i8 { return x; }")
+    manifest = tmp_path / "x.case"
+    manifest.write_text(f"original = a.fn\npatched = b.fn\n{line}\n")
+    key, _, value = line.partition(" = ")
+    with pytest.raises(ManifestError, match=f"{key} must be .*, not '{value}'"):
+        load_case(manifest)
+
+
 def test_signature_mismatch_names_the_stage(cfg, tmp_path):
     a, b = tmp_path / "a.fn", tmp_path / "b.fn"
     a.write_text("fn f(x: i8) -> i8 { return x; }")

@@ -2,12 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from patcheq import bvarith, summarizer
-from patcheq.formula import FAnd, FEq, FIff, FNot, FOr, eval_formula
-from patcheq.oracle import SolverSession
+from patcheq.formula import FAnd, FEq, FOr, eval_formula
 from patcheq.summarizer import (
     SummarizeError, UnrollLimitExceeded, eval_concrete, require_same_signature,
     summarize,
@@ -236,47 +236,6 @@ def test_path_count_equals_syntactic_leaves():
     assert summarize(f).path_count == 4
 
 
-def test_pruning_invariance(cfg):
-    f1 = corpus_fn("cve_2012_2384_cliprects", "patched.fn")
-    plain = summarize(f1)
-
-    def prune(path):
-        with SolverSession(cfg, plain.decls) as session:
-            for p in path:
-                session.assert_formula(p)
-            return session.check_sat() != "unsat"
-
-    pruned = summarize(f1, prune=prune)
-    assert pruned.path_count <= plain.path_count
-    with SolverSession(cfg, plain.decls) as session:
-        session.assert_formula(FNot(FIff(plain.formula, pruned.formula)))
-        assert session.check_sat() == "unsat"
-
-
-def test_pruning_removes_infeasible_paths(cfg):
-    f = fn(
-        """
-        fn f(x: i8) -> i8 {
-            if (x > 10) {
-                if (x < 5) { return 99; }
-                return 1;
-            }
-            return 0;
-        }
-        """
-    )
-    plain = summarize(f)
-    assert plain.path_count == 3
-
-    def prune(path):
-        with SolverSession(cfg, plain.decls) as session:
-            for p in path:
-                session.assert_formula(p)
-            return session.check_sat() != "unsat"
-
-    assert summarize(f, prune=prune).path_count == 2
-
-
 def test_concrete_loop_unrolls_and_symbolic_loop_errors():
     bounded = fn(
         "fn f(x: i8) -> i8 { let i: i8 = 0; while (i < 3) { i = i + 1; } return i; }"
@@ -316,6 +275,36 @@ fn top(x: i16) -> i16 { return g(x) + g(x) + g(x + 1) + h(x); }
     runs.clear()
     assert summarizer.eval_concrete(spread, [5]) == 15 + 15 + 18 + 15
     assert sorted(runs) == ["g", "g", "h", "top"]  # equal arguments share a run, not a callee
+
+
+def doubling_chain(depth):
+    return fn("fn f0(x: i16) -> i16 { return x + 1; }\n" + "".join(
+        f"fn f{i}(x: i16) -> i16 {{ return f{i - 1}(x) + f{i - 1}(x); }}\n"
+        for i in range(1, depth + 1)))
+
+
+def test_summarize_runs_a_callee_once_per_argument_terms(monkeypatch):
+    # f_i(x) = f_{i-1}(x) + f_{i-1}(x) ran f0's body 2^12 times before callee paths were reused
+    top = f0 = doubling_chain(12)
+    while f0.name != "f0":
+        f0 = f0.body[0].value.lhs.fn
+    runs = []
+    real = summarizer._PathExploder.exec_straight
+
+    def counting(self, stmts, *rest):
+        runs.append(stmts is f0.body)
+        return real(self, stmts, *rest)
+
+    monkeypatch.setattr(summarizer._PathExploder, "exec_straight", counting)
+    summary = summarize(top)
+    assert runs.count(True) == 1
+    assert summary.path_count == 1
+    assert summary.outputs({"x": 3}) == {(3 + 1) << 12}
+    monkeypatch.undo()
+    deep = doubling_chain(40)
+    start = time.perf_counter()
+    assert summarize(deep).path_count == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_signature_check():
