@@ -126,6 +126,17 @@ BINARY = {
     "and": bvand, "or": bvor, "xor": bvxor,
 }
 
+# Each operator as Python text over operands {a}, {b} at width {w}, mask {m}, for
+# compiled evaluators; sdiv, srem and ashr call their BINARY function by name.
+PYTHON = {
+    "add": "({a} + {b}) & {m}", "sub": "({a} - {b}) & {m}", "mul": "({a} * {b}) & {m}",
+    "udiv": "{a} // {b} if {b} else {m}", "sdiv": "sdiv({a}, {b}, {w})",
+    "urem": "{a} % {b} if {b} else {a}", "srem": "srem({a}, {b}, {w})",
+    "shl": "({a} << {b}) & {m} if {b} < {w} else 0", "lshr": "{a} >> {b} if {b} < {w} else 0",
+    "ashr": "ashr({a}, {b}, {w})",
+    "and": "{a} & {b}", "or": "{a} | {b}", "xor": "{a} ^ {b}",
+}
+
 
 def ult(a: int, b: int) -> bool:
     return a < b

@@ -225,7 +225,7 @@ def cmd_corpus(args, cfg) -> int:
             report = analyze_pair(case.name, case.original, case.patched, method,
                                   cfg, depth_limit=depth, unroll_limit=args.unroll_limit)
             failures = check_expectations(case, report, bool(args.algorithm))
-        except (AnalysisError, MiniLangError, SolverConfigError) as err:
+        except (AnalysisError, MiniLangError) as err:
             report = None
             failures = [f"error: {err}"]
         results[index] = (case, report, failures)

@@ -38,12 +38,27 @@ class BvVar:
 # --- terms ---
 
 
+def _term(cls):
+    """A frozen dataclass hashed once per object, as the generated hash walks shared
+    subterms as a tree; pickles drop the cached hash, as ``str`` hashes vary by process."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        return self.__dict__.setdefault("_hash", fields_hash(self)) if h is None else h
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = lambda self: {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    return cls
+
+
 @dataclass(frozen=True)
 class Term:
     width: int
 
 
-@dataclass(frozen=True)
+@_term
 class TConst(Term):
     value: int  # unsigned canonical
 
@@ -52,31 +67,31 @@ class TConst(Term):
             raise SortMismatch(f"constant {self.value} does not fit in {self.width} bits")
 
 
-@dataclass(frozen=True)
+@_term
 class TVar(Term):
     var: BvVar
 
 
-@dataclass(frozen=True)
+@_term
 class TBin(Term):
     op: str  # a key of bvarith.BINARY
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@_term
 class TNeg(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@_term
 class TExtend(Term):
     kind: str  # 'zero' | 'sign'
     extra: int
     arg: Term
 
 
-@dataclass(frozen=True)
+@_term
 class TExtract(Term):
     hi: int
     lo: int
@@ -440,3 +455,53 @@ def eval_formula(f: Formula, env: dict[str, int]) -> bool:
     if isinstance(f, FIff):
         return eval_formula(f.lhs, env) == eval_formula(f.rhs, env)
     raise FormulaError(f"cannot evaluate {type(f).__name__}")
+
+
+def compile_paths(paths: Sequence[tuple[Sequence[Formula], Term]]):
+    """``f(env) == {eval_term(t, env) for conds, t in paths if all(eval_formula(c, env)
+    for c in conds)}`` for summarizer paths (no true, false, iff or empty and/or), as
+    straight-line source like ``smtbv.terms.compile_node``: one assignment per distinct
+    term and formula, computed once per call, and one ``if`` per path."""
+    names: dict = {}
+    lines = ["def _outputs(env):"]
+
+    def name(x: Term | Formula) -> str:
+        if x not in names:
+            text = _python(x, name)
+            names[x] = f"v{len(names)}"
+            lines.append(f"    {names[x]} = {text}")
+        return names[x]
+
+    tests = [(" and ".join(map(name, conds)) or "True", name(t)) for conds, t in paths]
+    lines += ["    out = set()", *(f"    if {c}: out.add({v})" for c, v in tests), "    return out"]
+    exec(compile("\n".join(lines), "<compile_paths>", "exec"), namespace := dict(bvarith.BINARY))
+    return namespace["_outputs"]
+
+
+def _python(x: Term | Formula, name) -> str:
+    """Python expression for one term or formula; ``name(operand)`` is its local name."""
+    if isinstance(x, TConst):
+        return repr(x.value)
+    if isinstance(x, TVar):
+        return f"env[{x.var.name!r}]"
+    if isinstance(x, TBin):
+        a, b, w = name(x.lhs), name(x.rhs), x.width
+        return bvarith.PYTHON[x.op].format(a=a, b=b, w=w, m=bvarith.mask(w))
+    if isinstance(x, TNeg):
+        return f"-{name(x.arg)} & {bvarith.mask(x.width)}"
+    if isinstance(x, TExtend):
+        a, fill = name(x.arg), bvarith.mask(x.width) ^ bvarith.mask(x.arg.width)
+        return f"{a} | {fill} if {a} >> {x.arg.width - 1} else {a}" if x.kind == "sign" else a
+    if isinstance(x, TExtract):
+        return f"({name(x.arg)} >> {x.lo}) & {bvarith.mask(x.width)}"
+    if isinstance(x, (FEq, FLt, FLe)):
+        a, b = name(x.lhs), name(x.rhs)
+        if getattr(x, "signed", False):
+            top = 1 << (x.lhs.width - 1)  # flipping the sign bit orders signed values
+            a, b = f"({a} ^ {top})", f"({b} ^ {top})"
+        return f"{a} {'<' if isinstance(x, FLt) else '<=' if isinstance(x, FLe) else '=='} {b}"
+    if isinstance(x, FNot):
+        return f"not {name(x.arg)}"
+    if isinstance(x, (FAnd, FOr)):
+        return (" and " if isinstance(x, FAnd) else " or ").join(map(name, x.items))
+    raise FormulaError(f"cannot compile {type(x).__name__}")

@@ -16,14 +16,14 @@ A region enters a result only with an unsat certificate from the solver;
 unknown verdicts drop the region, and budget expiry returns a partial result
 flagged incomplete.  All counting is exact big-integer/rational arithmetic.
 
-Before a range check goes to the solver, both summaries are evaluated at a
-few points of the range: its two ends, its midpoint and RANDOM_POINTS more
-drawn from a seed fixed by the range.  A point where the summaries allow different
-outputs is a model of the equivalence check, and one where they share an
-output is a model of the conjunction check, so points only ever answer
-``sat``; ``unsat`` and every bound still come from the solver.
-``query_count``, and so ``solver_calls``, counts only queries sent to the
-solver.
+Before a range check goes to the solver, both summaries' compiled evaluators
+(``Summary.outputs``) run at a few points of the range: its two ends, its
+midpoint and RANDOM_POINTS more drawn from a seed fixed by the range.  A point
+where the summaries allow different outputs is a model of the equivalence
+check, and one where they share an output is a model of the conjunction check,
+so points only ever answer ``sat``; ``unsat`` and every bound still come from
+the solver.  ``query_count``, and so ``solver_calls``, counts only queries sent
+to the solver.
 """
 
 from __future__ import annotations

@@ -414,23 +414,7 @@ def _expr(n: Node, a: list[str]) -> str:
     if k == "sext":
         inner = n.args[1].width
         return f"{a[0]} | {m ^ bvarith.mask(inner)} if {a[0]} >> {inner - 1} else {a[0]}"
-    x, y = a
-    if k in ("add", "sub", "mul"):
-        return f"({x} {_ARITH[k]} {y}) & {m}"
-    if k in ("and", "or", "xor"):
-        return f"{x} {_ARITH[k]} {y}"
-    if k == "udiv":
-        return f"{x} // {y} if {y} else {m}"
-    if k == "urem":
-        return f"{x} % {y} if {y} else {x}"
-    if k == "shl":
-        return f"({x} << {y}) & {m} if {y} < {w} else 0"
-    if k == "lshr":
-        return f"{x} >> {y} if {y} < {w} else 0"
-    raise ValueError(f"cannot compile node kind {k!r}")
-
-
-_ARITH = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
+    return bvarith.PYTHON[k].format(a=a[0], b=a[1], w=w, m=m)
 
 
 def free_vars(node: Node, acc: dict[str, Node] | None = None, seen: set | None = None):

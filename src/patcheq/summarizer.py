@@ -18,7 +18,7 @@ from functools import cached_property
 from . import bvarith, minilang
 from .formula import (
     BvVar, Formula, Term, TConst, FAnd, FNot, FOr, FTrue, FFalse, TRUE, FALSE,
-    eval_formula, eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract,
+    compile_paths, eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract,
     tneg, tvar,
 )
 from .minilang import (
@@ -72,13 +72,13 @@ class Summary:
             n *= v.sort.domain_size
         return n
 
-    def outputs(self, env: dict[str, int]) -> set[int]:
-        """The output values the summary allows at one input point.
+    @cached_property
+    def outputs(self):
+        """``outputs(env)``: the output values the summary allows at one input point.
 
-        ``env`` maps every input name to its unsigned canonical value.
-        """
-        return {eval_term(t, env) for conds, t in self.paths
-                if all(eval_formula(c, env) for c in conds)}
+        ``env`` maps every input name to its unsigned canonical value.  This is
+        the summary's compiled evaluator, built by ``compile_paths`` on first use."""
+        return compile_paths(self.paths)
 
 
 def _require_sorted(e: Expr) -> IntSort:

@@ -223,6 +223,20 @@ def test_unrunnable_solver_is_infrastructure_error(tmp_path, capsys, corpus_dir)
     assert err.startswith("infrastructure error: solver executable cannot be run")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unrunnable_solver_stops_corpus_as_infrastructure_error(tmp_path, capsys, corpus_dir,
+                                                                jobs):
+    # the solver is the setup's fault, not a failure of every case
+    solver = tmp_path / "solver"
+    solver.write_text("not a program")
+    solver.chmod(0o644)
+    code = main(["corpus", str(corpus_dir), "--jobs", jobs, "--solver-cmd", str(solver)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("infrastructure error: solver executable cannot be run")
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag, env", [(["--depth-limit=-1"], None), ([], "-1")])
 def test_negative_depth_limit_exits_2(corpus_dir, monkeypatch, capsys, flag, env):
     if env is not None:

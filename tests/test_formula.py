@@ -1,6 +1,7 @@
 """Formula construction, range constraints, serialization, evaluation."""
 
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,17 @@ def test_formula_eval_division_total():
     assert eval_term(tbin("udiv", tvar(x), tconst(0, 8)), env) == 255
     assert eval_term(tbin("urem", tvar(x), tconst(0, 8)), env) == 7
     assert eval_term(tbin("sdiv", tvar(x), tconst(0, 8)), env) == 255
+
+
+def test_a_term_pickles_without_its_cached_hash():
+    # str hashes differ between processes, so a hash cached in one must not travel
+    from patcheq.formula import tbin
+
+    t = tbin("add", tvar(BvVar("x", U8, "input")), tconst(1, 8))
+    h = hash(t)
+    copy = pickle.loads(pickle.dumps(t))
+    assert "_hash" in vars(t) and "_hash" not in vars(copy)
+    assert copy == t and hash(copy) == h
 
 
 def test_pretty_renders_signed_constants():

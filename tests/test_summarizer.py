@@ -5,9 +5,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patcheq import bvarith, summarizer
-from patcheq.formula import FAnd, FEq, FOr, eval_formula
+from patcheq.formula import FAnd, FEq, FOr, eval_formula, eval_term
+from patcheq.randgen import random_pair
 from patcheq.summarizer import (
     SummarizeError, UnrollLimitExceeded, eval_concrete, require_same_signature,
     summarize,
@@ -195,6 +197,26 @@ WIDTH8_BATTERY = [
         if (g(x) == 1) { return (u8) g(x - 5); }
         return (u8) g(x) + 9;
     }""",
+    # signed division and remainder: zero divisors at x = 5 and x = -2, and -128 / -1
+    "fn f(x: i8) -> i8 { return (x * 7) / (x - 5) + (x * 3) % (x + 2) + x / -1; }",
+    # arithmetic and left shifts by every amount, the width and past it included
+    "fn f(x: i8) -> i8 { return ((x >> (x & 15)) | (-77 >> x)) ^ (x << (x - 60)); }",
+    # logical shifts past the width, and unsigned zero divisors
+    "fn f(x: u8) -> u8 { return (x >> (x % 11)) + (200 >> x) + (x << (x / 16)) + x % (x & 7) + 100 / (x & 3); }",
+    # sign and zero extension, and narrowing casts
+    """fn f(x: i8) -> i16 {
+        let w: i16 = (i16) x * 300 + (i16) ((u8) x);
+        return (i16) ((u8) w) - (i16) ((i8) (w >> 4)) + (i16) ((u16) w / 3);
+    }""",
+    # signed and unsigned orders, negated and joined
+    """fn f(x: i8) -> u8 {
+        let y: u8 = (u8) (x * 5);
+        if ((u8) x < y || x >= 100) { return y - (u8) x; }
+        if (x <= -3 && !((u8) x > y)) { return 7; }
+        if (x > (i8) y) { return y / 0; }
+        if ((u8) x >= y && x != 12) { return 9; }
+        return (u8) x;
+    }""",
 ]
 
 
@@ -277,10 +299,10 @@ fn top(x: i16) -> i16 { return g(x) + g(x) + g(x + 1) + h(x); }
     assert sorted(runs) == ["g", "g", "h", "top"]  # equal arguments share a run, not a callee
 
 
-def doubling_chain(depth):
+def doubling_chain(depth, tail=""):
     return fn("fn f0(x: i16) -> i16 { return x + 1; }\n" + "".join(
         f"fn f{i}(x: i16) -> i16 {{ return f{i - 1}(x) + f{i - 1}(x); }}\n"
-        for i in range(1, depth + 1)))
+        for i in range(1, depth + 1)) + tail)
 
 
 def test_summarize_runs_a_callee_once_per_argument_terms(monkeypatch):
@@ -305,6 +327,38 @@ def test_summarize_runs_a_callee_once_per_argument_terms(monkeypatch):
     start = time.perf_counter()
     assert summarize(deep).path_count == 1
     assert time.perf_counter() - start < 1.0
+
+
+def test_deep_shared_terms_evaluate_in_linear_time():
+    # the tree walk makes 2^20 node visits here
+    f = doubling_chain(20)
+    summary = summarize(f)
+    start = time.perf_counter()
+    assert summary.outputs({"x": 3}) == {bvarith.to_unsigned(eval_concrete(f, [3]), 16)}
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_shared_call_argument_hashes_once():
+    # callee runs are keyed by argument terms; hashing f16(x) as a tree took 0.4 s
+    f = doubling_chain(16, "fn g(a: i16) -> i16 { if (a > 0) { return a; } return -a; }\n"
+                           "fn top(x: i16) -> i16 { return g(f16(x)) + g(f16(x)); }")
+    start = time.perf_counter()
+    summary = summarize(f)
+    assert time.perf_counter() - start < 0.05
+    assert summary.path_count == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_compiled_outputs_match_the_tree_walk(seed):
+    rng = random.Random(seed)
+    for f in random_pair(rng):
+        summary = summarize(f)
+        for _ in range(20):
+            env = {v.name: rng.randrange(v.sort.domain_size) for v in summary.inputs}
+            assert summary.outputs(env) == {
+                eval_term(t, env) for conds, t in summary.paths
+                if all(eval_formula(c, env) for c in conds)}
 
 
 def test_signature_check():
