@@ -21,7 +21,8 @@ from pathlib import Path
 from .classifier import Verdict, eq_check
 from .formula import pretty, serialize
 from .minilang import MiniLangError
-from .oracle import SolverConfig, SolverConfigError, default_solver_command
+from .oracle import Budget, SolverConfig, SolverConfigError, default_solver_command
+from .rangesearch import RangeSearch
 from .report import (
     ALL_METHODS, AnalysisError, ImpactReport, ManifestError, analyze_pair,
     check_expectations, fraction_decimal, load_case, load_function, load_pair,
@@ -146,7 +147,10 @@ def cmd_summarize(args, cfg) -> int:
 
 
 def cmd_check(args, cfg) -> int:
-    result = eq_check(*load_pair(args.original, args.patched, args.unroll_limit), cfg)
+    budget = Budget(cfg.budget_ms)
+    s1, s2 = load_pair(args.original, args.patched, args.unroll_limit, budget)
+    with RangeSearch(s1, s2, cfg, budget) as search:
+        result = eq_check(s1, s2, cfg, search=search)
     if args.format == "json":
         print(json.dumps({
             "verdict": result.kind.value,

@@ -62,6 +62,7 @@ class ImpactReport:
     solver_calls: int
     elapsed_ms: int
     incomplete: bool
+    stats: dict  # phase_ms and path counts; timing, so --stable drops it
     enum_case: EnumCase | None = None
     eq_models: list[tuple[int, ...]] | None = None
     neq_models: list[tuple[int, ...]] | None = None
@@ -107,6 +108,7 @@ class ImpactReport:
         }
         if not stable:
             out["elapsed_ms"] = self.elapsed_ms
+            out["stats"] = self.stats
         if self.enum_case is not None:
             out["case"] = self.enum_case.name.lower()
             out["eq_models"] = [list(m) for m in (self.eq_models or [])[:MODEL_LIST_CAP]]
@@ -134,24 +136,30 @@ def load_function(path: str | Path):
         raise AnalysisError(f"parse/typecheck {path}", str(err)) from err
 
 
-def summarize_function(fn, unroll_limit: int) -> Summary:
+def summarize_function(fn, unroll_limit: int, budget: Budget | None = None) -> Summary:
     """summarize, failing with the analysis stage "summarize"."""
     try:
-        return summarize(fn, unroll_limit)
+        return summarize(fn, unroll_limit, budget)
     except Exception as err:
         raise AnalysisError("summarize", str(err)) from err
 
 
-def load_pair(original_path: str | Path, patched_path: str | Path,
-              unroll_limit: int) -> tuple[Summary, Summary]:
-    """Load, type check, signature check and summarize both versions of a pair."""
+def load_pair(original_path: str | Path, patched_path: str | Path, unroll_limit: int,
+              budget: Budget | None = None, clock: list[float] | None = None
+              ) -> tuple[Summary, Summary]:
+    """Load, type check, signature check and summarize both versions of a pair, under
+    ``budget``; ``clock`` gets the time after loading and after summarizing."""
     f1 = load_function(original_path)
     f2 = load_function(patched_path)
     try:
         require_same_signature(f1, f2)
     except Exception as err:
         raise AnalysisError("signature", str(err)) from err
-    return summarize_function(f1, unroll_limit), summarize_function(f2, unroll_limit)
+    clock = [] if clock is None else clock
+    clock.append(time.monotonic())
+    pair = summarize_function(f1, unroll_limit, budget), summarize_function(f2, unroll_limit, budget)
+    clock.append(time.monotonic())
+    return pair
 
 
 def analyze_pair(
@@ -173,14 +181,19 @@ def analyze_pair(
     if depth_limit is not None and depth_limit < 0:
         raise AnalysisError("config", f"depth limit {depth_limit} is negative")
     start = time.monotonic()
-    s1, s2 = load_pair(original_path, patched_path, unroll_limit)
+    budget, clock = Budget(cfg.budget_ms), [start]
+    s1, s2 = load_pair(original_path, patched_path, unroll_limit, budget, clock)
 
-    with RangeSearch(s1, s2, cfg, Budget(cfg.budget_ms)) as search:
+    with RangeSearch(s1, s2, cfg, budget) as search:
         verdict = eq_check(s1, s2, cfg, search=search)
+        clock.append(time.monotonic())
         if verdict.kind is Verdict.P_EQ and method == "enumerate":
             enum = enumerate_models(s1, s2, cfg, search=search)
         elif verdict.kind is Verdict.P_EQ:
             quant = search.run(method, limit=depth_limit)
+    clock.append(time.monotonic())
+    phase_ms = {phase: round((end - begin) * 1000, 3) for phase, begin, end
+                in zip(("load", "summarize", "classify", "quantify"), clock, clock[1:])}
 
     def finish(quantify_calls: int = 0, **kw) -> ImpactReport:
         return ImpactReport(
@@ -194,6 +207,7 @@ def analyze_pair(
             solver_calls=verdict.solver_calls + quantify_calls,
             elapsed_ms=int((time.monotonic() - start) * 1000),
             input_names=[v.name for v in s1.inputs],
+            stats={"phase_ms": phase_ms, "paths": [s1.path_count, s2.path_count]},
             **kw,
         )
 

@@ -6,8 +6,11 @@ conditions) and (output = return term).  Local variables are eliminated by
 substitution during execution, so the summary's free variables are exactly
 the inputs plus the single output.  A call runs the callee's body once per
 distinct argument terms, and each callee path becomes one variant of the
-call expression.  Loops are unrolled up to a hard limit; a loop still
-symbolically live at the limit is an error, never a truncation.
+call expression.  A path is dropped once its conditions have an empty box
+(``regions.box_empty``), so a summary keeps only box-feasible paths; opaque
+conditions never prune.  Loops are unrolled up to a hard limit; a loop whose
+next iteration is still box-feasible at the limit is an error, never a
+truncation.  A budget stops a long exploration with an error.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from .minilang import (
     Assign, Binary, Call, Cast, Expr, If, IntSort, Let, Lit, Return, Stmt,
     TypedFunction, Unary, Var, While,
 )
+from .regions import box_empty
 
 DEFAULT_UNROLL_LIMIT = 64
+BUDGET_STRIDE = 256  # path steps between two reads of the budget's clock
 
 
 class SummarizeError(Exception):
@@ -194,9 +199,19 @@ def _fell_off(env, path):
 
 
 class _PathExploder:
-    def __init__(self, unroll_limit: int):
+    def __init__(self, unroll_limit: int, budget=None):
         self.unroll_limit = unroll_limit
+        self.budget = budget
+        self.steps = 0  # keeps() calls, for the budget's stride
         self.calls: dict[tuple, list] = {}  # (callee id, argument terms) -> its paths
+
+    def keeps(self, path: list[Formula], added: list[Formula]) -> bool:
+        """Whether ``path`` may still be feasible once it gains ``added``.  The budget is
+        read every ``BUDGET_STRIDE`` calls, so a small summary never fails on the clock."""
+        self.steps += 1
+        if self.budget is not None and self.steps % BUDGET_STRIDE == 0 and self.budget.expired:
+            raise SummarizeError(f"budget ran out after {self.steps} steps")
+        return not added or not box_empty(path + added)
 
     def run(self, fn: TypedFunction, args: tuple[Term, ...]) -> list[tuple[list[Formula], Term]]:
         """Every path of ``fn``'s body on argument terms ``args``: (conditions, return term)."""
@@ -273,16 +288,19 @@ class _PathExploder:
         head, rest = stmts[0], stmts[1:]
         if isinstance(head, (Let, Assign)):
             for conds, t in self.translate_expr(head.value, env):
-                self.exec_straight(rest, {**env, head.name: t}, path + conds, out, k)
+                if self.keeps(path, conds):
+                    self.exec_straight(rest, {**env, head.name: t}, path + conds, out, k)
             return
         if isinstance(head, Return):
-            out += [(path + conds, t) for conds, t in self.translate_expr(head.value, env)]
+            out += [(path + conds, t) for conds, t in self.translate_expr(head.value, env)
+                    if self.keeps(path, conds)]
             return
         if isinstance(head, If):
             for conds, phi in self.translate_cond(head.cond, env):
                 for taken, extra in _branches(phi):
-                    block = head.then if taken else head.other or ()
-                    self.exec_straight(block + rest, dict(env), path + conds + extra, out, k)
+                    if self.keeps(path, conds + extra):
+                        block = head.then if taken else head.other or ()
+                        self.exec_straight(block + rest, dict(env), path + conds + extra, out, k)
             return
         if isinstance(head, While):
             def after_loop(env2, path2):
@@ -295,6 +313,8 @@ class _PathExploder:
     def run_loop_nested(self, loop: While, iteration: int, env, path, out, k):
         for conds, phi in self.translate_cond(loop.cond, env):
             for entered, extra in reversed(_branches(phi)):  # the exit path first
+                if not self.keeps(path, conds + extra):
+                    continue
                 if not entered:
                     k(dict(env), path + conds + extra)
                     continue
@@ -315,13 +335,15 @@ def _fresh_output_name(fn: TypedFunction) -> str:
     return name
 
 
-def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> Summary:
-    """Explore every path of a type-checked function and build its summary."""
+def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT,
+              budget=None) -> Summary:
+    """Explore every box-feasible path of a type-checked function and build its summary;
+    an expired ``budget`` (an ``oracle.Budget``) stops the exploration."""
     if unroll_limit < 1:
         raise SummarizeError("unroll limit must be at least 1")
     inputs = tuple(BvVar(name, sort, "input") for name, sort in fn.params)
     output = BvVar(_fresh_output_name(fn), fn.return_sort, "output")
-    paths = _PathExploder(unroll_limit).run(fn, tuple(tvar(v) for v in inputs))
+    paths = _PathExploder(unroll_limit, budget).run(fn, tuple(tvar(v) for v in inputs))
     return Summary(inputs, output, tuple((tuple(conds), t) for conds, t in paths))
 
 

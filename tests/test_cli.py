@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,8 +71,21 @@ def test_impact_json_fields(capsys, corpus_dir):
     assert data["impact_percent_upper_bound"]["decimal"] == "87.50"
     assert data["impact_percent_upper_bound"]["numerator"] == "175"
     assert "pretty" in data["condition"] and "smtlib" in data["condition"]
-    assert "elapsed_ms" not in data  # stable mode drops timing
+    assert "elapsed_ms" not in data and "stats" not in data  # stable mode drops timing
     assert data["incomplete"] is False
+
+
+def test_impact_json_reports_phase_times_and_path_counts(capsys, corpus_dir):
+    case = corpus_dir / "eqbench_ltfive"
+    code, out, _ = run_cli(
+        ["impact", str(case / "original.fn"), str(case / "patched.fn"), "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert set(stats["phase_ms"]) == {"load", "summarize", "classify", "quantify"}
+    assert all(ms >= 0 for ms in stats["phase_ms"].values())
+    assert stats["paths"] == [4, 4]
 
 
 def test_stable_reports_are_byte_identical(capsys, corpus_dir):
@@ -282,6 +296,26 @@ def test_analysis_failures_exit_1_with_their_stage(tmp_path, capsys, command, pa
     assert code == 1
     assert err.startswith(f"error: {stage}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["impact", "check"])
+def test_the_budget_stops_a_long_summary(tmp_path, command):
+    # 20 guards that no box reads make 2**20 paths; unbudgeted, 17 of them ran past 20 s
+    guards = "".join(f"    if (x * y > {1000 * i}) {{ acc = acc + {i + 1}; }}\n" for i in range(20))
+    source = tmp_path / "opaque.fn"
+    source.write_text(f"fn f(x: i32, y: i32) -> i32 {{\n    let acc: i32 = 0;\n{guards}"
+                      "    return acc;\n}\n")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "patcheq.cli", command, str(source), str(source),
+         "--budget-ms", "2000", "--query-timeout-ms", "1000", "--solver-cmd", SOLVER],
+        capture_output=True, text=True, timeout=30,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert time.monotonic() - start < 4.0
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: summarize: budget ran out")
 
 
 @pytest.mark.parametrize("command", ["summarize", "check"])

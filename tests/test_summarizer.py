@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from patcheq import bvarith, summarizer
 from patcheq.formula import FAnd, FEq, FOr, eval_formula, eval_term
-from patcheq.randgen import random_pair
+from patcheq.oracle import Budget
+from patcheq.randgen import random_function, random_pair
 from patcheq.summarizer import (
     SummarizeError, UnrollLimitExceeded, eval_concrete, require_same_signature,
     summarize,
@@ -217,6 +218,13 @@ WIDTH8_BATTERY = [
         if ((u8) x >= y && x != 12) { return 9; }
         return (u8) x;
     }""",
+    # loops bounded by the input: each ends at its last box-feasible iteration
+    "fn f(x: u8) -> u8 { while (x < 5) { x = x + 1; } return x; }",
+    """fn f(x: i8) -> i8 {
+        let n: i8 = 0;
+        while (x > 100) { x = x + 10; n = n + 1; }
+        return x * 4 + n;
+    }""",
 ]
 
 
@@ -271,6 +279,67 @@ def test_concrete_loop_unrolls_and_symbolic_loop_errors():
     with pytest.raises(UnrollLimitExceeded):
         eval_concrete(live, [100], unroll_limit=8)
     assert eval_concrete(live, [5], unroll_limit=8) == 0
+
+
+def test_input_bounded_loops_stop_at_their_last_feasible_iteration():
+    counting_up = fn("fn f(x: u8) -> u8 { while (x < 5) { x = x + 1; } return x; }")
+    assert summarize(counting_up).path_count == 6  # exits after 0..5 iterations
+    assert summarize(counting_up, unroll_limit=5).path_count == 6
+    with pytest.raises(UnrollLimitExceeded):  # x = 0 runs a fifth iteration
+        summarize(counting_up, unroll_limit=4)
+    # x + 10 wraps past 127 within three iterations
+    wrapping = fn("fn f(x: i8) -> i8 { while (x > 100) { x = x + 10; } return x; }")
+    assert summarize(wrapping, unroll_limit=3).path_count == 4
+
+
+def chain(n, guard, params="x: i32"):
+    return fn(f"fn f({params}) -> i32 {{\n    let acc: i32 = 0;\n" + "".join(
+        f"    if ({guard(i)}) {{ acc = acc + {i + 1}; }}\n" for i in range(n)) + "    return acc;\n}")
+
+
+@pytest.mark.parametrize("guard", [
+    lambda i: f"x > {1000 * i}",
+    lambda i: f"x {'>' if i % 2 else '<'} {1000 * i - 16000}",  # paths16's alternating guards
+    lambda i: f"-x + 5 <= {7 - 1000 * i}",
+])
+def test_one_input_guard_chains_keep_one_path_per_interval(guard):
+    f = chain(32, guard)
+    start = time.perf_counter()
+    summary = summarize(f)  # 2**32 syntactic paths
+    assert time.perf_counter() - start < 1.0
+    assert summary.path_count == 33
+    points = [-(2**31), -16001, -16000, -1, 0, 1, 999, 1000, 15999, 16000, 2**31 - 1]
+    for x in points + [1000 * i + d for i in range(-20, 33) for d in (-1, 0, 1)]:
+        env = {"x": bvarith.to_unsigned(x, 32)}
+        assert summary.outputs(env) == {bvarith.to_unsigned(eval_concrete(f, [x]), 32)}
+
+
+def test_opaque_guards_keep_every_path():
+    summary = summarize(chain(6, lambda i: f"x * y > {1000 * i}", "x: i32, y: i32"))
+    assert summary.path_count == 2**6
+
+
+def test_an_expired_budget_stops_only_a_large_exploration():
+    big = chain(10, lambda i: f"x * y > {1000 * i}", "x: i32, y: i32")
+    with pytest.raises(SummarizeError, match="budget ran out"):
+        summarize(big, budget=Budget(0))
+    assert summarize(big, budget=Budget(60_000)).path_count == 2**10
+    small = corpus_fn("eqbench_ltfive", "original.fn")  # fewer than BUDGET_STRIDE branch sides
+    assert summarize(small, budget=Budget(0)).path_count == summarize(small).path_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_pruned_summaries_match_concrete_runs(seed):
+    # no feasible path is dropped: exhaustive over one input, sampled over two
+    rng = random.Random(seed)
+    f = random_function(rng)
+    summary = summarize(f)
+    sorts = [s for _, s in f.params]
+    points = list(itertools.product(*[range(s.min_value, s.max_value + 1) for s in sorts]))
+    for point in points if len(sorts) == 1 else rng.sample(points, 2000):
+        env = {v.name: bvarith.to_unsigned(x, 8) for v, x in zip(summary.inputs, point)}
+        assert summary.outputs(env) == {bvarith.to_unsigned(eval_concrete(f, list(point)), 8)}
 
 
 def test_a_callee_runs_once_per_argument_tuple(monkeypatch):
