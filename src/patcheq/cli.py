@@ -189,8 +189,8 @@ def _render_text(report: ImpactReport, places: int = 2) -> str:
         lines.insert(2, f"witness:     {report.witness}")
     if report.enum_case is not None:
         lines.append(f"enum case:   {report.enum_case.name.lower()}"
-                     f" (eq models {len(report.eq_models or [])},"
-                     f" neq models {len(report.neq_models or [])})")
+                     f" (eq inputs {report.eq_model_count},"
+                     f" neq inputs {report.neq_model_count})")
     if report.incomplete:
         lines.append("incomplete:  budget or timeout cut the analysis short")
     return "\n".join(lines)

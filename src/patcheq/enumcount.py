@@ -2,8 +2,15 @@
 
 Two blocked enumerations run round-robin, each in a scope of its own on a
 RangeSearch session: models of (S1 and S2) projected on inputs (the equivalent
-side) and models of not(S1 iff S2) (the divergent side).  Whichever side
-exhausts first gives an exact count; budget expiry downgrades to a lower bound.
+side) and models of not(S1 iff S2) (the divergent side).  When a side draws a
+model, the path of each version that holds there names a path pair.  If every
+condition of both paths reads as a box (``regions``) and the pair's return
+terms agree on all of it (equivalent side) or differ on all of it (divergent
+side), one assertion blocks that whole box and its volume is counted;
+otherwise the model's point alone is blocked.  This is all-solutions
+enumeration with generalised blocking clauses (Toda & Soh, ACM JEA 2016).
+Whichever side exhausts (answers unsat) first gives an exact count; budget
+expiry downgrades to a lower bound.
 """
 
 from __future__ import annotations
@@ -11,15 +18,18 @@ from __future__ import annotations
 import enum
 import itertools
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .formula import FIff, FNot
+from . import regions
+from .bvarith import to_unsigned
+from .formula import FIff, FNot, Formula, eval_formula, for_
 from .oracle import SolverConfig
 from .minilang import TypedFunction
-from .rangesearch import SUMMARIES, RangeSearch
+from .rangesearch import SUMMARIES, BudgetExhausted, RangeSearch
 from .summarizer import Summary, eval_concrete
 
 BRUTE_FORCE_DOMAIN_CAP = 1 << 20
+MODEL_LIST_CAP = 64  # points listed per blocked box
 
 
 class EnumCase(enum.Enum):
@@ -29,42 +39,84 @@ class EnumCase(enum.Enum):
 
 
 @dataclass
+class SideResult:
+    """What one side's enumeration blocked, each box or point once it reached a live session."""
+
+    count: int = 0  # inputs in the blocked boxes and points
+    inputs: list[tuple[int, ...]] = field(default_factory=list)  # listed points, increasing
+    blocked: list[Formula] = field(default_factory=list)  # each box or point, as a formula
+    queries: int = 0
+    boxes: int = 0
+    points: int = 0
+
+    @property
+    def condition(self) -> Formula:
+        """Exactly the ``count`` inputs this side blocked."""
+        return for_(self.blocked)
+
+    def stats(self) -> dict:
+        return {"queries": self.queries, "boxes": self.boxes, "points": self.points}
+
+
+@dataclass
 class EnumResult:
     case: EnumCase
-    eq_inputs: list[tuple[int, ...]]
-    neq_inputs: list[tuple[int, ...]]
+    eq: SideResult
+    neq: SideResult
     exact_eq_count: int | None
-    solver_calls: int
+
+    @property
+    def eq_inputs(self) -> list[tuple[int, ...]]:
+        return self.eq.inputs
+
+    @property
+    def neq_inputs(self) -> list[tuple[int, ...]]:
+        return self.neq.inputs
+
+    @property
+    def solver_calls(self) -> int:
+        return self.eq.queries + self.neq.queries
 
     @property
     def eq_count_lower_bound(self) -> int:
-        return len(self.eq_inputs) if self.exact_eq_count is None else self.exact_eq_count
+        return self.eq.count if self.exact_eq_count is None else self.exact_eq_count
 
 
 class DuplicateModel(Exception):
-    """A blocked enumeration returned the same input assignment twice."""
+    """A blocked enumeration returned an input assignment it had already blocked."""
+
+
+def _path_at(summary: Summary, env: dict[str, int]):
+    """The (conditions, return term) path of ``summary`` that holds at ``env``."""
+    return next(p for p in summary.paths if all(eval_formula(c, env) for c in p[0]))
 
 
 class _Enumeration:
     """One side's blocked enumeration, in a scope pushed on ``search``'s session."""
 
-    def __init__(self, search: RangeSearch, formulas):
+    def __init__(self, search: RangeSearch, formulas, found: SideResult):
         self.session = search.live_session()
         self.session.push()
         for f in formulas:
             self.session.assert_formula(f)
+        self.summaries = (search.s1, search.s2)
         self.inputs = list(search.variables)
-        self.models: list[tuple[int, ...]] = []
-        self.seen: set[tuple[int, ...]] = set()
-        self.calls = 0
+        self.found = found
 
     def close(self):
         """Pop the side's scope, blocking clauses included."""
         self.session.pop()
 
+    def _pair_box(self, env: dict[str, int]) -> regions.Box | None:
+        """The exact box of the path pair holding at this side's model ``env``, if it is
+        decided; a decided box lies wholly on the model's side."""
+        (conds1, t1), (conds2, t2) = (_path_at(s, env) for s in self.summaries)
+        box = regions.pair_box(conds1, conds2)
+        return box if box is not None and regions.decided(box, t1, t2) else None
+
     def step(self) -> str:
         """Draw one more model; returns 'model', 'done', or 'unknown'."""
-        self.calls += 1
+        self.found.queries += 1
         verdict = self.session.check_sat()
         if verdict == "unsat":
             return "done"
@@ -73,12 +125,24 @@ class _Enumeration:
         model = self.session.get_values(self.inputs)
         if model is None:
             return "unknown"
-        key = tuple(model[v.name] for v in self.inputs)
-        if key in self.seen:
-            raise DuplicateModel(f"solver repeated blocked assignment {key}")
-        self.seen.add(key)
-        self.models.append(key)
-        self.session.block_model(self.inputs, model)
+        env = {v.name: to_unsigned(model[v.name], v.sort.width) for v in self.inputs}
+        if any(eval_formula(region, env) for region in self.found.blocked):
+            raise DuplicateModel(f"solver repeated blocked assignment {model}")
+        point = {v: [(env[v.name], env[v.name])] for v in self.inputs}
+        box = self._pair_box(env) or point
+        region = regions.box_formula(box, self.inputs)
+        self.session.block(region)
+        if self.session.dead and box is not point:
+            # the drawn model is sound; the box never reached a live solver
+            box, region = point, regions.box_formula(point, self.inputs)
+        found = self.found
+        found.count += regions.volume(box, self.inputs)
+        found.inputs += regions.points(box, self.inputs, MODEL_LIST_CAP)
+        found.blocked.append(region)
+        if box is point:
+            found.points += 1
+        else:
+            found.boxes += 1
         return "unknown" if self.session.dead else "model"
 
 
@@ -92,35 +156,30 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
     search over the pair and budget.  Both scopes are popped, and the searches
     opened here closed, on return.
     """
+    eq, neq = SideResult(), SideResult()
+    sides = []
+    case = EnumCase.CASE3
     with ExitStack() as stack:
         search = search or stack.enter_context(RangeSearch(s1, s2, cfg))
         budget = search.budget
-        eq_side = _Enumeration(search, SUMMARIES)
-        stack.callback(eq_side.close)
         neq_search = stack.enter_context(RangeSearch(s1, s2, cfg, budget))
-        neq_side = _Enumeration(neq_search, [FNot(FIff(*SUMMARIES))])
-        stack.callback(neq_side.close)
-        for side, when_done in itertools.cycle(((eq_side, EnumCase.CASE1),
-                                                (neq_side, EnumCase.CASE2))):
-            status = "unknown" if budget.expired else side.step()
-            if status != "model":
-                case = when_done if status == "done" else EnumCase.CASE3
-                break
-    eq_models = sorted(eq_side.models)
-    neq_models = sorted(neq_side.models)
-    if case is EnumCase.CASE1:
-        exact = len(eq_models)
-    elif case is EnumCase.CASE2:
-        exact = s1.domain_size - len(neq_models)
-    else:
-        exact = None
-    return EnumResult(
-        case=case,
-        eq_inputs=eq_models,
-        neq_inputs=neq_models,
-        exact_eq_count=exact,
-        solver_calls=eq_side.calls + neq_side.calls,
-    )
+        try:
+            for on, formulas, found in ((search, SUMMARIES, eq),
+                                        (neq_search, [FNot(FIff(*SUMMARIES))], neq)):
+                sides.append(_Enumeration(on, formulas, found))
+                stack.callback(sides[-1].close)
+        except BudgetExhausted:
+            pass  # a side that cannot start a solver leaves CASE3
+        else:
+            for side, when_done in itertools.cycle(zip(sides, (EnumCase.CASE1, EnumCase.CASE2))):
+                status = "unknown" if budget.expired else side.step()
+                if status != "model":
+                    case = when_done if status == "done" else EnumCase.CASE3
+                    break
+    eq.inputs.sort()
+    neq.inputs.sort()
+    exact = {EnumCase.CASE1: eq.count, EnumCase.CASE2: s1.domain_size - neq.count}.get(case)
+    return EnumResult(case=case, eq=eq, neq=neq, exact_eq_count=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ as each session first writes it ``bundled_preamble()``).  Commands used:
 set-logic, set-option, declare-const, define-fun, assert, check-sat,
 get-value, push, pop, exit.  An external solver must accept zero-arity
 Boolean define-fun, which is standard SMT-LIB 2.6 (z3 does).  A query that
-outlives its timeout gets the session killed and reports unknown; unknown is
-never conflated with sat or unsat.  A session whose solver died stays dead:
-later commands are dropped, every check answers unknown and no model is read.
+outlives its timeout, like a command the solver has not finished reading
+within one, gets the session killed and reports unknown; unknown is never
+conflated with sat or unsat.  A session whose solver died stays dead: later
+commands are dropped, every check answers unknown and no model is read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import bvarith
-from .formula import BvVar, FNot, Formula, point_formula, serialize_formula
+from .formula import BvVar, FNot, Formula, serialize_formula
 from .smtbv.sexpr import SexprError, balanced, parse_all
 
 GRACE_MS = 2000
@@ -132,6 +133,7 @@ class SolverSession:
         except OSError as err:  # missing, not executable, a directory, ...
             reason = "not found" if isinstance(err, FileNotFoundError) else f"cannot be run ({err.strerror})"
             raise SolverConfigError(f"solver executable {reason}: {cfg.solver_cmd[0]}") from err
+        os.set_blocking(self.proc.stdin.fileno(), False)  # _write keeps its own deadline
         self._buffer = b""
         if cfg.solver_cmd == bundled_solver_command():
             self._write(bundled_preamble())
@@ -147,13 +149,24 @@ class SolverSession:
         self._write(text.encode() + b"\n")
 
     def _write(self, data: bytes):
+        """Write ``data`` within a query timeout, or leave the session dead."""
         if self.dead:
             return
-        try:
-            self.proc.stdin.write(data)
-            self.proc.stdin.flush()
-        except OSError:
-            self._teardown()
+        deadline = time.monotonic() + self.cfg.query_timeout_ms / 1000.0
+        fd = self.proc.stdin.fileno()
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:  # the pipe is full while the solver reads
+                timeout = deadline - time.monotonic()
+                if timeout <= 0 or not select.select([], [fd], [], timeout)[1]:
+                    break
+            except OSError:
+                break
+        else:
+            return
+        self._teardown()
 
     def _reply(self):
         """The next reply, parsed; None, and a dead session, on timeout, EOF or garbage.
@@ -253,9 +266,9 @@ class SolverSession:
             return None
         return out
 
-    def block_model(self, variables: list[BvVar], model: dict[str, int]):
-        """Exclude one input assignment from all later checks in this session."""
-        self.assert_formula(FNot(point_formula(variables, [model[v.name] for v in variables])))
+    def block(self, region: Formula):
+        """Exclude every input where ``region`` holds from all later checks in this session."""
+        self.assert_formula(FNot(region))
 
 
 def _parse_bv_value(value) -> int:

@@ -266,9 +266,12 @@ class RangeSearch:
     def live_session(self) -> SolverSession:
         """This search's session, both summaries defined; a dead one is replaced.
 
-        Callers may push a scope of their own on it and must pop it again.
+        Callers may push a scope of their own on it and must pop it again.  Raises
+        BudgetExhausted, starting no solver, once the budget has run out.
         """
         if self.session is None or self.session.dead:
+            if self.budget.expired:
+                raise BudgetExhausted
             self.session = SolverSession(self.cfg, self.s1.decls)
             for ref, summary in zip(SUMMARIES, (self.s1, self.s2)):
                 self.session.define(ref.name, summary.formula)

@@ -3,23 +3,35 @@
 An interval set is a sorted list of disjoint inclusive unsigned ``(lo, hi)``
 ranges.  An atom comparing a constant with ``±x + k`` (``x`` an input, built
 by ``add``/``sub``/``neg`` in either operand order) by ``=``, ``<`` or ``<=``,
-in either signedness and operand order and possibly negated, reads as the
-interval set of ``x`` where it holds.  Signed orders split at the sign
-boundary and shifts wrap modulo ``2**w``: wrapped intervals (Navas,
-Schachte, Søndergaard & Stuckey, APLAS 2012).  A box maps each input to the
-intersection of its atoms' sets.  Other atoms are opaque and constrain
-nothing, so an empty set proves a conjunction unsatisfiable; a non-empty box
-proves nothing.
+in either signedness and operand order, reads as the interval set of ``x``
+where it holds.  Signed orders split at the sign boundary and shifts wrap
+modulo ``2**w``: wrapped intervals (Navas, Schachte, Søndergaard & Stuckey,
+APLAS 2012).  A ``not``, ``and`` or ``or`` of formulas read over one same
+input reads as the complement, intersection or union of their sets.  A box
+maps each input to the intersection of its conditions' sets.  Other
+conditions are opaque and constrain nothing, so an empty set proves a
+conjunction unsatisfiable; a non-empty box proves nothing.
+
+A path pair whose conditions all read has an exact box (``pair_box``), on
+which ``decided`` may show the two return terms equal or unequal everywhere;
+``volume``, ``points`` and ``box_formula`` count, list and render a box.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import functools
+import itertools
+import math
+from typing import Iterable, Sequence
 
 from .bvarith import mask
-from .formula import BvVar, FAnd, FEq, FLe, FLt, FNot, Formula, TBin, TConst, Term, TNeg, TVar
+from .formula import (
+    BvVar, FAnd, FEq, FLe, FLt, FNot, FOr, Formula, TBin, TConst, Term, TNeg, TVar, fand, for_,
+    point_formula, var_range_constraint,
+)
 
 Intervals = list[tuple[int, int]]
+Box = dict[BvVar, Intervals]
 
 
 def _normal(ivs: Iterable[tuple[int, int]]) -> Intervals:
@@ -77,21 +89,33 @@ def _linear(t: Term) -> tuple[BvVar, int, int] | None:
 
 
 def read(f: Formula) -> tuple[BvVar, Intervals] | None:
-    """The input an atom constrains and the interval set on which it holds; None if opaque."""
-    negated = isinstance(f, FNot)
-    atom = f.arg if negated else f
-    if not isinstance(atom, (FEq, FLt, FLe)):
+    """The one input ``f`` constrains and the interval set on which it holds; None if opaque."""
+    return _read(f)
+
+
+def _read(f: Formula) -> tuple[BvVar, Intervals] | None:
+    if isinstance(f, FNot):
+        inner = _read(f.arg)
+        return inner and (inner[0], complement(inner[1], inner[0].sort.width))
+    if isinstance(f, (FAnd, FOr)):
+        parts = [_read(g) for g in f.items]
+        if not parts or any(p is None or p[0] != parts[0][0] for p in parts):
+            return None
+        sets = [ivs for _, ivs in parts]
+        return parts[0][0], (functools.reduce(intersect, sets) if isinstance(f, FAnd)
+                             else _normal(itertools.chain(*sets)))
+    if not isinstance(f, (FEq, FLt, FLe)):
         return None
-    const_left = isinstance(atom.lhs, TConst)
-    c, t = (atom.lhs, atom.rhs) if const_left else (atom.rhs, atom.lhs)
+    const_left = isinstance(f.lhs, TConst)
+    c, t = (f.lhs, f.rhs) if const_left else (f.rhs, f.lhs)
     if not isinstance(c, TConst) or (linear := _linear(t)) is None:
         return None
     x, s, k = linear
     w = t.width
-    top = 1 << (w - 1) if getattr(atom, "signed", False) else 0
+    top = 1 << (w - 1) if getattr(f, "signed", False) else 0
     # u = s*x + k; in signed orders compare u ^ top unsigned, which orders like signed u
-    cv, strict = c.value ^ top, isinstance(atom, FLt)
-    if isinstance(atom, FEq):
+    cv, strict = c.value ^ top, isinstance(f, FLt)
+    if isinstance(f, FEq):
         lo, hi = cv, cv
     elif const_left:
         lo, hi = cv + strict, mask(w)
@@ -101,7 +125,7 @@ def read(f: Formula) -> tuple[BvVar, Intervals] | None:
     xs = _shift(u, -k, w)
     if s < 0:  # -v == ~v + 1, and ~v reflects [lo, hi] without wrapping
         xs = _shift([(mask(w) - hi, mask(w) - lo) for lo, hi in xs], 1, w)
-    return x, complement(xs, w) if negated else xs
+    return x, xs
 
 
 def _atoms(conds: Iterable[Formula]):
@@ -112,16 +136,99 @@ def _atoms(conds: Iterable[Formula]):
             yield f
 
 
-def box(conds: Iterable[Formula]) -> dict[BvVar, Intervals]:
-    """Each input a read atom of ``conds`` constrains, to the intersection of their sets."""
-    out: dict[BvVar, Intervals] = {}
+def narrow(b: Box, conds: Iterable[Formula], reads=read) -> Box:
+    """``b`` with each input a read condition of ``conds`` constrains intersected with its
+    set; ``reads`` is ``read`` or a memo of it."""
+    out = dict(b)
     for f in _atoms(conds):
-        if (found := read(f)) is not None:
+        if (found := reads(f)) is not None:
             x, ivs = found
             out[x] = intersect(out[x], ivs) if x in out else ivs
     return out
 
 
-def box_empty(conds: Iterable[Formula]) -> bool:
-    """True only if no input satisfies ``conds``: some input's box set is empty."""
-    return any(not ivs for ivs in box(conds).values())
+def box(conds: Iterable[Formula]) -> Box:
+    """Each input a read condition of ``conds`` constrains, to the intersection of their sets."""
+    return narrow({}, conds)
+
+
+def is_empty(b: Box) -> bool:
+    """True only if no input satisfies the conditions ``b`` was read from."""
+    return any(not ivs for ivs in b.values())
+
+
+# --- path pairs ---
+
+
+def pair_box(conds1: Iterable[Formula], conds2: Iterable[Formula]) -> Box | None:
+    """The exact box where two paths' conditions all hold; None if any of them is opaque."""
+    conds = [*_atoms(conds1), *_atoms(conds2)]
+    return None if any(read(f) is None for f in conds) else box(conds)
+
+
+def _value(t: Term) -> tuple[BvVar | None, int, int] | None:
+    """``(x, s, k)`` with ``t == s*x + k`` and ``k`` reduced, ``(None, 0, c)`` for a constant."""
+    if isinstance(t, TConst):
+        return None, 0, t.value
+    linear = _linear(t)
+    return linear and (linear[0], linear[1], linear[2] % (1 << t.width))
+
+
+def decided(b: Box, t1: Term, t2: Term) -> str | None:
+    """"eq" if ``t1`` and ``t2`` agree everywhere in box ``b``, "neq" if they differ
+    everywhere in it (as two different constants, as ``s*x + k`` against ``s*x + k'``,
+    or as ``±x + k`` against a constant it equals only outside ``b``), else None."""
+    if t1 == t2:
+        return "eq"
+    v1, v2 = _value(t1), _value(t2)
+    if v1 is None or v2 is None:
+        return None
+    if v1 == v2:
+        return "eq"
+    if v1[0] == v2[0]:
+        return "neq" if v1[1] == v2[1] else None
+    (x, s, k), (c_var, _, c) = (v1, v2) if v2[0] is None else (v2, v1)
+    if c_var is not None:
+        return None  # two different inputs
+    root = s * (c - k) % (1 << t1.width)  # the one x with s*x + k == c
+    return None if any(lo <= root <= hi for lo, hi in b.get(x, _full(x))) else "neq"
+
+
+def _full(x: BvVar) -> Intervals:
+    return [(0, mask(x.sort.width))]
+
+
+def _ranges(ivs: Intervals, x: BvVar) -> Intervals:
+    """The set as increasing ranges of values in ``x``'s own reading."""
+    if not x.sort.signed:
+        return ivs
+    w = x.sort.width
+    top = 1 << (w - 1)
+    negative, positive = intersect(ivs, [(top, mask(w))]), intersect(ivs, [(0, top - 1)])
+    return _normal([(lo - (1 << w), hi - (1 << w)) for lo, hi in negative] + positive)
+
+
+def volume(b: Box, inputs: Sequence[BvVar]) -> int:
+    """The number of input points in ``b``."""
+    return math.prod(sum(hi - lo + 1 for lo, hi in b.get(x, _full(x))) for x in inputs)
+
+
+def points(b: Box, inputs: Sequence[BvVar], cap: int) -> list[tuple[int, ...]]:
+    """The first ``cap`` points of ``b`` in increasing order, each value in its sort's reading.
+
+    In that order the first ``cap`` points use at most ``cap`` values of each input."""
+    axes = []
+    for x in inputs:
+        values = (v for lo, hi in _ranges(b.get(x, _full(x)), x) for v in range(lo, hi + 1))
+        axes.append(list(itertools.islice(values, cap)))
+    return list(itertools.islice(itertools.product(*axes), cap))
+
+
+def box_formula(b: Box, inputs: Sequence[BvVar]) -> Formula:
+    """``b`` as a formula over ``inputs``: for each constrained input, a disjunction of its
+    ranges, a one-value range as ``x == v``."""
+    return fand(
+        for_(point_formula([x], [lo]) if lo == hi else var_range_constraint(x, lo, hi)
+             for lo, hi in _ranges(b[x], x))
+        for x in inputs if x in b and b[x] != _full(x)
+    )

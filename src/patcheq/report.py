@@ -14,14 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .classifier import Verdict, eq_check
-from .enumcount import EnumCase, enumerate_models
-from .formula import FALSE, TRUE, Formula, FNot, for_, point_formula, pretty, serialize_formula
+from .enumcount import MODEL_LIST_CAP, EnumCase, enumerate_models
+from .formula import FALSE, TRUE, Formula, FNot, pretty, serialize_formula
 from .minilang import parse, typecheck
 from .oracle import Budget, SolverConfig
 from .rangesearch import RangeSearch
 from .summarizer import DEFAULT_UNROLL_LIMIT, Summary, summarize, require_same_signature
-
-MODEL_LIST_CAP = 64
 
 RANGE_METHODS = ("relational", "iterative", "priority", "combined")
 ALL_METHODS = RANGE_METHODS + ("enumerate",)
@@ -62,10 +60,12 @@ class ImpactReport:
     solver_calls: int
     elapsed_ms: int
     incomplete: bool
-    stats: dict  # phase_ms and path counts; timing, so --stable drops it
+    stats: dict  # phase_ms, path counts, enumeration work; --stable drops it
     enum_case: EnumCase | None = None
-    eq_models: list[tuple[int, ...]] | None = None
+    eq_models: list[tuple[int, ...]] | None = None  # listed points, not all of them
     neq_models: list[tuple[int, ...]] | None = None
+    eq_model_count: int = 0  # inputs each enumeration side blocked
+    neq_model_count: int = 0
     per_var_source: list[str] | None = None
     input_names: list[str] = field(default_factory=list)
     error: str | None = None
@@ -113,8 +113,8 @@ class ImpactReport:
             out["case"] = self.enum_case.name.lower()
             out["eq_models"] = [list(m) for m in (self.eq_models or [])[:MODEL_LIST_CAP]]
             out["neq_models"] = [list(m) for m in (self.neq_models or [])[:MODEL_LIST_CAP]]
-            out["eq_model_count"] = len(self.eq_models or [])
-            out["neq_model_count"] = len(self.neq_models or [])
+            out["eq_model_count"] = self.eq_model_count
+            out["neq_model_count"] = self.neq_model_count
         if self.per_var_source is not None:
             out["per_var_source"] = dict(zip(self.input_names, self.per_var_source))
         if self.error is not None:
@@ -195,7 +195,7 @@ def analyze_pair(
     phase_ms = {phase: round((end - begin) * 1000, 3) for phase, begin, end
                 in zip(("load", "summarize", "classify", "quantify"), clock, clock[1:])}
 
-    def finish(quantify_calls: int = 0, **kw) -> ImpactReport:
+    def finish(quantify_calls: int = 0, stats: dict | None = None, **kw) -> ImpactReport:
         return ImpactReport(
             name=name,
             original=str(original_path),
@@ -207,7 +207,7 @@ def analyze_pair(
             solver_calls=verdict.solver_calls + quantify_calls,
             elapsed_ms=int((time.monotonic() - start) * 1000),
             input_names=[v.name for v in s1.inputs],
-            stats={"phase_ms": phase_ms, "paths": [s1.path_count, s2.path_count]},
+            stats={"phase_ms": phase_ms, "paths": [s1.path_count, s2.path_count], **(stats or {})},
             **kw,
         )
 
@@ -223,14 +223,16 @@ def analyze_pair(
 
     if method == "enumerate":
         if enum.case is EnumCase.CASE2:
-            condition = FNot(_models_condition(s1, enum.neq_inputs))
+            condition = FNot(enum.neq.condition)
         else:
-            condition = _models_condition(s1, enum.eq_inputs)
+            condition = enum.eq.condition
         return finish(
             quantify_calls=enum.solver_calls, eq_lower_bound=enum.eq_count_lower_bound,
             exact=enum.exact_eq_count is not None, condition=condition,
-            incomplete=enum.case is EnumCase.CASE3,
-            enum_case=enum.case, eq_models=enum.eq_inputs, neq_models=enum.neq_inputs,
+            incomplete=enum.case is EnumCase.CASE3, enum_case=enum.case,
+            eq_models=enum.eq_inputs, neq_models=enum.neq_inputs,
+            eq_model_count=enum.eq.count, neq_model_count=enum.neq.count,
+            stats={"enum": {"eq": enum.eq.stats(), "neq": enum.neq.stats()}},
         )
 
     return finish(
@@ -238,10 +240,6 @@ def analyze_pair(
         condition=quant.condition, incomplete=quant.incomplete,
         per_var_source=quant.per_var_source,
     )
-
-
-def _models_condition(summary: Summary, models: list[tuple[int, ...]]) -> Formula:
-    return for_(point_formula(summary.inputs, point) for point in models)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +346,7 @@ def check_expectations(case: CorpusCase, report: ImpactReport,
         if got != exp["expect_case"]:
             failures.append(f"enumeration case {got}, expected {exp['expect_case']}")
     if "expect_neq_count" in exp:
-        got = len(report.neq_models or [])
+        got = report.neq_model_count
         if got != int(exp["expect_neq_count"]):
             failures.append(f"neq model count {got}, expected {exp['expect_neq_count']}")
     if "expect_exact_eq_count" in exp:

@@ -6,19 +6,21 @@ conditions) and (output = return term).  Local variables are eliminated by
 substitution during execution, so the summary's free variables are exactly
 the inputs plus the single output.  A call runs the callee's body once per
 distinct argument terms, and each callee path becomes one variant of the
-call expression.  A path is dropped once its conditions have an empty box
-(``regions.box_empty``), so a summary keeps only box-feasible paths; opaque
-conditions never prune.  Loops are unrolled up to a hard limit; a loop whose
-next iteration is still box-feasible at the limit is an error, never a
-truncation.  A budget stops a long exploration with an error.
+call expression.  Each path carries its box (``regions``), narrowed by each
+condition it gains, and is dropped once the box is empty, so a summary keeps
+only box-feasible paths; opaque conditions never prune.  Loops are unrolled
+up to a hard limit; a loop whose next iteration is still box-feasible at the
+limit is an error, never a truncation.  A budget stops a long exploration
+with an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
-from . import bvarith, minilang
+from . import bvarith, minilang, regions
 from .formula import (
     BvVar, Formula, Term, TConst, FAnd, FNot, FOr, FTrue, FFalse, TRUE, FALSE,
     compile_paths, eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract,
@@ -28,7 +30,6 @@ from .minilang import (
     Assign, Binary, Call, Cast, Expr, If, IntSort, Let, Lit, Return, Stmt,
     TypedFunction, Unary, Var, While,
 )
-from .regions import box_empty
 
 DEFAULT_UNROLL_LIMIT = 64
 BUDGET_STRIDE = 256  # path steps between two reads of the budget's clock
@@ -198,26 +199,37 @@ def _fell_off(env, path):
     raise SummarizeError("fell off the end of a block without returning")
 
 
+class _Path(NamedTuple):
+    """A path being explored: its conditions so far, and their box."""
+
+    conds: list[Formula]
+    box: regions.Box
+
+
 class _PathExploder:
     def __init__(self, unroll_limit: int, budget=None):
         self.unroll_limit = unroll_limit
         self.budget = budget
-        self.steps = 0  # keeps() calls, for the budget's stride
+        self.steps = 0  # extend() calls, for the budget's stride
         self.calls: dict[tuple, list] = {}  # (callee id, argument terms) -> its paths
+        self.read = cache(regions.read)  # each condition is read once per summary
 
-    def keeps(self, path: list[Formula], added: list[Formula]) -> bool:
-        """Whether ``path`` may still be feasible once it gains ``added``.  The budget is
+    def extend(self, path: _Path, added: list[Formula]) -> _Path | None:
+        """``path`` once it gains ``added``, or None if its box is then empty.  The budget is
         read every ``BUDGET_STRIDE`` calls, so a small summary never fails on the clock."""
         self.steps += 1
         if self.budget is not None and self.steps % BUDGET_STRIDE == 0 and self.budget.expired:
             raise SummarizeError(f"budget ran out after {self.steps} steps")
-        return not added or not box_empty(path + added)
+        if not added:
+            return path
+        box = regions.narrow(path.box, added, self.read)
+        return None if regions.is_empty(box) else _Path(path.conds + added, box)
 
     def run(self, fn: TypedFunction, args: tuple[Term, ...]) -> list[tuple[list[Formula], Term]]:
         """Every path of ``fn``'s body on argument terms ``args``: (conditions, return term)."""
         out = []
         params = {name: t for (name, _), t in zip(fn.params, args)}
-        self.exec_straight(fn.body, params, [], out, _fell_off)
+        self.exec_straight(fn.body, params, _Path([], {}), out, _fell_off)
         return out
 
     def translate_expr(self, e: Expr, env: dict[str, Term]) -> list[tuple[list[Formula], Term]]:
@@ -288,19 +300,20 @@ class _PathExploder:
         head, rest = stmts[0], stmts[1:]
         if isinstance(head, (Let, Assign)):
             for conds, t in self.translate_expr(head.value, env):
-                if self.keeps(path, conds):
-                    self.exec_straight(rest, {**env, head.name: t}, path + conds, out, k)
+                if (next_path := self.extend(path, conds)) is not None:
+                    self.exec_straight(rest, {**env, head.name: t}, next_path, out, k)
             return
         if isinstance(head, Return):
-            out += [(path + conds, t) for conds, t in self.translate_expr(head.value, env)
-                    if self.keeps(path, conds)]
+            for conds, t in self.translate_expr(head.value, env):
+                if (next_path := self.extend(path, conds)) is not None:
+                    out.append((next_path.conds, t))
             return
         if isinstance(head, If):
             for conds, phi in self.translate_cond(head.cond, env):
                 for taken, extra in _branches(phi):
-                    if self.keeps(path, conds + extra):
+                    if (next_path := self.extend(path, conds + extra)) is not None:
                         block = head.then if taken else head.other or ()
-                        self.exec_straight(block + rest, dict(env), path + conds + extra, out, k)
+                        self.exec_straight(block + rest, dict(env), next_path, out, k)
             return
         if isinstance(head, While):
             def after_loop(env2, path2):
@@ -313,10 +326,10 @@ class _PathExploder:
     def run_loop_nested(self, loop: While, iteration: int, env, path, out, k):
         for conds, phi in self.translate_cond(loop.cond, env):
             for entered, extra in reversed(_branches(phi)):  # the exit path first
-                if not self.keeps(path, conds + extra):
+                if (next_path := self.extend(path, conds + extra)) is None:
                     continue
                 if not entered:
-                    k(dict(env), path + conds + extra)
+                    k(dict(env), next_path)
                     continue
                 if iteration >= self.unroll_limit:
                     raise UnrollLimitExceeded(self.unroll_limit)
@@ -324,7 +337,7 @@ class _PathExploder:
                 def continue_loop(env2, path2):
                     self.run_loop_nested(loop, iteration + 1, env2, path2, out, k)
 
-                self.exec_straight(loop.body, dict(env), path + conds + extra, out, continue_loop)
+                self.exec_straight(loop.body, dict(env), next_path, out, continue_loop)
 
 
 def _fresh_output_name(fn: TypedFunction) -> str:

@@ -86,6 +86,24 @@ def test_impact_json_reports_phase_times_and_path_counts(capsys, corpus_dir):
     assert set(stats["phase_ms"]) == {"load", "summarize", "classify", "quantify"}
     assert all(ms >= 0 for ms in stats["phase_ms"].values())
     assert stats["paths"] == [4, 4]
+    assert "enum" not in stats  # only enumeration reports its work
+
+
+def test_impact_json_reports_enumeration_work(capsys, corpus_dir):
+    case = corpus_dir / "cve_2010_4165_tcp_window"
+    argv = ["impact", str(case / "original.fn"), str(case / "patched.fn"),
+            "--algorithm", "enumerate", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    data = json.loads(out)
+    # one box on each side per path pair, and the last divergent query answers unsat
+    assert data["stats"]["enum"] == {"eq": {"queries": 2, "boxes": 2, "points": 0},
+                                     "neq": {"queries": 2, "boxes": 1, "points": 0}}
+    assert data["solver_calls"] == 2 + 4
+    assert data["eq_model_count"] == 2**32 - 56 and data["neq_model_count"] == 56
+    assert data["neq_models"] == [[v] for v in range(8, 64)]
+    code, out, _ = run_cli(argv + ["--stable"], capsys)
+    assert "stats" not in json.loads(out)
 
 
 def test_stable_reports_are_byte_identical(capsys, corpus_dir):
@@ -318,6 +336,26 @@ def test_the_budget_stops_a_long_summary(tmp_path, command):
     assert proc.stderr.startswith("error: summarize: budget ran out")
 
 
+def test_the_budget_and_query_timeout_bound_sending_summaries(tmp_path):
+    # 13 opaque guards summarize within the budget to 8,192 paths a version, whose
+    # SMT-LIB takes the solver longer than a query timeout to read; the parent took 9 s
+    guards = "".join(f"    if (x * y > {1000 * i}) {{ acc = acc + {i + 1}; }}\n" for i in range(13))
+    source = tmp_path / "opaque.fn"
+    source.write_text(f"fn f(x: i32, y: i32) -> i32 {{\n    let acc: i32 = 0;\n{guards}"
+                      "    return acc;\n}\n")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "patcheq.cli", "impact", str(source), str(source),
+         "--budget-ms", "2000", "--query-timeout-ms", "1000", "--solver-cmd", SOLVER],
+        capture_output=True, text=True, timeout=30,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert time.monotonic() - start < 5.0
+    assert proc.returncode == 1
+    assert "verdict:     unknown" in proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize("command", ["summarize", "check"])
 def test_unroll_limit_below_one_exits_2(corpus_dir, capsys, command):
     files = [str(corpus_dir / "eqbench_ltfive/original.fn")] * (1 if command == "summarize" else 2)
@@ -374,3 +412,5 @@ def test_text_impact_shows_diverging_count(capsys, corpus_dir):
     assert code == 0
     # 56 of 2^32 rounds to 0.00%; the count says the patch does change something
     assert "impact:      = 0.00% (56 of 4294967296 inputs)" in out.splitlines()
+    # the inputs each side counted, not the points it lists
+    assert "enum case:   case2 (eq inputs 4294967240, neq inputs 56)" in out.splitlines()

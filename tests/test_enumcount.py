@@ -1,5 +1,7 @@
 """Enumerative counting cases and the exhaustive oracle itself."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from patcheq.enumcount import (
     BruteForceResult, DomainTooLarge, EnumCase, brute_force_eq_count,
     enumerate_models,
 )
+from patcheq.formula import FALSE, TRUE, compile_paths, tconst
 from patcheq.oracle import Budget, SolverConfig, SolverSession
 from patcheq.randgen import random_pair
 from patcheq.rangesearch import RangeSearch
@@ -70,6 +73,57 @@ def test_enumeration_counts_match_oracle_width8(cfg):
         assert result.solver_calls <= 2 * (min(truth.eq_count, truth.neq_count) + 2) + 2
 
 
+@pytest.mark.parametrize("patched, boxes", [
+    ("if (x < 10) { return 50; } return x;", 1),  # x == 50 lies outside [0, 9]
+    ("if (x < 10) { return 5; } return x;", 0),  # x == 5 agrees inside [0, 9]
+])
+def test_a_divergent_box_is_blocked_whole_only_if_no_input_in_it_agrees(cfg, patched, boxes):
+    f1, f2 = fn("fn f(x: u8) -> u8 { return x; }"), fn(f"fn f(x: u8) -> u8 {{ {patched} }}")
+    result = enumerate_models(summarize(f1), summarize(f2), cfg)
+    assert result.exact_eq_count == brute_force_eq_count(f1, f2).eq_count
+    assert result.neq.boxes == boxes
+
+
+def count_models(condition, inputs) -> int:
+    """Models of ``condition`` over every input point, by compiled evaluation."""
+    if condition in (TRUE, FALSE):
+        return math.prod(v.sort.domain_size for v in inputs) if condition == TRUE else 0
+    holds = compile_paths([([condition], tconst(0, 8))])
+    names = [v.name for v in inputs]
+    return sum(bool(holds(dict(zip(names, point))))
+               for point in itertools.product(*(range(v.sort.domain_size) for v in inputs)))
+
+
+@pytest.mark.parametrize("n_params, pairs", [(1, 10), (2, 2)])
+def test_box_blocking_counts_lists_and_renders_exactly_width8(cfg, n_params, pairs):
+    rng = random.Random(1800 + n_params)
+    done = 0
+    while done < pairs:
+        f1, f2 = random_pair(rng, n_params=n_params)
+        s1, s2 = summarize(f1), summarize(f2)
+        if n_params == 2:  # a quick pass over the compiled summaries picks pairs to brute force
+            envs = [{"x": x, "y": y} for x in range(256) for y in range(256)]
+            diverging = sum(s1.outputs(env) != s2.outputs(env) for env in envs)
+            if not 0 < min(diverging, len(envs) - diverging) <= 150:
+                continue
+        truth = brute_force_eq_count(f1, f2)
+        if not 0 < min(truth.eq_count, truth.neq_count) <= 150:
+            continue  # keep point blocking short; correctness is unaffected
+        done += 1
+        result = enumerate_models(s1, s2, cfg)
+        assert result.case in (EnumCase.CASE1, EnumCase.CASE2)
+        assert result.exact_eq_count == truth.eq_count
+        exhausted, count = ((result.eq, truth.eq_count) if result.case is EnumCase.CASE1
+                            else (result.neq, truth.neq_count))
+        assert exhausted.count == count
+        for side, agree in ((result.eq, True), (result.neq, False)):
+            assert side.queries == side.boxes + side.points + (side is exhausted)
+            assert len(set(side.inputs)) == len(side.inputs) and side.inputs == sorted(side.inputs)
+            for point in side.inputs:
+                assert (eval_concrete(f1, point) == eval_concrete(f2, point)) is agree
+            assert count_models(side.condition, s1.inputs) == side.count
+
+
 def test_budget_expiry_downgrades_to_case3(cfg):
     s1 = summarize(fn("fn f(x: i32) -> i32 { return x; }"))
     s2 = summarize(fn("fn f(x: i32) -> i32 { if (x == 7) { return 0; } return x; }"))
@@ -84,14 +138,14 @@ def test_budget_expiry_downgrades_to_case3(cfg):
 def test_solver_death_while_blocking_downgrades_to_case3(cfg, monkeypatch):
     s1 = summarize(corpus_fn("cve_2010_4165_tcp_window", "original.fn"))
     s2 = summarize(corpus_fn("cve_2010_4165_tcp_window", "patched.fn"))
-    real_block = SolverSession.block_model
+    real_block = SolverSession.block
 
-    def die_then_block(session, variables, model):
+    def die_then_block(session, region):
         session.proc.kill()
         session.proc.wait(timeout=10)
-        return real_block(session, variables, model)
+        return real_block(session, region)
 
-    monkeypatch.setattr(SolverSession, "block_model", die_then_block)
+    monkeypatch.setattr(SolverSession, "block", die_then_block)
     result = enumerate_models(s1, s2, cfg)
     assert result.case is EnumCase.CASE3
     assert result.exact_eq_count is None

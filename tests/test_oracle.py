@@ -3,18 +3,17 @@
 import marshal
 import os
 import sys
-from types import SimpleNamespace
 
 import pytest
 
-from patcheq import oracle
+from patcheq import bvarith, oracle
 from patcheq.classifier import Verdict, eq_check
 from patcheq.formula import (
-    BvVar, FIff, FNot, fand, feq, flt, serialize_formula, tbin, tconst, tvar,
+    BvVar, FIff, FNot, fand, feq, flt, point_formula, serialize_formula, tbin, tconst, tvar,
 )
 from patcheq.minilang import SORTS
 from patcheq.oracle import Budget, SolverConfig, SolverConfigError, SolverSession
-from patcheq.report import _models_condition
+from patcheq.regions import box_formula
 from patcheq.summarizer import eval_concrete, summarize
 
 from conftest import corpus_fn
@@ -24,6 +23,10 @@ def check(cfg, decls, f) -> str:
     with SolverSession(cfg, tuple(decls)) as session:
         session.assert_formula(f)
         return session.check_sat()
+
+
+def block_model(session, variables, model):
+    session.block(point_formula(variables, [model[v.name] for v in variables]))
 
 
 def test_empty_unsigned_range_is_unsat(cfg):
@@ -68,7 +71,7 @@ def test_block_single_divergence_then_unsat(cfg):
         assert session.check_sat() == "sat"
         model = session.get_values(list(s1.inputs))
         assert model == {"count": 0}
-        session.block_model(list(s1.inputs), model)
+        block_model(session, list(s1.inputs), model)
         assert session.check_sat() == "unsat"
 
 
@@ -80,11 +83,12 @@ def test_block_single_divergence_then_unsat(cfg):
 def test_blocking_clause_is_the_negated_report_condition(cfg, monkeypatch, sorts, point, sent):
     variables = [BvVar(f"x{i}", SORTS[name], "input") for i, name in enumerate(sorts)]
     texts = []
+    condition = box_formula({v: [(bvarith.to_unsigned(value, v.sort.width),) * 2]
+                             for v, value in zip(variables, point)}, variables)
     with SolverSession(cfg, tuple(variables)) as session:
         monkeypatch.setattr(session, "_send", texts.append)
-        session.block_model(variables, {v.name: value for v, value in zip(variables, point)})
+        session.block(condition)
         monkeypatch.undo()
-    condition = _models_condition(SimpleNamespace(inputs=variables), [point])
     assert texts == [sent]  # the bytes the solver gets
     assert sent == f"(assert {serialize_formula(FNot(condition))})"
 
@@ -93,7 +97,7 @@ def test_block_all_width8_inputs(cfg):
     x = BvVar("x", SORTS["u8"], "input")
     with SolverSession(cfg, (x,)) as session:
         for value in range(256):
-            session.block_model([x], {"x": value})
+            block_model(session, [x], {"x": value})
         assert session.check_sat() == "unsat"
 
 
@@ -107,7 +111,7 @@ def test_block_56_divergent_inputs_tcp_window(cfg):
             assert session.check_sat() == "sat"
             model = session.get_values(list(s1.inputs))
             drawn.append(model["val"])
-            session.block_model(list(s1.inputs), model)
+            block_model(session, list(s1.inputs), model)
         assert session.check_sat() == "unsat"
     assert sorted(drawn) == list(range(8, 64))
 
@@ -115,7 +119,6 @@ def test_block_56_divergent_inputs_tcp_window(cfg):
 def test_models_revalidate_concretely(cfg):
     # every model drawn during enumeration satisfies the formula concretely
     from patcheq.formula import eval_formula
-    from patcheq import bvarith
 
     s1 = summarize(corpus_fn("cve_2010_4165_tcp_window", "original.fn"))
     s2 = summarize(corpus_fn("cve_2010_4165_tcp_window", "patched.fn"))
@@ -128,7 +131,7 @@ def test_models_revalidate_concretely(cfg):
             widths = {v.name: v.sort.width for v in s1.decls}
             env = {name: bvarith.to_unsigned(value, widths[name]) for name, value in model.items()}
             assert eval_formula(query, env)
-            session.block_model(list(s1.inputs), model)
+            block_model(session, list(s1.inputs), model)
 
 
 def test_missing_solver_executable(cfg):

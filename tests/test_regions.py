@@ -1,15 +1,18 @@
-"""Boxes read off path conditions, checked exhaustively at width 8 against eval_formula."""
+"""Boxes read off path conditions, and path-pair boxes, checked exhaustively at width 8."""
 
 import itertools
 import random
 
 import pytest
 
+from patcheq.bvarith import to_signed
 from patcheq.formula import (
-    BvVar, FAnd, FNot, eval_formula, feq, fle, flt, for_, tbin, tconst, tneg, tvar,
+    BvVar, FAnd, FNot, FOr, eval_formula, feq, fle, flt, for_, tbin, tconst, tneg, tvar,
 )
 from patcheq.minilang import SORTS
-from patcheq.regions import box, box_empty, complement, intersect, read
+from patcheq.regions import (
+    box, box_formula, complement, decided, intersect, is_empty, pair_box, points, read, volume,
+)
 
 X = BvVar("x", SORTS["u8"], "input")
 Y = BvVar("y", SORTS["i8"], "input")
@@ -44,15 +47,19 @@ def holds(f, var=X):
     return {v for v in range(256) if eval_formula(f, {var.name: v})}
 
 
+def assert_normal(intervals):
+    assert intervals == sorted(intervals)
+    assert all(lo <= hi < next_lo - 1 for (lo, hi), (next_lo, _) in
+               zip(intervals, intervals[1:] + [(257, 0)])), intervals
+
+
 def test_every_atom_form_reads_as_exactly_the_values_it_holds_on():
     forms = 0
     for atom in atom_forms(X):
         for f in (atom, FNot(atom)):
             var, intervals = read(f)
             assert var == X
-            assert intervals == sorted(intervals)
-            assert all(lo <= hi < next_lo - 1 for (lo, hi), (next_lo, _) in
-                       zip(intervals, intervals[1:] + [(257, 0)])), intervals
+            assert_normal(intervals)
             assert members(intervals) == holds(f), f
             forms += 1
     assert forms == 38 * 9 * 2 * 5 * 2
@@ -73,7 +80,39 @@ def test_a_box_is_the_exact_conjunction_of_its_read_atoms():
             want = {v for v in range(256) if all(eval_formula(f, {var.name: v}) for f in mine)}
             assert members(got[var]) == want if mine else var not in got
             empty |= not want
-        assert box_empty(conds) == empty
+        assert is_empty(box(conds)) == empty
+
+
+def compound_forms(var, rng, n):
+    """Negations, conjunctions and disjunctions, nested, of random atoms over ``var``."""
+    forms = list(atom_forms(var))
+    for _ in range(n):
+        f = rng.choice(forms)
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice((FAnd, FOr, FNot))
+            if kind is FNot:
+                f = FNot(f)
+            else:
+                items = [f] + [rng.choice(forms) for _ in range(rng.randint(1, 2))]
+                rng.shuffle(items)
+                f = kind(tuple(items))
+        yield f
+
+
+@pytest.mark.parametrize("var", [X, Y])
+def test_compound_one_input_reads_are_exact(var):
+    x = tvar(var)
+    fixed = [
+        for_([feq(x, tconst(1, 8)), feq(x, tconst(2, 8))]),
+        FNot(FAnd((feq(x, tconst(1, 8)), feq(x, tconst(1, 8))))),
+        # tcp_window's guard at width 8
+        for_([flt(True, x, tconst(8, 8)), flt(True, tconst(100, 8), x)]),
+    ]
+    for f in fixed + list(compound_forms(var, random.Random(11), 400)):
+        found, intervals = read(f)
+        assert found == var
+        assert_normal(intervals)
+        assert members(intervals) == holds(f, var), f
 
 
 @pytest.mark.parametrize("f", [
@@ -81,13 +120,12 @@ def test_a_box_is_the_exact_conjunction_of_its_read_atoms():
     feq(tvar(X), tvar(X)),
     flt(True, tbin("add", tvar(X), tvar(Y)), tconst(3, 8)),
     flt(False, tbin("and", tvar(X), tconst(7, 8)), tconst(9, 8)),
-    for_([feq(tvar(X), tconst(1, 8)), feq(tvar(X), tconst(2, 8))]),
-    FNot(FAnd((feq(tvar(X), tconst(1, 8)), feq(tvar(X), tconst(1, 8))))),
+    for_([feq(tvar(X), tconst(1, 8)), feq(tvar(Y), tconst(2, 8))]),  # || over two inputs
 ])
 def test_opaque_atoms_never_prune(f):
     assert read(f) is None
-    assert not box_empty([f, FNot(f)])
-    assert box_empty([f, feq(tvar(X), tconst(3, 8)), feq(tvar(X), tconst(4, 8))])
+    assert not is_empty(box([f, FNot(f)]))
+    assert is_empty(box([f, feq(tvar(X), tconst(3, 8)), feq(tvar(X), tconst(4, 8))]))
 
 
 def test_intersect_and_complement():
@@ -99,3 +137,74 @@ def test_intersect_and_complement():
     assert complement([], 8) == [(0, 255)]
     assert complement([(0, 255)], 8) == []
     assert members(complement(b, 8)) == set(range(256)) - members(b)
+
+
+def in_sort(var, value):
+    return to_signed(value, 8) if var.sort.signed else value
+
+
+def random_boxes(rng, n, variables=(X, Y)):
+    """Non-empty boxes over one input each, from random atoms and their negations."""
+    forms = {var: list(atom_forms(var)) for var in variables}
+    while n:
+        var = rng.choice(variables)
+        conds = [rng.choice(forms[var]) for _ in range(rng.randint(1, 3))]
+        b = box([FNot(f) if rng.random() < 0.4 else f for f in conds])
+        if all(b.values()):
+            n -= 1
+            yield b
+
+
+def test_box_volume_points_and_formula_are_exact_over_one_input():
+    for b in random_boxes(random.Random(3), 150):
+        (var, intervals), = b.items()
+        values = sorted(in_sort(var, v) for v in members(intervals))
+        assert volume(b, [var]) == len(values)
+        assert volume(b, [X, Y]) == len(values) * 256  # the other input is free
+        for cap in (1, 5, 300):
+            assert points(b, [var], cap) == [(v,) for v in values[:cap]]
+        assert holds(box_formula(b, [var]), var) == members(intervals)
+
+
+def test_box_points_and_formula_over_two_inputs():
+    rng = random.Random(4)
+    for _ in range(4):
+        b = next(random_boxes(rng, 1, (X,)))
+        b.update(next(random_boxes(rng, 1, (Y,))))
+        inside = {(x, y) for x in members(b[X]) for y in members(b[Y])}
+        assert volume(b, [X, Y]) == len(inside)
+        listed = sorted((in_sort(X, x), in_sort(Y, y)) for x, y in inside)
+        assert points(b, [X, Y], 64) == listed[:64]
+        f = box_formula(b, [X, Y])
+        assert {(x, y) for x in range(256) for y in range(256)
+                if eval_formula(f, {"x": x, "y": y})} == inside
+
+
+def test_pair_box_is_none_when_any_condition_is_opaque():
+    lin = flt(False, tvar(X), tconst(9, 8))
+    opaque = flt(False, tbin("mul", tvar(X), tvar(Y)), tconst(9, 8))
+    assert pair_box([lin], [FAnd((lin, feq(tvar(Y), tconst(2, 8))))]) == box(
+        [lin, feq(tvar(Y), tconst(2, 8))])
+    assert pair_box([lin], [opaque]) is None
+    assert pair_box([FAnd((lin, opaque))], []) is None
+
+
+def test_decided_pairs_agree_or_differ_everywhere_in_their_box():
+    rng = random.Random(8)
+    terms = list(linear_terms(X)) + [tconst(k, 8) for k in VALUES]
+    verdicts = {"eq": 0, "neq": 0, None: 0}
+    for b in random_boxes(rng, 300, (X,)):
+        t1, t2 = rng.choice(terms), rng.choice(terms)
+        if rng.random() < 0.1:
+            t2 = t1
+        verdict = decided(b, t1, t2)
+        verdicts[verdict] += 1
+        same = {eval_formula(feq(t1, t2), {"x": v}) for v in members(b[X])}
+        if verdict == "eq":
+            assert same == {True}, (b, t1, t2)
+        elif verdict == "neq":
+            assert same == {False}, (b, t1, t2)
+    assert min(verdicts.values()) > 10, verdicts
+    # a term over one input against a constant decides nothing over another input's box
+    assert decided({Y: [(0, 3)]}, tvar(X), tconst(200, 8)) is None
+    assert decided({}, tvar(X), tvar(Y)) is None

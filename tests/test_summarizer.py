@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patcheq import bvarith, summarizer
+from patcheq import bvarith, regions, summarizer
 from patcheq.formula import FAnd, FEq, FOr, eval_formula, eval_term
 from patcheq.oracle import Budget
 from patcheq.randgen import random_function, random_pair
@@ -312,6 +312,19 @@ def test_one_input_guard_chains_keep_one_path_per_interval(guard):
     for x in points + [1000 * i + d for i in range(-20, 33) for d in (-1, 0, 1)]:
         env = {"x": bvarith.to_unsigned(x, 32)}
         assert summary.outputs(env) == {bvarith.to_unsigned(eval_concrete(f, [x]), 32)}
+
+
+def test_each_condition_is_read_once_per_summary(monkeypatch):
+    # a step reads only the conditions it adds; the parent re-read whole paths
+    read, seen = regions.read, []
+
+    def counting(f):
+        seen.append(f)
+        return read(f)
+
+    monkeypatch.setattr(regions, "read", counting)
+    assert summarize(chain(32, lambda i: f"x > {1000 * i}")).path_count == 33
+    assert len(seen) == len(set(seen)) > 32
 
 
 def test_opaque_guards_keep_every_path():
