@@ -138,14 +138,6 @@ PYTHON = {
 }
 
 
-def ult(a: int, b: int) -> bool:
-    return a < b
-
-
-def ule(a: int, b: int) -> bool:
-    return a <= b
-
-
 def slt(a: int, b: int, width: int) -> bool:
     return to_signed(a, width) < to_signed(b, width)
 

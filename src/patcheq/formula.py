@@ -7,6 +7,7 @@ the ground-truth semantics used by tests and by model validation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -464,18 +465,21 @@ def compile_paths(paths: Sequence[tuple[Sequence[Formula], Term]]):
     term and formula, computed once per call, and one ``if`` per path."""
     names: dict = {}
     lines = ["def _outputs(env):"]
-
-    def name(x: Term | Formula) -> str:
-        if x not in names:
-            text = _python(x, name)
-            names[x] = f"v{len(names)}"
-            lines.append(f"    {names[x]} = {text}")
-        return names[x]
-
+    name = functools.partial(_named, names, lines)
     tests = [(" and ".join(map(name, conds)) or "True", name(t)) for conds, t in paths]
     lines += ["    out = set()", *(f"    if {c}: out.add({v})" for c, v in tests), "    return out"]
     exec(compile("\n".join(lines), "<compile_paths>", "exec"), namespace := dict(bvarith.BINARY))
-    return namespace["_outputs"]
+    return namespace.pop("_outputs")  # kept in its own globals, it would be a reference cycle
+
+
+def _named(names: dict, lines: list[str], x: Term | Formula) -> str:
+    """``x``'s local name; on first use, appends its assignment to ``lines`` after those
+    of its operands."""
+    if x not in names:
+        text = _python(x, functools.partial(_named, names, lines))
+        names[x] = f"v{len(names)}"
+        lines.append(f"    {names[x]} = {text}")
+    return names[x]
 
 
 def _python(x: Term | Formula, name) -> str:

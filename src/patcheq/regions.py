@@ -90,15 +90,11 @@ def _linear(t: Term) -> tuple[BvVar, int, int] | None:
 
 def read(f: Formula) -> tuple[BvVar, Intervals] | None:
     """The one input ``f`` constrains and the interval set on which it holds; None if opaque."""
-    return _read(f)
-
-
-def _read(f: Formula) -> tuple[BvVar, Intervals] | None:
     if isinstance(f, FNot):
-        inner = _read(f.arg)
+        inner = read(f.arg)
         return inner and (inner[0], complement(inner[1], inner[0].sort.width))
     if isinstance(f, (FAnd, FOr)):
-        parts = [_read(g) for g in f.items]
+        parts = [read(g) for g in f.items]
         if not parts or any(p is None or p[0] != parts[0][0] for p in parts):
             return None
         sets = [ivs for _, ivs in parts]
@@ -147,11 +143,6 @@ def narrow(b: Box, conds: Iterable[Formula], reads=read) -> Box:
     return out
 
 
-def box(conds: Iterable[Formula]) -> Box:
-    """Each input a read condition of ``conds`` constrains, to the intersection of their sets."""
-    return narrow({}, conds)
-
-
 def is_empty(b: Box) -> bool:
     """True only if no input satisfies the conditions ``b`` was read from."""
     return any(not ivs for ivs in b.values())
@@ -162,8 +153,8 @@ def is_empty(b: Box) -> bool:
 
 def pair_box(conds1: Iterable[Formula], conds2: Iterable[Formula]) -> Box | None:
     """The exact box where two paths' conditions all hold; None if any of them is opaque."""
-    conds = [*_atoms(conds1), *_atoms(conds2)]
-    return None if any(read(f) is None for f in conds) else box(conds)
+    found = {f: read(f) for f in _atoms([*conds1, *conds2])}
+    return None if None in found.values() else narrow({}, found, found.get)
 
 
 def _value(t: Term) -> tuple[BvVar | None, int, int] | None:

@@ -269,10 +269,8 @@ class Blaster:
             out = self.divmod_vec(self.blast(node.args[0]), self.blast(node.args[1]))[0]
         elif k == "urem":
             out = self.divmod_vec(self.blast(node.args[0]), self.blast(node.args[1]))[1]
-        elif k == "shl":
-            out = self._shift(node, right=False)
-        elif k == "lshr":
-            out = self._shift(node, right=True)
+        elif k in ("shl", "lshr"):
+            out = self.shift_vec(self.blast(node.args[0]), self.blast(node.args[1]), k == "lshr")
         elif k == "and":
             out = [self.and2(x, y) for x, y in zip(self.blast(node.args[0]), self.blast(node.args[1]))]
         elif k == "or":
@@ -293,19 +291,6 @@ class Blaster:
             raise ValueError(f"cannot blast node kind {k!r}")
         self.cache[node.nid] = out
         return out
-
-    def _shift(self, node: Node, right: bool) -> list[int]:
-        a, b = node.args
-        bits = self.blast(a)
-        w = node.width
-        if b.kind == "const":
-            sh = b.args[0]
-            if sh >= w:
-                return [self.FALSE] * w
-            if right:
-                return bits[sh:] + [self.FALSE] * sh
-            return [self.FALSE] * sh + bits[: w - sh]
-        return self.shift_vec(bits, self.blast(b), right)
 
     def model_value(self, name: str, width: int) -> int | None:
         bits = self.var_bits.get(name)

@@ -5,6 +5,14 @@ bit-blasting are permanent; per-level assertions enter the SAT solver as
 assumptions, so popped state costs nothing and learned clauses survive.
 Every sat answer is validated by concrete evaluation of the original
 assertions before it is reported.
+
+Bound harvesting walks the ``and`` spine of the assertions and reads each
+``v op c`` or ``c op v`` (a variable against a constant), negated or not, as
+a bound on ``v``: ``bvult`` bounds the unsigned view and ``bvslt`` the signed
+one.  With ``v`` on the small side (``v < c``, or ``not (c < v)``) the bound
+is an upper bound ``c - strict``, otherwise a lower bound ``c + strict``,
+where ``strict`` is 1 for an unnegated order; ``=`` clamps both views to
+``c``.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ from itertools import product
 from .. import bvarith
 from .sat import Solver
 from .bitblast import Blaster
-from .terms import Intervals, Node, Simplifier, TermTable, compile_node, eval_node, free_vars
+from .terms import (
+    Intervals, Node, Simplifier, TermTable, compile_node, eval_node, free_vars, full, norm,
+)
 
 PROBE_COMBO_CAP = 1024
 PROBE_CANDIDATES_PER_VAR = 16
@@ -136,82 +146,45 @@ class SmtEngine:
 
     def _harvest_bounds(self, actives: list[Node]):
         """Intersect top-level interval facts per variable; None if contradictory."""
-        bounds: dict[str, list[int]] = {}
-
-        def get(var: Node) -> list[int]:
-            name = var.args[0]
-            b = bounds.get(name)
-            if b is None:
-                w = var.width
-                b = [0, bvarith.mask(w), -(1 << (w - 1)), (1 << (w - 1)) - 1]
-                bounds[name] = b
-            return b
-
-        def atom(n: Node, positive: bool):
-            if n.kind == "bnot":
-                atom(n.args[0], not positive)
-                return
+        bounds: dict[str, list[int]] = {}  # name -> [ulo, uhi, slo, shi], in first-seen order
+        stack = actives[::-1]
+        while stack:
+            n = stack.pop()
+            if n.kind == "band":
+                stack += reversed(n.args)
+                continue
+            positive = n.kind != "bnot"
+            if not positive:
+                n = n.args[0]
             if n.kind not in ("ult", "slt", "eq"):
-                return
+                continue
             a, b = n.args
             if a.kind == "var" and b.kind == "const":
-                var, cst, var_left = a, b.args[0], True
+                var, c, var_left = a, b.args[0], True
             elif a.kind == "const" and b.kind == "var":
-                var, cst, var_left = b, a.args[0], False
+                var, c, var_left = b, a.args[0], False
             else:
-                return
+                continue
             w = var.width
-            bb = get(var)
+            bb = bounds.setdefault(var.args[0], list(full(w)))
+            s = bvarith.to_signed(c, w)
             if n.kind == "eq":
                 if positive:
-                    s = bvarith.to_signed(cst, w)
-                    bb[0] = max(bb[0], cst)
-                    bb[1] = min(bb[1], cst)
-                    bb[2] = max(bb[2], s)
-                    bb[3] = min(bb[3], s)
-                return
-            if n.kind == "ult":
-                if var_left:
-                    if positive:
-                        bb[1] = min(bb[1], cst - 1)  # v < c
-                    else:
-                        bb[0] = max(bb[0], cst)  # v >= c
-                else:
-                    if positive:
-                        bb[0] = max(bb[0], cst + 1)  # c < v
-                    else:
-                        bb[1] = min(bb[1], cst)  # v <= c
-                return
-            s = bvarith.to_signed(cst, w)
-            if var_left:
-                if positive:
-                    bb[3] = min(bb[3], s - 1)
-                else:
-                    bb[2] = max(bb[2], s)
+                    bb[:] = max(bb[0], c), min(bb[1], c), max(bb[2], s), min(bb[3], s)
+                continue
+            i, c = (0, c) if n.kind == "ult" else (2, s)
+            if var_left == positive:  # v < c, or not (c < v)
+                bb[i + 1] = min(bb[i + 1], c - positive)
             else:
-                if positive:
-                    bb[2] = max(bb[2], s + 1)
-                else:
-                    bb[3] = min(bb[3], s)
+                bb[i] = max(bb[i], c + positive)
 
-        def spine(n: Node):
-            if n.kind == "band":
-                for x in n.args:
-                    spine(x)
-            else:
-                atom(n, True)
-
-        for a in actives:
-            spine(a)
-
-        iv = Intervals({})
         for name, b in bounds.items():
             w = self.lookup_width(name)
             if w is None:
                 continue
             if b[0] > b[1] or b[2] > b[3]:
                 return None  # contradictory range facts
-            bounds[name] = list(iv._norm(w, tuple(b)))
+            bounds[name] = list(norm(w, tuple(b)))
         return bounds
 
     def _bound_constraints(self, bounds: dict[str, list[int]]) -> list[Node]:

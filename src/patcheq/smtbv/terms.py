@@ -298,53 +298,46 @@ def eval_node(node: Node, env: dict[str, int], memo: dict[int, int] | None = Non
     """Evaluate a node under unsigned-canonical variable values.
 
     Unassigned variables default to 0.  Returns ints for bit-vector nodes and
-    bools for boolean nodes.
+    bools for boolean nodes.  ``memo`` maps the nids valued so far to their
+    values; ``and``, ``or`` and ``ite`` value only the operands they need.
     """
     if memo is None:
         memo = {}
-
-    def rec(n: Node):
-        got = memo.get(n.nid)
-        if got is not None or n.nid in memo:
-            return got
-        k = n.kind
-        if k == "const":
-            v = n.args[0]
-        elif k == "bconst":
-            v = n.args[0]
-        elif k == "var":
-            v = env.get(n.args[0], 0)
-        elif k == "bnot":
-            v = not rec(n.args[0])
-        elif k == "band":
-            v = all(rec(x) for x in n.args)
-        elif k == "bor":
-            v = any(rec(x) for x in n.args)
-        elif k == "beq":
-            v = rec(n.args[0]) == rec(n.args[1])
-        elif k == "eq":
-            v = rec(n.args[0]) == rec(n.args[1])
+    got = memo.get(node.nid)
+    if got is not None or node.nid in memo:
+        return got
+    k, a = node.kind, node.args
+    if k in ("const", "bconst"):
+        v = a[0]
+    elif k == "var":
+        v = env.get(a[0], 0)
+    elif k == "bnot":
+        v = not eval_node(a[0], env, memo)
+    elif k == "band":
+        v = all(eval_node(x, env, memo) for x in a)
+    elif k == "bor":
+        v = any(eval_node(x, env, memo) for x in a)
+    elif k == "ite":
+        v = eval_node(a[1] if eval_node(a[0], env, memo) else a[2], env, memo)
+    elif k == "extract":
+        v = (eval_node(a[2], env, memo) >> a[1]) & bvarith.mask(a[0] - a[1] + 1)
+    elif k == "zext":
+        v = eval_node(a[1], env, memo)
+    elif k == "sext":
+        v = bvarith.to_unsigned(bvarith.to_signed(eval_node(a[1], env, memo), a[1].width),
+                                node.width)
+    else:
+        x, y = eval_node(a[0], env, memo), eval_node(a[1], env, memo)
+        if k in ("beq", "eq"):
+            v = x == y
         elif k == "ult":
-            v = rec(n.args[0]) < rec(n.args[1])
+            v = x < y
         elif k == "slt":
-            w = n.args[0].width
-            v = bvarith.slt(rec(n.args[0]), rec(n.args[1]), w)
-        elif k == "ite":
-            v = rec(n.args[1]) if rec(n.args[0]) else rec(n.args[2])
-        elif k == "extract":
-            hi, lo, a = n.args
-            v = (rec(a) >> lo) & bvarith.mask(hi - lo + 1)
-        elif k == "zext":
-            v = rec(n.args[1])
-        elif k == "sext":
-            extra, a = n.args
-            v = bvarith.to_unsigned(bvarith.to_signed(rec(a), a.width), n.width)
+            v = bvarith.slt(x, y, a[0].width)
         else:
-            v = bvarith.BINARY[k](rec(n.args[0]), rec(n.args[1]), n.width)
-        memo[n.nid] = v
-        return v
-
-    return rec(node)
+            v = bvarith.BINARY[k](x, y, node.width)
+    memo[node.nid] = v
+    return v
 
 
 def compile_node(node: Node, known=None):
@@ -382,7 +375,7 @@ def compile_node(node: Node, known=None):
     lines.append(f"    return {names[node.nid]}")
     namespace = dict(calls)
     exec(compile("\n".join(lines), "<compile_node>", "exec"), namespace)
-    return namespace["_eval"]
+    return namespace.pop("_eval")  # kept in its own globals, it would be a reference cycle
 
 
 def _expr(n: Node, a: list[str]) -> str:
@@ -438,7 +431,33 @@ def free_vars(node: Node, acc: dict[str, Node] | None = None, seen: set | None =
 # ---------------------------------------------------------------------------
 # Interval analysis
 
-FULL = None  # marker for "no information"
+def full(w: int) -> tuple[int, int, int, int]:
+    """Every ``w``-bit value, as ``(ulo, uhi, slo, shi)``."""
+    return (0, bvarith.mask(w), -(1 << (w - 1)), (1 << (w - 1)) - 1)
+
+
+def norm(w: int, quad) -> tuple[int, int, int, int]:
+    """Tighten the signed view from the unsigned one and vice versa."""
+    ulo, uhi, slo, shi = quad
+    smin, smax = -(1 << (w - 1)), (1 << (w - 1)) - 1
+    umax = bvarith.mask(w)
+    ulo, uhi = max(ulo, 0), min(uhi, umax)
+    slo, shi = max(slo, smin), min(shi, smax)
+    half = 1 << (w - 1)
+    # unsigned -> signed
+    if uhi < half:
+        slo, shi = max(slo, ulo), min(shi, uhi)
+    elif ulo >= half:
+        slo, shi = max(slo, ulo - (1 << w)), min(shi, uhi - (1 << w))
+    # signed -> unsigned
+    if slo >= 0:
+        ulo, uhi = max(ulo, slo), min(uhi, shi)
+    elif shi < 0:
+        ulo, uhi = max(ulo, slo + (1 << w)), min(uhi, shi + (1 << w))
+    if ulo > uhi or slo > shi:
+        # contradictory constraints; keep a hair of soundness by widening
+        return full(w)
+    return (ulo, uhi, slo, shi)
 
 
 class Intervals:
@@ -452,9 +471,6 @@ class Intervals:
         self.bounds = bounds
         self.memo: dict[int, tuple[int, int, int, int]] = {}
 
-    def full(self, w: int) -> tuple[int, int, int, int]:
-        return (0, bvarith.mask(w), -(1 << (w - 1)), (1 << (w - 1)) - 1)
-
     def of(self, n: Node) -> tuple[int, int, int, int]:
         got = self.memo.get(n.nid)
         if got is not None:
@@ -463,7 +479,7 @@ class Intervals:
         smin, smax = -(1 << (w - 1)), (1 << (w - 1)) - 1
         umax = bvarith.mask(w)
         k = n.kind
-        out = self.full(w)
+        out = full(w)
         if k == "const":
             v = n.args[0]
             out = (v, v, bvarith.to_signed(v, w), bvarith.to_signed(v, w))
@@ -485,7 +501,7 @@ class Intervals:
                 ulo, uhi = a[0] * b[0], a[1] * b[1]
             su = (ulo, uhi) if 0 <= ulo and uhi <= umax else (0, umax)
             ss = (slo, shi) if smin <= slo and shi <= smax else (smin, smax)
-            out = self._norm(w, (*su, *ss))
+            out = norm(w, (*su, *ss))
         elif k == "shl":
             a, b = n.args
             if b.kind == "const":
@@ -494,84 +510,57 @@ class Intervals:
                 if c >= w:
                     out = (0, 0, 0, 0)
                 elif ia[1] << c <= umax:
-                    out = self._norm(w, (ia[0] << c, ia[1] << c, smin, smax))
+                    out = norm(w, (ia[0] << c, ia[1] << c, smin, smax))
         elif k == "lshr":
             a, b = n.args
             if b.kind == "const":
                 ia = self.of(a)
                 c = min(b.args[0], w)
-                out = self._norm(w, (ia[0] >> c, ia[1] >> c, smin, smax))
+                out = norm(w, (ia[0] >> c, ia[1] >> c, smin, smax))
         elif k == "udiv":
             a, b = n.args
             if b.kind == "const" and b.args[0] != 0:
                 ia = self.of(a)
                 c = b.args[0]
-                out = self._norm(w, (ia[0] // c, ia[1] // c, smin, smax))
+                out = norm(w, (ia[0] // c, ia[1] // c, smin, smax))
         elif k == "urem":
             a, b = n.args
             if b.kind == "const" and b.args[0] != 0:
                 ia = self.of(a)
                 c = b.args[0]
                 if ia[1] < c:
-                    out = self._norm(w, (ia[0], ia[1], smin, smax))
+                    out = norm(w, (ia[0], ia[1], smin, smax))
                 else:
-                    out = self._norm(w, (0, c - 1, smin, smax))
+                    out = norm(w, (0, c - 1, smin, smax))
         elif k == "and":
             a, b = (self.of(x) for x in n.args[:2])
-            out = self._norm(w, (0, min(a[1], b[1]), smin, smax))
+            out = norm(w, (0, min(a[1], b[1]), smin, smax))
         elif k == "or":
             a, b = (self.of(x) for x in n.args[:2])
             hi = (1 << max(a[1], b[1]).bit_length()) - 1
-            out = self._norm(w, (min(a[0], b[0]), min(hi, umax), smin, smax))
+            out = norm(w, (min(a[0], b[0]), min(hi, umax), smin, smax))
             # lower bound: or is at least each operand's minimum
-            out = self._norm(w, (max(a[0], b[0], out[0]), out[1], out[2], out[3]))
+            out = norm(w, (max(a[0], b[0], out[0]), out[1], out[2], out[3]))
         elif k == "xor":
             a, b = (self.of(x) for x in n.args[:2])
             hi = (1 << max(a[1], b[1]).bit_length()) - 1
-            out = self._norm(w, (0, min(hi, umax), smin, smax))
+            out = norm(w, (0, min(hi, umax), smin, smax))
         elif k == "ite":
             a, b = self.of(n.args[1]), self.of(n.args[2])
             out = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
         elif k == "zext":
             ia = self.of(n.args[1])
-            out = self._norm(w, (ia[0], ia[1], smin, smax))
+            out = norm(w, (ia[0], ia[1], smin, smax))
         elif k == "sext":
             ia = self.of(n.args[1])
-            out = self._norm_signed(w, ia[2], ia[3])
+            out = norm(w, (0, umax, ia[2], ia[3]))
         elif k == "extract":
             hi, lo, a = n.args
             ia = self.of(a)
             if lo == 0 and ia[1] <= bvarith.mask(n.width):
-                out = self._norm(w, (ia[0], ia[1], smin, smax))
+                out = norm(w, (ia[0], ia[1], smin, smax))
         self.memo[n.nid] = out
         return out
-
-    def _norm(self, w: int, quad) -> tuple[int, int, int, int]:
-        """Tighten the signed view from the unsigned one and vice versa."""
-        ulo, uhi, slo, shi = quad
-        smin, smax = -(1 << (w - 1)), (1 << (w - 1)) - 1
-        umax = bvarith.mask(w)
-        ulo, uhi = max(ulo, 0), min(uhi, umax)
-        slo, shi = max(slo, smin), min(shi, smax)
-        half = 1 << (w - 1)
-        # unsigned -> signed
-        if uhi < half:
-            slo, shi = max(slo, ulo), min(shi, uhi)
-        elif ulo >= half:
-            slo, shi = max(slo, ulo - (1 << w)), min(shi, uhi - (1 << w))
-        # signed -> unsigned
-        if slo >= 0:
-            ulo, uhi = max(ulo, slo), min(uhi, shi)
-        elif shi < 0:
-            ulo, uhi = max(ulo, slo + (1 << w)), min(uhi, shi + (1 << w))
-        if ulo > uhi or slo > shi:
-            # contradictory constraints; keep a hair of soundness by widening
-            return self.full(w)
-        return (ulo, uhi, slo, shi)
-
-    def _norm_signed(self, w, slo, shi):
-        smin, smax = -(1 << (w - 1)), (1 << (w - 1)) - 1
-        return self._norm(w, (0, bvarith.mask(w), max(slo, smin), min(shi, smax)))
 
 
 class Simplifier:

@@ -11,7 +11,7 @@ from patcheq.formula import (
 )
 from patcheq.minilang import SORTS
 from patcheq.regions import (
-    box, box_formula, complement, decided, intersect, is_empty, pair_box, points, read, volume,
+    box_formula, complement, decided, intersect, is_empty, narrow, pair_box, points, read, volume,
 )
 
 X = BvVar("x", SORTS["u8"], "input")
@@ -73,14 +73,14 @@ def test_a_box_is_the_exact_conjunction_of_its_read_atoms():
         atoms = [rng.choice(forms[rng.choice((X, Y))]) for _ in range(rng.randint(1, 4))]
         atoms = [FNot(f) if rng.random() < 0.4 else f for f in atoms]
         conds = [FAnd(tuple(atoms[:2])), *atoms[2:]] if rng.random() < 0.5 else atoms
-        got = box(conds)
+        got = narrow({}, conds)
         empty = False
         for var in (X, Y):
             mine = [f for f in atoms if read(f)[0] == var]
             want = {v for v in range(256) if all(eval_formula(f, {var.name: v}) for f in mine)}
             assert members(got[var]) == want if mine else var not in got
             empty |= not want
-        assert is_empty(box(conds)) == empty
+        assert is_empty(narrow({}, conds)) == empty
 
 
 def compound_forms(var, rng, n):
@@ -124,8 +124,8 @@ def test_compound_one_input_reads_are_exact(var):
 ])
 def test_opaque_atoms_never_prune(f):
     assert read(f) is None
-    assert not is_empty(box([f, FNot(f)]))
-    assert is_empty(box([f, feq(tvar(X), tconst(3, 8)), feq(tvar(X), tconst(4, 8))]))
+    assert not is_empty(narrow({}, [f, FNot(f)]))
+    assert is_empty(narrow({}, [f, feq(tvar(X), tconst(3, 8)), feq(tvar(X), tconst(4, 8))]))
 
 
 def test_intersect_and_complement():
@@ -149,7 +149,7 @@ def random_boxes(rng, n, variables=(X, Y)):
     while n:
         var = rng.choice(variables)
         conds = [rng.choice(forms[var]) for _ in range(rng.randint(1, 3))]
-        b = box([FNot(f) if rng.random() < 0.4 else f for f in conds])
+        b = narrow({}, [FNot(f) if rng.random() < 0.4 else f for f in conds])
         if all(b.values()):
             n -= 1
             yield b
@@ -183,8 +183,8 @@ def test_box_points_and_formula_over_two_inputs():
 def test_pair_box_is_none_when_any_condition_is_opaque():
     lin = flt(False, tvar(X), tconst(9, 8))
     opaque = flt(False, tbin("mul", tvar(X), tvar(Y)), tconst(9, 8))
-    assert pair_box([lin], [FAnd((lin, feq(tvar(Y), tconst(2, 8))))]) == box(
-        [lin, feq(tvar(Y), tconst(2, 8))])
+    assert pair_box([lin], [FAnd((lin, feq(tvar(Y), tconst(2, 8))))]) == narrow(
+        {}, [lin, feq(tvar(Y), tconst(2, 8))])
     assert pair_box([lin], [opaque]) is None
     assert pair_box([FAnd((lin, opaque))], []) is None
 

@@ -1,5 +1,6 @@
 """Differential and protocol tests for the bundled QF_BV solver."""
 
+import gc
 import io
 import itertools
 import marshal
@@ -245,14 +246,17 @@ def _contract_queries(head, x, y):
         signed = head.startswith("s")
         return [make(signed, x, c) for c in consts] + [make(signed, c, x) for c in consts]
     if head in bvarith.BINARY:
-        term = tbin(head, x, y)
+        terms = [tbin(head, x, y)]
+        if head in ("shl", "lshr", "ashr"):  # and by constants, which blast to no gates
+            amounts = sorted({*range(min(w + 2, 1 << w)), (1 << w) - 1})
+            terms += [tbin(head, x, tconst(c, w)) for c in amounts]
     elif head == "neg":
-        term = tneg(x)
+        terms = [tneg(x)]
     elif head == "extract":
-        term = textract(w - 1, w // 2, x)
+        terms = [textract(w - 1, w // 2, x)]
     else:
-        term = textend(head, 2, x)
-    return [feq(term, tconst(c, term.width)) for c in range(1 << term.width)]
+        terms = [textend(head, 2, x)]
+    return [feq(term, tconst(c, term.width)) for term in terms for c in range(1 << term.width)]
 
 
 @pytest.mark.parametrize("width", [1, 4])
@@ -469,6 +473,8 @@ def _probe_cache_size(eng: SmtEngine) -> int:
 
 
 def test_probe_caches_stay_flat_over_many_range_queries():
+    """A query's probe facts go with its level on pop, and it leaves no reference
+    cycle, so none of its garbage waits for the cyclic collector."""
     eng = SmtEngine()
     t = eng.table
     width = 16
@@ -486,22 +492,58 @@ def test_probe_caches_stay_flat_over_many_range_queries():
     eng.define("summary!2", s2)
     rng = random.Random(5)
     sizes = []
-    for query in range(2000):
-        lo = rng.randrange(1 << width)
-        hi = rng.randrange(lo, 1 << width)
-        r = t.band([t.ule(t.const(lo, width), x), t.ule(x, t.const(hi, width))])
-        eng.push()
-        if query % 2:
-            eng.assert_node(t.bnot(t.beq(t.band([s1, r]), t.band([s2, r]))))
-        else:
-            eng.assert_node(s1)
-            eng.assert_node(s2)
-        eng.assert_node(r)
-        assert eng.check_sat() in ("sat", "unsat")
-        assert _probe_cache_size(eng) > 2  # the query's own facts, until pop
-        eng.pop()
-        sizes.append(_probe_cache_size(eng))
+    gc.collect()
+    gc.disable()
+    try:
+        for query in range(2000):
+            lo = rng.randrange(1 << width)
+            hi = rng.randrange(lo, 1 << width)
+            r = t.band([t.ule(t.const(lo, width), x), t.ule(x, t.const(hi, width))])
+            eng.push()
+            if query % 2:
+                eng.assert_node(t.bnot(t.beq(t.band([s1, r]), t.band([s2, r]))))
+            else:
+                eng.assert_node(s1)
+                eng.assert_node(s2)
+            eng.assert_node(r)
+            assert eng.check_sat() in ("sat", "unsat")
+            assert _probe_cache_size(eng) > 2  # the query's own facts, until pop
+            eng.pop()
+            sizes.append(_probe_cache_size(eng))
+        garbage = gc.collect()  # before enable(), whose next allocation would collect it
+    finally:
+        gc.enable()
     assert max(sizes) <= sizes[9] == 2  # only the two definitions remain
+    assert garbage == 0
+
+
+def test_harvested_bounds_hold_every_model():
+    width = 4
+    eng = SmtEngine()
+    t = eng.table
+    names = ("x", "y")
+    for name in names:
+        eng.declare(name, width)
+    points = [dict(zip(names, p)) for p in itertools.product(range(1 << width), repeat=2)]
+    rng = random.Random(19)
+    for _ in range(600):
+        atoms = []
+        for _ in range(rng.randint(1, 6)):
+            v, c = t.var(rng.choice(names), width), t.const(rng.randrange(1 << width), width)
+            op = getattr(t, rng.choice(["eq", "ult", "slt", "ule", "sle"]))
+            atom = op(v, c) if rng.random() < 0.5 else op(c, v)
+            atoms.append(t.bnot(atom) if rng.random() < 0.3 else atom)
+        cuts = [*sorted(rng.sample(range(1, len(atoms)), rng.randrange(len(atoms)))), len(atoms)]
+        actives = [t.band(atoms[i:j]) for i, j in zip([0, *cuts], cuts)]  # and groups
+        bounds = eng._harvest_bounds(actives)
+        models = [p for p in points if all(eval_node(a, p, {}) for a in actives)]
+        if bounds is None:
+            assert not models, actives
+            continue
+        for p in models:
+            for name, (ulo, uhi, slo, shi) in bounds.items():
+                assert ulo <= p[name] <= uhi, (actives, bounds)
+                assert slo <= bvarith.to_signed(p[name], width) <= shi, (actives, bounds)
 
 
 # --- package imports ---

@@ -1,7 +1,9 @@
 """Summary construction: path enumeration, Def-style soundness, loops."""
 
+import gc
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -319,7 +321,8 @@ def test_each_condition_is_read_once_per_summary(monkeypatch):
     read, seen = regions.read, []
 
     def counting(f):
-        seen.append(f)
+        if sys._getframe(1).f_code is not read.__code__:  # read's recursion is part of one read
+            seen.append(f)
         return read(f)
 
     monkeypatch.setattr(regions, "read", counting)
@@ -441,6 +444,22 @@ def test_compiled_outputs_match_the_tree_walk(seed):
             assert summary.outputs(env) == {
                 eval_term(t, env) for conds, t in summary.paths
                 if all(eval_formula(c, env) for c in conds)}
+
+
+def test_summaries_leave_no_reference_cycles():
+    # a function kept in its own globals, or a closure that calls itself, is a cycle
+    fns = [corpus_fn(case, which) for case in ("eqbench_ltfive", "cve_2010_4165_tcp_window",
+                                               "eqbench_dart")
+           for which in ("original.fn", "patched.fn")]
+    gc.collect()
+    gc.disable()
+    try:
+        for f in fns * 8:
+            summarize(f).outputs({name: 3 for name, _ in f.params})
+        garbage = gc.collect()  # before enable(), whose next allocation would collect it
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def test_signature_check():
