@@ -14,7 +14,7 @@ import importlib
 
 _EXPORTS = {
     "minilang": ("IntSort", "TypedFunction", "parse", "parse_unit", "typecheck"),
-    "formula": ("BvVar", "RangePair", "mk_range_constraint", "iff_under_range", "serialize"),
+    "formula": ("BvVar", "RangePair", "mk_range_constraint", "serialize"),
     "summarizer": ("Summary", "summarize", "eval_concrete"),
     "oracle": ("Budget", "SolverConfig", "SolverSession"),
     "classifier": ("Verdict", "VerdictResult", "eq_check"),

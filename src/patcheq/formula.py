@@ -298,11 +298,6 @@ def point_formula(variables: Sequence[BvVar], values: Sequence[int]) -> Formula:
     )
 
 
-def iff_under_range(s1: Formula, s2: Formula, rng: Formula) -> Formula:
-    """(S1 and range) iff (S2 and range); callers negate for the validity check."""
-    return FIff(fand([s1, rng]), fand([s2, rng]))
-
-
 # --- serialization ---
 
 

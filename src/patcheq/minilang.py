@@ -527,7 +527,7 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
             return replace(e, arg=check_cond(e.arg, env), sort=BOOL)
         raise TypeError_("condition must be a comparison or logical expression")
 
-    def check_block(stmts: tuple[Stmt, ...], env: dict[str, IntSort]) -> tuple[tuple[Stmt, ...], dict[str, IntSort]]:
+    def check_block(stmts: tuple[Stmt, ...], env: dict[str, IntSort]) -> tuple[Stmt, ...]:
         env = dict(env)
         out = []
         returned = False
@@ -545,23 +545,23 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
                 out.append(Assign(s.name, infer(s.value, env, env[s.name])))
             elif isinstance(s, If):
                 cond = check_cond(s.cond, env)
-                then, _ = check_block(s.then, env)
+                then = check_block(s.then, env)
                 other = None
                 if s.other is not None:
-                    other, _ = check_block(s.other, env)
+                    other = check_block(s.other, env)
                 out.append(If(cond, then, other))
                 if s.other is not None and _block_returns(then) and _block_returns(other):
                     returned = True
             elif isinstance(s, While):
                 cond = check_cond(s.cond, env)
-                body, _ = check_block(s.body, env)
+                body = check_block(s.body, env)
                 out.append(While(cond, body))
             elif isinstance(s, Return):
                 out.append(Return(infer(s.value, env, fn.return_sort)))
                 returned = True
-        return tuple(out), env
+        return tuple(out)
 
-    body, _ = check_block(fn.body, dict(fn.params))
+    body = check_block(fn.body, dict(fn.params))
     if not _block_returns(body):
         raise TypeError_(f"function {fn.name!r} does not return on every path")
     return replace(fn, body=body)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 from . import bvarith
 from .formula import (
-    BvVar, Formula, FName, FNot, FALSE, RangePair, fand, for_, iff_under_range,
-    mk_range_constraint, var_range_constraint,
+    BvVar, Formula, FIff, FName, FNot, FALSE, RangePair, fand, for_, mk_range_constraint,
+    var_range_constraint,
 )
 from .oracle import Budget, SolverConfig, SolverSession
 from .summarizer import Summary, require_same_interface
@@ -64,35 +64,25 @@ def full_domain(inputs: tuple[BvVar, ...]) -> RangeVector:
 # Region containers
 
 
-@dataclass(frozen=True)
-class CertifiedRegion:
-    vector: RangeVector
-
-    @property
-    def interval(self) -> RangePair:
-        """The range of a one-variable region."""
-        return self.vector[0]
-
-
 @dataclass
 class RegionSet:
-    regions: list[CertifiedRegion] = field(default_factory=list)
+    regions: list[RangeVector] = field(default_factory=list)  # certified range vectors
     incomplete: bool = False
 
     def vectors(self) -> list[RangeVector]:
-        return [r.vector for r in self.regions]
+        return self.regions
 
 
 @dataclass
 class RegionList:
-    per_var: list[list[CertifiedRegion]]  # one-variable regions of each variable
+    per_var: list[list[RangeVector]]  # certified one-variable vectors of each variable
     incomplete: bool = False
 
     def intervals(self, n: int) -> list[RangePair]:
-        return [c.interval for c in self.per_var[n]]
+        return [vec[0] for vec in self.per_var[n]]
 
     def eq_bound(self, n: int) -> int:
-        return sum(c.interval.size for c in self.per_var[n])
+        return sum(p.size for p in self.intervals(n))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +200,7 @@ def render_condition_iterative(variables: tuple[BvVar, ...],
 
 def merge_combined(list_iter: RegionList, list_prio: RegionList) -> tuple[RegionList, list[str]]:
     """Per-variable best of the two iterative strategies; ties keep iterative."""
-    merged: list[list[CertifiedRegion]] = []
+    merged: list[list[RangeVector]] = []
     sources: list[str] = []
     for n in range(len(list_iter.per_var)):
         if list_iter.eq_bound(n) >= list_prio.eq_bound(n):
@@ -366,10 +356,7 @@ class RangeSearch:
         if self._points_decide(var_subset, vec)[0]:
             return "sat"
         rng = self._range_formula(var_subset, vec)
-        negated = FNot(iff_under_range(*SUMMARIES, rng))
-        # The extra range conjunct is implied by the negated biconditional and
-        # lets the solver fold interval facts without changing sat/unsat.
-        return self.query([negated, rng])[0]
+        return self.query([FNot(FIff(*SUMMARIES)), rng])[0]
 
     def check_conjunction(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is totally non-equivalent on this range."""
@@ -392,11 +379,11 @@ class RangeSearch:
         return "unknown"
 
     def _bisect(self, var_subset: tuple[BvVar, ...], vec: RangeVector, depth: int,
-                limit: int, found: list[CertifiedRegion]):
+                limit: int, found: list[RangeVector]):
         """Certify ``vec`` as equivalent, or split it and recurse while partial."""
         status = self.classify_range(var_subset, vec)
         if status == "eq":
-            found.append(CertifiedRegion(vec))
+            found.append(vec)
         elif status == "partial" and depth != limit:
             subs = divide_range(vec)
             if subs != [vec]:  # a vector of singletons cannot be split
@@ -422,7 +409,7 @@ class RangeSearch:
         Budget expiry keeps what the interrupted variable had found and leaves
         the later variables empty.
         """
-        per_var: list[list[CertifiedRegion]] = [[] for _ in self.variables]
+        per_var: list[list[RangeVector]] = [[] for _ in self.variables]
         for n, var in enumerate(self.variables):
             try:
                 search_var(n, var, per_var[n])
@@ -438,7 +425,7 @@ class RangeSearch:
     # --- priority search ---
 
     def priority(self, var: BvVar, partition: RangePair,
-                 found: list[CertifiedRegion], frontier: int | None = None):
+                 found: list[RangeVector], frontier: int | None = None):
         """Shrink one one-sided partition toward zero until it certifies.
 
         On success the certified interval is widened back toward the most
@@ -447,7 +434,7 @@ class RangeSearch:
         verdict = self.check_equiv((var,), (partition,))
         if verdict == "unsat":
             widened = self.expand_boundary(var, partition, frontier)
-            found.append(CertifiedRegion((widened,)))
+            found.append((widened,))
             return
         if verdict == "unknown":
             return
@@ -493,7 +480,7 @@ class RangeSearch:
         return out + [RangePair(0, 0)]
 
     def iterative_priority(self) -> RegionList:
-        def search_var(n: int, var: BvVar, found: list[CertifiedRegion]):
+        def search_var(n: int, var: BvVar, found: list[RangeVector]):
             for partition in self._partitions(var):
                 self.priority(var, partition, found)
 

@@ -177,7 +177,7 @@ def run_stdio(stdin=None, stdout=None) -> int:
         for cmd in commands:
             try:
                 reply = session.handle(cmd)
-            except (SmtError, ValueError, TypeError, IndexError, KeyError) as err:
+            except (SmtError, ValueError, TypeError, IndexError, KeyError, RecursionError) as err:
                 print(f'(error "{err}")', file=stdout, flush=True)
                 continue
             if reply == "__exit__":

@@ -2,16 +2,19 @@
 
 A summary is the list of a function's paths, each a (path conditions over
 inputs, return term) pair; as a formula it is the disjunction of (path
-conditions) and (output = return term).  Local variables are eliminated by
-substitution during execution, so the summary's free variables are exactly
-the inputs plus the single output.  A call runs the callee's body once per
-distinct argument terms, and each callee path becomes one variant of the
-call expression.  Each path carries its box (``regions``), narrowed by each
-condition it gains, and is dropped once the box is empty, so a summary keeps
-only box-feasible paths; opaque conditions never prune.  Loops are unrolled
-up to a hard limit; a loop whose next iteration is still box-feasible at the
-limit is an error, never a truncation.  A budget stops a long exploration
-with an error.
+conditions) and (output = return term).  Execution maps one path state to
+the states that follow it: each step is a generator of its successor states,
+and generators are pulled depth first, so each path runs to its end before
+the next starts, a branch's true side first, a loop's exit first, and the
+first operand's paths varying slowest.  Local variables are eliminated by
+substitution, so the summary's free variables are exactly the inputs plus
+the single output.  A call runs the callee's body once per distinct argument
+terms, and forks the path on each callee path.  Each path carries its box
+(``regions``), narrowed by each condition it gains, and is dropped once the
+box is empty, so a summary keeps only box-feasible paths; opaque conditions
+never prune.  Loops are unrolled up to a hard limit; a loop whose next
+iteration is still box-feasible at the limit is an error, never a
+truncation.  A budget stops a long exploration with an error.
 """
 
 from __future__ import annotations
@@ -112,24 +115,17 @@ def _mk_not(f: Formula) -> Formula:
     return FNot(f)
 
 
-def _mk_and(items) -> Formula:
+def _mk_logic(op: str, items) -> Formula:
+    """``items`` joined by ``&&`` or ``||``: its absorbing constant decides the result,
+    and the other constant drops out."""
+    absorbing, join = (FFalse, fand) if op == "&&" else (FTrue, for_)
     out = []
     for x in items:
-        if isinstance(x, FFalse):
-            return FALSE
-        if not isinstance(x, FTrue):
+        if isinstance(x, absorbing):
+            return x
+        if not isinstance(x, (FTrue, FFalse)):
             out.append(x)
-    return fand(out)
-
-
-def _mk_or(items) -> Formula:
-    out = []
-    for x in items:
-        if isinstance(x, FTrue):
-            return TRUE
-        if not isinstance(x, FFalse):
-            out.append(x)
-    return for_(out)
+    return join(out)
 
 
 def _mk_cmp(op: str, signed: bool, lhs: Term, rhs: Term) -> Formula:
@@ -187,16 +183,7 @@ def _branches(phi: Formula) -> list[tuple[bool, list[Formula]]]:
     return [(True, [phi]), (False, [_mk_not(phi)])]
 
 
-def _cross(lhs: list, rhs: list, join) -> list:
-    """Each (conditions, value) variant of ``lhs`` with each of ``rhs``, in that order."""
-    return [(cl + cr, join(vl, vr)) for cl, vl in lhs for cr, vr in rhs]
-
-
 # --- symbolic execution ---
-
-
-def _fell_off(env, path):
-    raise SummarizeError("fell off the end of a block without returning")
 
 
 class _Path(NamedTuple):
@@ -229,115 +216,112 @@ class _PathExploder:
         """Every path of ``fn``'s body on argument terms ``args``: (conditions, return term)."""
         out = []
         params = {name: t for (name, _), t in zip(fn.params, args)}
-        self.exec_straight(fn.body, params, _Path([], {}), out, _fell_off)
+        for _ in self.block(fn.body, params, _Path([], {}), out):
+            raise SummarizeError("fell off the end of a block without returning")
         return out
 
-    def translate_expr(self, e: Expr, env: dict[str, Term]) -> list[tuple[list[Formula], Term]]:
-        """Return (extra path conditions, term) variants; calls fork on the callee's paths."""
+    def each(self, step, items: tuple, env, path):
+        """Yield (path, values), one value per item from ``step``, the first item's slowest."""
+        if not items:
+            yield path, ()
+            return
+        for path, value in step(items[0], env, path):
+            for path, values in self.each(step, items[1:], env, path):
+                yield path, (value, *values)
+
+    def expr(self, e: Expr, env: dict[str, Term], path: _Path):
+        """Yield (path, term) for each way ``e`` evaluates; a call forks on the callee's paths."""
         sort = _require_sorted(e)
         if isinstance(e, Lit):
-            return [([], tconst(bvarith.to_unsigned(e.value, sort.width), sort.width))]
-        if isinstance(e, Var):
-            return [([], env[e.name])]
-        if isinstance(e, Cast):
+            yield path, tconst(bvarith.to_unsigned(e.value, sort.width), sort.width)
+        elif isinstance(e, Var):
+            yield path, env[e.name]
+        elif isinstance(e, Cast):
             src = _require_sorted(e.arg)
-            return [
-                (conds, _cast_term(t, src, e.target))
-                for conds, t in self.translate_expr(e.arg, env)
-            ]
-        if isinstance(e, Unary):
-            if e.op == "-":
-                return [
-                    (conds, tconst(bvarith.neg(t.value, t.width), t.width)
-                     if isinstance(t, TConst) else tneg(t))
-                    for conds, t in self.translate_expr(e.arg, env)
-                ]
-            if e.op == "~":
-                ones = tconst(bvarith.mask(sort.width), sort.width)
-                return [
-                    (conds, _mk_bin("xor", t, ones))
-                    for conds, t in self.translate_expr(e.arg, env)
-                ]
+            for path, t in self.expr(e.arg, env, path):
+                yield path, _cast_term(t, src, e.target)
+        elif isinstance(e, Unary) and e.op == "-":
+            for path, t in self.expr(e.arg, env, path):
+                yield path, (tconst(bvarith.neg(t.value, t.width), t.width)
+                             if isinstance(t, TConst) else tneg(t))
+        elif isinstance(e, Unary) and e.op == "~":
+            ones = tconst(bvarith.mask(sort.width), sort.width)
+            for path, t in self.expr(e.arg, env, path):
+                yield path, _mk_bin("xor", t, ones)
+        elif isinstance(e, Unary):
             raise SummarizeError(f"unexpected unary {e.op!r} in value position")
-        if isinstance(e, Binary):
+        elif isinstance(e, Binary):
             if e.op not in _TERM_BINARY:
                 raise SummarizeError(f"unexpected operator {e.op!r} in value position")
             op = _TERM_BINARY[e.op][sort.signed]
-            return _cross(self.translate_expr(e.lhs, env), self.translate_expr(e.rhs, env),
-                          lambda tl, tr: _mk_bin(op, tl, tr))
-        if isinstance(e, Call):
-            args = [([], ())]
-            for a in e.args:
-                args = _cross(args, self.translate_expr(a, env), lambda ts, t: ts + (t,))
-            out = []
-            for conds, terms in args:
+            for path, (tl, tr) in self.each(self.expr, (e.lhs, e.rhs), env, path):
+                yield path, _mk_bin(op, tl, tr)
+        elif isinstance(e, Call):
+            for path, terms in self.each(self.expr, e.args, env, path):
                 key = (id(e.fn), terms)
                 if key not in self.calls:
                     self.calls[key] = self.run(e.fn, terms)
-                out += [(conds + path, t) for path, t in self.calls[key]]
-            return out
-        raise SummarizeError(f"cannot translate {type(e).__name__}")
+                for conds, t in self.calls[key]:
+                    if (next_path := self.extend(path, conds)) is not None:
+                        yield next_path, t
+        else:
+            raise SummarizeError(f"cannot translate {type(e).__name__}")
 
-    def translate_cond(self, e: Expr, env: dict[str, Term]) -> list[tuple[list[Formula], Formula]]:
+    def cond(self, e: Expr, env: dict[str, Term], path: _Path):
+        """Yield (path, formula) for each way the condition ``e`` evaluates."""
         if isinstance(e, Binary) and e.op in minilang.CMP_OPS:
             signed = _require_sorted(e.lhs).signed
-            return _cross(self.translate_expr(e.lhs, env), self.translate_expr(e.rhs, env),
-                          lambda tl, tr: _mk_cmp(e.op, signed, tl, tr))
-        if isinstance(e, Binary) and e.op in minilang.LOGIC_OPS:
-            join = _mk_and if e.op == "&&" else _mk_or
-            return _cross(self.translate_cond(e.lhs, env), self.translate_cond(e.rhs, env),
-                          lambda fl, fr: join([fl, fr]))
-        if isinstance(e, Unary) and e.op == "!":
-            return [(c, _mk_not(f)) for c, f in self.translate_cond(e.arg, env)]
-        raise SummarizeError(f"cannot translate condition {type(e).__name__}")
+            for path, (tl, tr) in self.each(self.expr, (e.lhs, e.rhs), env, path):
+                yield path, _mk_cmp(e.op, signed, tl, tr)
+        elif isinstance(e, Binary) and e.op in minilang.LOGIC_OPS:
+            for path, pair in self.each(self.cond, (e.lhs, e.rhs), env, path):
+                yield path, _mk_logic(e.op, pair)
+        elif isinstance(e, Unary) and e.op == "!":
+            for path, f in self.cond(e.arg, env, path):
+                yield path, _mk_not(f)
+        else:
+            raise SummarizeError(f"cannot translate condition {type(e).__name__}")
 
-    def exec_straight(self, stmts: tuple[Stmt, ...], env, path, out, k):
-        """Run ``stmts`` on every path; a return adds (path, term) to ``out``, and a
-        path that reaches their end calls ``k(env, path)``."""
+    def block(self, stmts: tuple[Stmt, ...], env, path: _Path, out: list):
+        """Yield the (env, path) states that run off the end of ``stmts``; a return adds
+        (conditions, term) to ``out`` instead."""
         if not stmts:
-            k(env, path)
+            yield env, path
             return
-        head, rest = stmts[0], stmts[1:]
-        if isinstance(head, (Let, Assign)):
-            for conds, t in self.translate_expr(head.value, env):
-                if (next_path := self.extend(path, conds)) is not None:
-                    self.exec_straight(rest, {**env, head.name: t}, next_path, out, k)
-            return
-        if isinstance(head, Return):
-            for conds, t in self.translate_expr(head.value, env):
-                if (next_path := self.extend(path, conds)) is not None:
-                    out.append((next_path.conds, t))
-            return
-        if isinstance(head, If):
-            for conds, phi in self.translate_cond(head.cond, env):
-                for taken, extra in _branches(phi):
-                    if (next_path := self.extend(path, conds + extra)) is not None:
-                        block = head.then if taken else head.other or ()
-                        self.exec_straight(block + rest, dict(env), next_path, out, k)
-            return
-        if isinstance(head, While):
-            def after_loop(env2, path2):
-                self.exec_straight(rest, env2, path2, out, k)
+        for env, path in self.stmt(stmts[0], env, path, out):
+            yield from self.block(stmts[1:], env, path, out)
 
-            self.run_loop_nested(head, 0, env, path, out, after_loop)
-            return
-        raise SummarizeError(f"cannot execute {type(head).__name__}")
+    def stmt(self, s: Stmt, env, path: _Path, out: list):
+        if isinstance(s, (Let, Assign)):
+            for path, t in self.expr(s.value, env, path):
+                yield {**env, s.name: t}, path
+        elif isinstance(s, Return):
+            for path, t in self.expr(s.value, env, path):
+                out.append((path.conds, t))
+        elif isinstance(s, If):
+            for path, phi in self.cond(s.cond, env, path):
+                for taken, added in _branches(phi):
+                    if (next_path := self.extend(path, added)) is not None:
+                        branch = s.then if taken else s.other or ()
+                        yield from self.block(branch, env, next_path, out)
+        elif isinstance(s, While):
+            yield from self.loop(s, 0, env, path, out)
+        else:
+            raise SummarizeError(f"cannot execute {type(s).__name__}")
 
-    def run_loop_nested(self, loop: While, iteration: int, env, path, out, k):
-        for conds, phi in self.translate_cond(loop.cond, env):
-            for entered, extra in reversed(_branches(phi)):  # the exit path first
-                if (next_path := self.extend(path, conds + extra)) is None:
+    def loop(self, loop: While, iteration: int, env, path: _Path, out: list):
+        """Yield the states that leave ``loop`` from its ``iteration``-th test on, exit first."""
+        for path, phi in self.cond(loop.cond, env, path):
+            for entered, added in reversed(_branches(phi)):
+                if (next_path := self.extend(path, added)) is None:
                     continue
                 if not entered:
-                    k(dict(env), next_path)
-                    continue
-                if iteration >= self.unroll_limit:
+                    yield env, next_path
+                elif iteration >= self.unroll_limit:
                     raise UnrollLimitExceeded(self.unroll_limit)
-
-                def continue_loop(env2, path2):
-                    self.run_loop_nested(loop, iteration + 1, env2, path2, out, k)
-
-                self.exec_straight(loop.body, dict(env), next_path, out, continue_loop)
+                else:
+                    for env2, path2 in self.block(loop.body, env, next_path, out):
+                        yield from self.loop(loop, iteration + 1, env2, path2, out)
 
 
 def _fresh_output_name(fn: TypedFunction) -> str:
@@ -370,7 +354,7 @@ class _Returned(Exception):
 
 # minilang operator -> (unsigned, signed) operator name.  Summaries are
 # checked against eval_concrete, so it keeps this reading of its own rather
-# than sharing translate_expr's.
+# than sharing _PathExploder.expr's.
 _CONCRETE_BINARY = {
     "+": ("add", "add"), "-": ("sub", "sub"), "*": ("mul", "mul"),
     "/": ("udiv", "sdiv"), "%": ("urem", "srem"),

@@ -8,9 +8,8 @@ import pytest
 
 from patcheq import bvarith
 from patcheq.formula import (
-    BvVar, FIff, FNot, FormulaError, eval_formula, feq,
-    iff_under_range, mk_range_constraint, pretty, serialize, serialize_formula,
-    tconst, tvar,
+    BvVar, FIff, FNot, FormulaError, eval_formula, feq, mk_range_constraint, pretty,
+    serialize, serialize_formula, tconst, tvar,
 )
 from patcheq.minilang import SORTS
 from patcheq.oracle import SolverSession
@@ -59,19 +58,19 @@ def test_range_bound_outside_sort_rejected():
         mk_range_constraint([x], [5], [3])
 
 
-def test_iff_under_range_reflexive_is_valid(cfg):
+def test_a_summary_is_equivalent_to_itself_under_a_range(cfg):
     s = summarize(corpus_fn("cve_2010_4165_tcp_window", "original.fn"))
     rng = mk_range_constraint(
         list(s.inputs), [v.sort.min_value for v in s.inputs],
         [v.sort.max_value for v in s.inputs],
     )
-    f = FNot(iff_under_range(s.formula, s.formula, rng))
     with SolverSession(cfg, s.decls) as session:
-        session.assert_formula(f)
+        session.assert_formula(FNot(FIff(s.formula, s.formula)))
+        session.assert_formula(rng)
         assert session.check_sat() == "unsat"
 
 
-def test_iff_under_range_count_pair(cfg):
+def test_a_pair_differs_under_one_range_and_agrees_under_another(cfg):
     f1 = corpus_fn("cve_2013_0859_doubles_metadata", "original.fn")
     f2 = corpus_fn("cve_2013_0859_doubles_metadata", "patched.fn")
     s1, s2 = summarize(f1), summarize(f2)
@@ -80,14 +79,16 @@ def test_iff_under_range_count_pair(cfg):
     # under {count = 0} the versions differ: negation satisfiable
     rng0 = mk_range_constraint([count], [0], [0])
     with SolverSession(cfg, s1.decls) as session:
-        session.assert_formula(FNot(iff_under_range(s1.formula, s2.formula, rng0)))
+        session.assert_formula(FNot(FIff(s1.formula, s2.formula)))
+        session.assert_formula(rng0)
         assert session.check_sat() == "sat"
 
     # brute-force oracle: both versions agree on all of 1..100
     assert all(eval_concrete(f1, [v]) == eval_concrete(f2, [v]) for v in range(1, 101))
     rng = mk_range_constraint([count], [1], [100])
     with SolverSession(cfg, s1.decls) as session:
-        session.assert_formula(FNot(iff_under_range(s1.formula, s2.formula, rng)))
+        session.assert_formula(FNot(FIff(s1.formula, s2.formula)))
+        session.assert_formula(rng)
         assert session.check_sat() == "unsat"
 
 

@@ -321,6 +321,19 @@ def test_input_outside_the_vocabulary_is_an_error_and_the_session_continues(comm
     assert [line.split(" ")[0] for line in out.getvalue().splitlines()] == ["(error", "unsat"]
 
 
+def test_a_term_nested_too_deep_is_an_error_and_the_session_continues():
+    deep = "x"
+    for _ in range(5000):  # deeper than the interpreter's recursion limit
+        deep = f"(bvadd {deep} (_ bv1 8))"
+    script = (f"(declare-const x (_ BitVec 8))\n(assert (= {deep} x))\n"
+              "(assert (= x (_ bv7 8)))\n(check-sat)\n(get-value (x))\n")
+    out = io.StringIO()
+    assert run_stdio(io.StringIO(script), out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith('(error "maximum recursion depth exceeded')
+    assert lines[1:] == ["sat", "((x (_ bv7 8)))"]
+
+
 # --- compiled evaluator ---
 
 WIDTHS = (1, 8, 33, 64)

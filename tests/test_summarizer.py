@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patcheq import bvarith, regions, summarizer
-from patcheq.formula import FAnd, FEq, FOr, eval_formula, eval_term
+from patcheq.formula import FAnd, FEq, FOr, eval_formula, eval_term, pretty
 from patcheq.oracle import Budget
 from patcheq.randgen import random_function, random_pair
 from patcheq.summarizer import (
@@ -335,6 +335,24 @@ def test_opaque_guards_keep_every_path():
     assert summary.path_count == 2**6
 
 
+@pytest.mark.parametrize("source, disjuncts", [
+    # depth first: the then side runs on to its return before the else side starts
+    ("fn f(x: i8) -> i8 { if (x > 0) { x = 1; } else { return 2; } return x; }",
+     ["(0 < x && out == 1)", "(!(0 < x) && out == 2)"]),
+    # a loop's exit path first, then one path per iteration
+    ("fn f(x: u8) -> u8 { while (x < 2) { x = x + 1; } return x; }",
+     ["(!(x < 2) && out == x)", "(x < 2 && !((x + 1) < 2) && out == (x + 1))",
+      "(x < 2 && (x + 1) < 2 && !(((x + 1) + 1) < 2) && out == ((x + 1) + 1))"]),
+    # call variants: the left argument's path varies slowest
+    ("fn g(x: i8) -> i8 { if (x > 0) { return 1; } return 2; }\n"
+     "fn f(x: i8, y: i8) -> i8 { return g(x) - g(y); }",
+     ["(0 < x && 0 < y && out == 0)", "(0 < x && !(0 < y) && out == 255)",
+      "(!(0 < x) && 0 < y && out == 1)", "(!(0 < x) && !(0 < y) && out == 0)"]),
+])
+def test_paths_come_out_in_execution_order(source, disjuncts):
+    assert [pretty(d) for d in summarize(fn(source)).formula.items] == disjuncts
+
+
 def test_an_expired_budget_stops_only_a_large_exploration():
     big = chain(10, lambda i: f"x * y > {1000 * i}", "x: i32, y: i32")
     with pytest.raises(SummarizeError, match="budget ran out"):
@@ -396,13 +414,13 @@ def test_summarize_runs_a_callee_once_per_argument_terms(monkeypatch):
     while f0.name != "f0":
         f0 = f0.body[0].value.lhs.fn
     runs = []
-    real = summarizer._PathExploder.exec_straight
+    real = summarizer._PathExploder.run
 
-    def counting(self, stmts, *rest):
-        runs.append(stmts is f0.body)
-        return real(self, stmts, *rest)
+    def counting(self, callee, args):
+        runs.append(callee is f0)
+        return real(self, callee, args)
 
-    monkeypatch.setattr(summarizer._PathExploder, "exec_straight", counting)
+    monkeypatch.setattr(summarizer._PathExploder, "run", counting)
     summary = summarize(top)
     assert runs.count(True) == 1
     assert summary.path_count == 1
