@@ -169,7 +169,8 @@ def cmd_check(args, cfg) -> int:
 def _impact_text(report: ImpactReport, places: int = 2) -> str:
     """Impact percentage with the diverging-input count, which rounding cannot hide."""
     diverging = report.domain_size - report.eq_lower_bound
-    return (f"{'=' if report.exact else '<='} {fraction_decimal(report.impact_percent, places)}%"
+    impact = fraction_decimal(report.impact_percent, places, report.toward(1))
+    return (f"{'=' if report.exact else '<='} {impact}%"
             f" ({diverging} of {report.domain_size} inputs)")
 
 
@@ -179,7 +180,8 @@ def _render_text(report: ImpactReport, places: int = 2) -> str:
         f"verdict:     {report.verdict.value}",
         f"algorithm:   {report.method}",
         f"eq count:    {'=' if report.exact else '>='} {report.eq_lower_bound} of {report.domain_size}",
-        f"eq percent:  {'=' if report.exact else '>='} {fraction_decimal(report.eq_percent, places)}",
+        f"eq percent:  {'=' if report.exact else '>='} "
+        f"{fraction_decimal(report.eq_percent, places, report.toward(-1))}",
         f"impact:      {_impact_text(report, places)}",
         f"condition:   {pretty(report.condition)}",
         f"impact cond: {pretty(report.impact_condition)}",

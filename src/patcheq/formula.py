@@ -7,7 +7,6 @@ the ground-truth semantics used by tests and by model validation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -301,58 +300,79 @@ def point_formula(variables: Sequence[BvVar], values: Sequence[int]) -> Formula:
 # --- serialization ---
 
 
-def _smt_term(t: Term) -> str:
-    if isinstance(t, TConst):
-        return f"(_ bv{t.value} {t.width})"
-    if isinstance(t, TVar):
-        return t.var.name
-    if isinstance(t, TBin):
-        return f"(bv{t.op} {_smt_term(t.lhs)} {_smt_term(t.rhs)})"
-    if isinstance(t, TNeg):
-        return f"(bvneg {_smt_term(t.arg)})"
-    if isinstance(t, TExtend):
-        fn = "zero_extend" if t.kind == "zero" else "sign_extend"
-        return f"((_ {fn} {t.extra}) {_smt_term(t.arg)})"
-    if isinstance(t, TExtract):
-        return f"((_ extract {t.hi} {t.lo}) {_smt_term(t.arg)})"
-    raise FormulaError(f"cannot serialize {type(t).__name__}")
+def _operands(x: Term | Formula) -> tuple:
+    """The terms and formulas ``x`` is built from, in argument order."""
+    if isinstance(x, (TBin, FEq, FLt, FLe, FIff)):
+        return (x.lhs, x.rhs)
+    if isinstance(x, (FAnd, FOr)):
+        return x.items
+    if isinstance(x, (TNeg, TExtend, TExtract, FNot)):
+        return (x.arg,)
+    return ()
 
 
-def _smt_formula(f: Formula) -> str:
-    if isinstance(f, FTrue):
-        return "true"
-    if isinstance(f, FFalse):
-        return "false"
-    if isinstance(f, FName):
-        return f.name
-    if isinstance(f, FEq):
-        return f"(= {_smt_term(f.lhs)} {_smt_term(f.rhs)})"
-    if isinstance(f, FLt):
-        return f"({'bvslt' if f.signed else 'bvult'} {_smt_term(f.lhs)} {_smt_term(f.rhs)})"
-    if isinstance(f, FLe):
-        return f"({'bvsle' if f.signed else 'bvule'} {_smt_term(f.lhs)} {_smt_term(f.rhs)})"
-    if isinstance(f, FNot):
-        return f"(not {_smt_formula(f.arg)})"
-    if isinstance(f, FAnd):
-        return "(and " + " ".join(_smt_formula(x) for x in f.items) + ")"
-    if isinstance(f, FOr):
-        return "(or " + " ".join(_smt_formula(x) for x in f.items) + ")"
-    if isinstance(f, FIff):
-        return f"(= {_smt_formula(f.lhs)} {_smt_formula(f.rhs)})"
-    raise FormulaError(f"cannot serialize {type(f).__name__}")
+def _fold(roots: Sequence, one) -> dict[int, object]:
+    """``{id(x): one(x, [its operands' values])}`` over the nodes under ``roots``, each
+    valued once, operands first and in argument order, on a stack of its own.  Nothing is
+    hashed, so a term may nest to any depth."""
+    done: dict[int, object] = {}
+    stack = [(x, None) for x in reversed(roots)]  # (node, None) enters, (node, operands) values
+    while stack:
+        x, ops = stack.pop()
+        if ops is None:
+            if id(x) in done:
+                continue
+            ops = _operands(x)
+            if ops:
+                stack.append((x, ops))
+                stack += [(a, None) for a in reversed(ops)]
+                continue
+        done[id(x)] = one(x, [done[id(a)] for a in ops])
+    return done
+
+
+_SMT_HEADS = {TNeg: "bvneg", FEq: "=", FIff: "=", FNot: "not", FAnd: "and", FOr: "or"}
+
+
+def _smt(x: Term | Formula, a: list):
+    """SMT-LIB text of one node as a string or a tuple of pieces, ``a`` holding its
+    operands' texts; a piece is a string or such a tuple."""
+    if isinstance(x, TConst):
+        return f"(_ bv{x.value} {x.width})"
+    if isinstance(x, (TVar, FName)):
+        return x.var.name if isinstance(x, TVar) else x.name
+    if isinstance(x, (FTrue, FFalse)):
+        return "true" if isinstance(x, FTrue) else "false"
+    if isinstance(x, TBin):
+        head = f"bv{x.op}"
+    elif isinstance(x, (FLt, FLe)):
+        head = f"bv{'s' if x.signed else 'u'}{'lt' if isinstance(x, FLt) else 'le'}"
+    elif isinstance(x, TExtend):
+        head = f"(_ {x.kind}_extend {x.extra})"
+    elif isinstance(x, TExtract):
+        head = f"(_ extract {x.hi} {x.lo})"
+    elif type(x) in _SMT_HEADS:
+        head = _SMT_HEADS[type(x)]
+    else:
+        raise FormulaError(f"cannot serialize {type(x).__name__}")
+    return (f"({head} ", *[piece for text in a for piece in (" ", text)][1:], ")")
 
 
 def serialize_formula(f: Formula) -> str:
-    return _smt_formula(f)
+    out, stack = [], [_fold([f], _smt)[id(f)]]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack += reversed(piece)
+    return "".join(out)
 
 
 def serialize(decls: Sequence[BvVar], f: Formula) -> str:
     """Full SMT-LIB2 script: logic, declarations in the given order, one assert."""
-    lines = ["(set-logic QF_BV)"]
-    for var in decls:
-        lines.append(f"(declare-const {var.name} (_ BitVec {var.sort.width}))")
-    lines.append(f"(assert {_smt_formula(f)})")
-    return "\n".join(lines) + "\n"
+    declare = [f"(declare-const {var.name} (_ BitVec {var.sort.width}))" for var in decls]
+    return "\n".join(["(set-logic QF_BV)", *declare, f"(assert {serialize_formula(f)})"]) + "\n"
 
 
 # --- pretty printing for reports ---
@@ -458,49 +478,46 @@ def compile_paths(paths: Sequence[tuple[Sequence[Formula], Term]]):
     for c in conds)}`` for summarizer paths (no true, false, iff or empty and/or), as
     straight-line source like ``smtbv.terms.compile_node``: one assignment per distinct
     term and formula, computed once per call, and one ``if`` per path."""
-    names: dict = {}
     lines = ["def _outputs(env):"]
-    name = functools.partial(_named, names, lines)
-    tests = [(" and ".join(map(name, conds)) or "True", name(t)) for conds, t in paths]
+    named: dict[Term | Formula, str] = {}
+
+    def assign(x: Term | Formula, a: list[str]) -> str:
+        if x not in named:  # first hashed after its operands, so the hash never recurses
+            lines.append(f"    v{len(named)} = {_python(x, a)}")
+            named[x] = f"v{len(named)}"
+        return named[x]
+
+    name = _fold([x for conds, t in paths for x in (*conds, t)], assign)
+    tests = [(" and ".join(name[id(c)] for c in conds) or "True", name[id(t)])
+             for conds, t in paths]
     lines += ["    out = set()", *(f"    if {c}: out.add({v})" for c, v in tests), "    return out"]
     exec(compile("\n".join(lines), "<compile_paths>", "exec"), namespace := dict(bvarith.BINARY))
     return namespace.pop("_outputs")  # kept in its own globals, it would be a reference cycle
 
 
-def _named(names: dict, lines: list[str], x: Term | Formula) -> str:
-    """``x``'s local name; on first use, appends its assignment to ``lines`` after those
-    of its operands."""
-    if x not in names:
-        text = _python(x, functools.partial(_named, names, lines))
-        names[x] = f"v{len(names)}"
-        lines.append(f"    {names[x]} = {text}")
-    return names[x]
-
-
-def _python(x: Term | Formula, name) -> str:
-    """Python expression for one term or formula; ``name(operand)`` is its local name."""
+def _python(x: Term | Formula, a: list[str]) -> str:
+    """Python expression for one term or formula over its operands' local names ``a``."""
     if isinstance(x, TConst):
         return repr(x.value)
     if isinstance(x, TVar):
         return f"env[{x.var.name!r}]"
     if isinstance(x, TBin):
-        a, b, w = name(x.lhs), name(x.rhs), x.width
-        return bvarith.PYTHON[x.op].format(a=a, b=b, w=w, m=bvarith.mask(w))
+        return bvarith.PYTHON[x.op].format(a=a[0], b=a[1], w=x.width, m=bvarith.mask(x.width))
     if isinstance(x, TNeg):
-        return f"-{name(x.arg)} & {bvarith.mask(x.width)}"
+        return f"-{a[0]} & {bvarith.mask(x.width)}"
     if isinstance(x, TExtend):
-        a, fill = name(x.arg), bvarith.mask(x.width) ^ bvarith.mask(x.arg.width)
-        return f"{a} | {fill} if {a} >> {x.arg.width - 1} else {a}" if x.kind == "sign" else a
+        v, fill = a[0], bvarith.mask(x.width) ^ bvarith.mask(x.arg.width)
+        return f"{v} | {fill} if {v} >> {x.arg.width - 1} else {v}" if x.kind == "sign" else v
     if isinstance(x, TExtract):
-        return f"({name(x.arg)} >> {x.lo}) & {bvarith.mask(x.width)}"
+        return f"({a[0]} >> {x.lo}) & {bvarith.mask(x.width)}"
     if isinstance(x, (FEq, FLt, FLe)):
-        a, b = name(x.lhs), name(x.rhs)
+        lhs, rhs = a
         if getattr(x, "signed", False):
             top = 1 << (x.lhs.width - 1)  # flipping the sign bit orders signed values
-            a, b = f"({a} ^ {top})", f"({b} ^ {top})"
-        return f"{a} {'<' if isinstance(x, FLt) else '<=' if isinstance(x, FLe) else '=='} {b}"
+            lhs, rhs = f"({lhs} ^ {top})", f"({rhs} ^ {top})"
+        return f"{lhs} {'<' if isinstance(x, FLt) else '<=' if isinstance(x, FLe) else '=='} {rhs}"
     if isinstance(x, FNot):
-        return f"not {name(x.arg)}"
+        return f"not {a[0]}"
     if isinstance(x, (FAnd, FOr)):
-        return (" and " if isinstance(x, FAnd) else " or ").join(map(name, x.items))
+        return (" and " if isinstance(x, FAnd) else " or ").join(a)
     raise FormulaError(f"cannot compile {type(x).__name__}")

@@ -25,21 +25,23 @@ RANGE_METHODS = ("relational", "iterative", "priority", "combined")
 ALL_METHODS = RANGE_METHODS + ("enumerate",)
 
 
-def fraction_decimal(value: Fraction, places: int = 2) -> str:
-    """Exact fixed-point rendering with round-half-even."""
-    scaled_num = value.numerator * 10 ** places
-    q, r = divmod(scaled_num, value.denominator)
-    if 2 * r > value.denominator or (2 * r == value.denominator and q % 2):
+def fraction_decimal(value: Fraction, places: int = 2, toward: int = 0) -> str:
+    """Exact fixed-point rendering, rounded half even, or down (``toward`` -1) or up (1)
+    so that a rounded bound claims no more than the bound."""
+    q, r = divmod(value.numerator * 10 ** places, value.denominator)
+    if toward:
+        q += 1 if toward > 0 and r else 0
+    elif 2 * r > value.denominator or (2 * r == value.denominator and q % 2):
         q += 1
     text = str(q).rjust(places + 1, "0")
     return f"{text[:-places]}.{text[-places:]}" if places else text
 
 
-def fraction_json(value: Fraction, places: int = 2) -> dict:
+def fraction_json(value: Fraction, places: int = 2, toward: int = 0) -> dict:
     # decimal for eyeballs, numerator/denominator so 87.50 and
     # (2^32 - 56)/2^32 are both stored losslessly
     return {
-        "decimal": fraction_decimal(value, places),
+        "decimal": fraction_decimal(value, places, toward),
         "numerator": str(value.numerator),
         "denominator": str(value.denominator),
     }
@@ -78,6 +80,10 @@ class ImpactReport:
     def impact_percent(self) -> Fraction:
         return 100 - self.eq_percent
 
+    def toward(self, bound: int) -> int:
+        """How to round a lower (-1) or upper (1) bound: half even when it is exact."""
+        return 0 if self.exact else bound
+
     @property
     def impact_condition(self) -> Formula:
         return FNot(self.condition)
@@ -92,8 +98,9 @@ class ImpactReport:
             "eq_lower_bound": str(self.eq_lower_bound),
             "exact": self.exact,
             "domain_size": str(self.domain_size),
-            "eq_percent_lower_bound": fraction_json(self.eq_percent, places),
-            "impact_percent_upper_bound": fraction_json(self.impact_percent, places),
+            "eq_percent_lower_bound": fraction_json(self.eq_percent, places, self.toward(-1)),
+            "impact_percent_upper_bound": fraction_json(self.impact_percent, places,
+                                                        self.toward(1)),
             "condition": {
                 "pretty": pretty(self.condition),
                 "smtlib": serialize_formula(self.condition),

@@ -9,7 +9,7 @@ small.
 from __future__ import annotations
 
 from .sat import Solver
-from .terms import Node
+from .terms import Node, walk
 
 
 class Blaster:
@@ -19,7 +19,7 @@ class Blaster:
         self.TRUE = true_var << 1
         self.FALSE = self.TRUE ^ 1
         solver.add_clause([self.TRUE])
-        self.cache: dict[int, object] = {}
+        self.cache: dict[Node, object] = {}
         self.gates: dict[tuple, int] = {}
         self.var_bits: dict[str, list[int]] = {}
 
@@ -225,72 +225,59 @@ class Blaster:
     # --- DAG dispatch ---
 
     def blast(self, node: Node):
-        got = self.cache.get(node.nid)
-        if got is not None:
-            return got
+        cache = self.cache
+        for n in walk(node, cache.__contains__):
+            cache[n] = self._circuit(n, [cache[a] for a in n.args if isinstance(a, Node)])
+        return cache[node]
+
+    def _circuit(self, node: Node, b: list):
+        """One node's literal or LSB-first bits, from its operands' ``b``."""
         k = node.kind
         if k == "bconst":
-            out = self.TRUE if node.args[0] else self.FALSE
-        elif k == "const":
-            out = self.const_bits(node.args[0], node.width)
-        elif k == "var":
-            name = node.args[0]
-            bits = self.var_bits.get(name)
+            return self.TRUE if node.args[0] else self.FALSE
+        if k == "const":
+            return self.const_bits(node.args[0], node.width)
+        if k == "var":
+            bits = self.var_bits.get(node.args[0])
             if bits is None:
-                bits = [self.fresh() for _ in range(node.width)]
-                self.var_bits[name] = bits
-            out = bits
-        elif k == "bnot":
-            out = self.blast(node.args[0]) ^ 1
-        elif k == "band":
-            out = self.and_list(self.blast(x) for x in node.args)
-        elif k == "bor":
-            out = self.or_list(self.blast(x) for x in node.args)
-        elif k == "beq":
-            out = self.xor2(self.blast(node.args[0]), self.blast(node.args[1])) ^ 1
-        elif k == "eq":
-            out = self.eq_vec(self.blast(node.args[0]), self.blast(node.args[1]))
-        elif k == "ult":
-            out = self.ult_vec(self.blast(node.args[0]), self.blast(node.args[1]))
-        elif k == "slt":
-            out = self.slt_vec(self.blast(node.args[0]), self.blast(node.args[1]))
-        elif k == "ite":
-            c = self.blast(node.args[0])
-            a = self.blast(node.args[1])
-            b = self.blast(node.args[2])
-            out = [self.mux(c, x, y) for x, y in zip(a, b)]
-        elif k == "add":
-            out = self.add_vec(self.blast(node.args[0]), self.blast(node.args[1]), self.FALSE)
-        elif k == "sub":
-            out = self.sub_vec(self.blast(node.args[0]), self.blast(node.args[1]))
-        elif k == "mul":
-            out = self.mul_vec(self.blast(node.args[0]), self.blast(node.args[1]))
-        elif k == "udiv":
-            out = self.divmod_vec(self.blast(node.args[0]), self.blast(node.args[1]))[0]
-        elif k == "urem":
-            out = self.divmod_vec(self.blast(node.args[0]), self.blast(node.args[1]))[1]
-        elif k in ("shl", "lshr"):
-            out = self.shift_vec(self.blast(node.args[0]), self.blast(node.args[1]), k == "lshr")
-        elif k == "and":
-            out = [self.and2(x, y) for x, y in zip(self.blast(node.args[0]), self.blast(node.args[1]))]
-        elif k == "or":
-            out = [self.or2(x, y) for x, y in zip(self.blast(node.args[0]), self.blast(node.args[1]))]
-        elif k == "xor":
-            out = [self.xor2(x, y) for x, y in zip(self.blast(node.args[0]), self.blast(node.args[1]))]
-        elif k == "extract":
-            hi, lo, arg = node.args
-            out = self.blast(arg)[lo: hi + 1]
-        elif k == "zext":
-            extra, arg = node.args
-            out = self.blast(arg) + [self.FALSE] * extra
-        elif k == "sext":
-            extra, arg = node.args
-            bits = self.blast(arg)
-            out = bits + [bits[-1]] * extra
-        else:
-            raise ValueError(f"cannot blast node kind {k!r}")
-        self.cache[node.nid] = out
-        return out
+                bits = self.var_bits[node.args[0]] = [self.fresh() for _ in range(node.width)]
+            return bits
+        if k == "bnot":
+            return b[0] ^ 1
+        if k == "band":
+            return self.and_list(b)
+        if k == "bor":
+            return self.or_list(b)
+        if k == "beq":
+            return self.xor2(b[0], b[1]) ^ 1
+        if k == "eq":
+            return self.eq_vec(b[0], b[1])
+        if k == "ult":
+            return self.ult_vec(b[0], b[1])
+        if k == "slt":
+            return self.slt_vec(b[0], b[1])
+        if k == "ite":
+            return [self.mux(b[0], x, y) for x, y in zip(b[1], b[2])]
+        if k == "add":
+            return self.add_vec(b[0], b[1], self.FALSE)
+        if k == "sub":
+            return self.sub_vec(b[0], b[1])
+        if k == "mul":
+            return self.mul_vec(b[0], b[1])
+        if k in ("udiv", "urem"):
+            return self.divmod_vec(b[0], b[1])[k == "urem"]
+        if k in ("shl", "lshr"):
+            return self.shift_vec(b[0], b[1], k == "lshr")
+        if k in ("and", "or", "xor"):
+            gate = {"and": self.and2, "or": self.or2, "xor": self.xor2}[k]
+            return [gate(x, y) for x, y in zip(b[0], b[1])]
+        if k == "extract":
+            return b[0][node.args[1]: node.args[0] + 1]
+        if k == "zext":
+            return b[0] + [self.FALSE] * node.args[0]
+        if k == "sext":
+            return b[0] + [b[0][-1]] * node.args[0]
+        raise ValueError(f"cannot blast node kind {k!r}")
 
     def model_value(self, name: str, width: int) -> int | None:
         bits = self.var_bits.get(name)

@@ -24,7 +24,7 @@ from .. import bvarith
 from .sat import Solver
 from .bitblast import Blaster
 from .terms import (
-    Intervals, Node, Simplifier, TermTable, compile_node, eval_node, free_vars, full, norm,
+    Intervals, Node, Simplifier, TermTable, compile_node, eval_node, free_vars, full, norm, walk,
 )
 
 PROBE_COMBO_CAP = 1024
@@ -247,19 +247,16 @@ class SmtEngine:
         variables: dict[str, Node] = {}
         partners: dict[int, _Partner] = {}
         consts: set[Node] = set()
-        seen: set[int] = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n.nid in seen:
-                continue
-            seen.add(n.nid)
-            known = self._lookup(n.nid)
-            if known is not None:
-                variables.update(known.vars)
-                partners.update(known.partners)
-                consts |= known.consts
-                continue
+
+        def known(n: Node) -> bool:
+            facts = self._lookup(n.nid)
+            if facts is not None:
+                variables.update(facts.vars)
+                partners.update(facts.partners)
+                consts.update(facts.consts)
+            return facts is not None
+
+        for n in walk(node, known):
             if n.kind == "var":
                 variables[n.args[0]] = n
             elif n.kind == "const":
@@ -271,7 +268,6 @@ class SmtEngine:
                     partners[n.nid] = _Partner(a.args[0], b)
                 elif b.kind == "var" and a.kind != "var":
                     partners[n.nid] = _Partner(b.args[0], a)
-            stack.extend(x for x in n.args if isinstance(x, Node))
         level = len(self.levels) - 1
         self.levels[level].facts[node.nid] = _Facts(
             node, level, variables, partners, frozenset(consts))

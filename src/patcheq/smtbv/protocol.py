@@ -26,6 +26,25 @@ class SmtSession:
     # --- term parsing ---
 
     def parse_term(self, e) -> Node:
+        """The node of a term, read off a stack of its own so that nesting has no limit."""
+        done: list[Node] = []  # read terms that wait for their operator, in order
+        todo = [e]  # terms to read, and (head, operand count) to apply once they are read
+        while todo:
+            x = todo.pop()
+            if isinstance(x, tuple):
+                head, count = x
+                args = done[len(done) - count:]
+                del done[len(done) - count:]
+                done.append(self._apply(head, args))
+            elif isinstance(x, str) or not x or x[0] == "_":
+                done.append(self._atom(x))
+            else:
+                todo.append((x[0], len(x) - 1))
+                todo.extend(reversed(x[1:]))
+        return done[0]
+
+    def _atom(self, e) -> Node:
+        """A name, a constant, or an error for any other term without operands."""
         t = self.engine.table
         if isinstance(e, str):
             if e == "true":
@@ -41,14 +60,15 @@ class SmtSession:
             return t.var(e, width)
         if not e:
             raise SmtError("empty term")
-        head = e[0]
-        if head == "_":
-            if len(e) == 3 and isinstance(e[1], str) and e[1].startswith("bv"):
-                if int(e[2]) < 1:
-                    raise SmtError("bit-vector width must be positive")
-                return t.const(int(e[1][2:]), int(e[2]))
-            raise SmtError(f"unsupported indexed term {e!r}")
-        args = [self.parse_term(x) for x in e[1:]]
+        if len(e) == 3 and isinstance(e[1], str) and e[1].startswith("bv"):
+            if int(e[2]) < 1:
+                raise SmtError("bit-vector width must be positive")
+            return t.const(int(e[1][2:]), int(e[2]))
+        raise SmtError(f"unsupported indexed term {e!r}")
+
+    def _apply(self, head, args: list[Node]) -> Node:
+        """An operator applied to its read operands."""
+        t = self.engine.table
         if isinstance(head, list):
             return self._indexed(head, args)
         if head == "=":

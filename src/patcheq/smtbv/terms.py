@@ -20,8 +20,9 @@ class Node:
         self.args = args
         self.nid = nid
 
-    def __repr__(self):
-        return f"<{self.kind}/{self.width}#{self.nid} {self.args!r}>"
+    def __repr__(self):  # operands by nid, so that no term is printed by recursion
+        args = ", ".join(f"#{a.nid}" if isinstance(a, Node) else repr(a) for a in self.args)
+        return f"<{self.kind}/{self.width}#{self.nid} ({args})>"
 
 
 class TermTable:
@@ -291,53 +292,74 @@ class TermTable:
 
 
 # ---------------------------------------------------------------------------
-# Concrete evaluation
+# Traversal and concrete evaluation
 
 
-def eval_node(node: Node, env: dict[str, int], memo: dict[int, int] | None = None):
+def walk(root: Node, skip=None):
+    """Yield each node under ``root`` once, operands first and in argument order.
+
+    This is the order recursion reaches them, kept on an explicit stack, so a
+    term may nest to any depth.  ``skip(node)`` is asked when the walk first
+    reaches a node; a node it accepts is neither yielded nor entered.  So a
+    caller that values each yielded node before pulling the next, and skips
+    the nodes it valued before, finds every operand of a yielded node valued.
+    """
+    seen: set[Node] = set()
+    stack = [(root, False)]
+    while stack:
+        n, ready = stack.pop()
+        if ready:
+            yield n
+        elif n not in seen:
+            seen.add(n)
+            if skip is None or not skip(n):
+                stack.append((n, True))
+                for a in reversed(n.args):
+                    if isinstance(a, Node):
+                        stack.append((a, False))
+
+
+def eval_node(node: Node, env: dict[str, int], memo: dict[Node, int] | None = None):
     """Evaluate a node under unsigned-canonical variable values.
 
     Unassigned variables default to 0.  Returns ints for bit-vector nodes and
-    bools for boolean nodes.  ``memo`` maps the nids valued so far to their
-    values; ``and``, ``or`` and ``ite`` value only the operands they need.
+    bools for boolean nodes.  ``memo`` maps the nodes valued so far to their
+    values.
     """
-    if memo is None:
-        memo = {}
-    got = memo.get(node.nid)
-    if got is not None or node.nid in memo:
-        return got
-    k, a = node.kind, node.args
+    memo = {} if memo is None else memo
+    for n in walk(node, memo.__contains__):
+        memo[n] = _value(n, [memo[a] for a in n.args if isinstance(a, Node)], env)
+    return memo[node]
+
+
+def _value(n: Node, v: list, env: dict[str, int]):
+    """One node's value from its operands' values ``v``."""
+    k, a = n.kind, n.args
     if k in ("const", "bconst"):
-        v = a[0]
-    elif k == "var":
-        v = env.get(a[0], 0)
-    elif k == "bnot":
-        v = not eval_node(a[0], env, memo)
-    elif k == "band":
-        v = all(eval_node(x, env, memo) for x in a)
-    elif k == "bor":
-        v = any(eval_node(x, env, memo) for x in a)
-    elif k == "ite":
-        v = eval_node(a[1] if eval_node(a[0], env, memo) else a[2], env, memo)
-    elif k == "extract":
-        v = (eval_node(a[2], env, memo) >> a[1]) & bvarith.mask(a[0] - a[1] + 1)
-    elif k == "zext":
-        v = eval_node(a[1], env, memo)
-    elif k == "sext":
-        v = bvarith.to_unsigned(bvarith.to_signed(eval_node(a[1], env, memo), a[1].width),
-                                node.width)
-    else:
-        x, y = eval_node(a[0], env, memo), eval_node(a[1], env, memo)
-        if k in ("beq", "eq"):
-            v = x == y
-        elif k == "ult":
-            v = x < y
-        elif k == "slt":
-            v = bvarith.slt(x, y, a[0].width)
-        else:
-            v = bvarith.BINARY[k](x, y, node.width)
-    memo[node.nid] = v
-    return v
+        return a[0]
+    if k == "var":
+        return env.get(a[0], 0)
+    if k == "bnot":
+        return not v[0]
+    if k == "band":
+        return all(v)
+    if k == "bor":
+        return any(v)
+    if k == "ite":
+        return v[1] if v[0] else v[2]
+    if k == "extract":
+        return (v[0] >> a[1]) & bvarith.mask(a[0] - a[1] + 1)
+    if k == "zext":
+        return v[0]
+    if k == "sext":
+        return bvarith.to_unsigned(bvarith.to_signed(v[0], a[1].width), n.width)
+    if k in ("beq", "eq"):
+        return v[0] == v[1]
+    if k == "ult":
+        return v[0] < v[1]
+    if k == "slt":
+        return bvarith.slt(v[0], v[1], a[0].width)
+    return bvarith.BINARY[k](v[0], v[1], n.width)
 
 
 def compile_node(node: Node, known=None):
@@ -348,31 +370,27 @@ def compile_node(node: Node, known=None):
     ``known(nid)`` may return an evaluator for a sub-DAG, which is then
     called instead of inlined.
     """
-    names: dict[int, str] = {}
+    names: dict[Node, str] = {}
     calls: dict[str, object] = {}
     lines = ["def _eval(env):"]
-    stack = [(node, False)]
-    while stack:
-        n, ready = stack.pop()
-        if n.nid in names:
-            continue
-        k = n.kind
-        if k in ("const", "bconst"):
-            names[n.nid] = repr(n.args[0])
-            continue
-        children = [a for a in n.args if isinstance(a, Node)]
-        if ready:
-            lines.append(f"    n{n.nid} = {_expr(n, [names[c.nid] for c in children])}")
-        else:
-            fn = known(n.nid) if known is not None and n is not node else None
-            if fn is None:
-                stack.append((n, True))
-                stack.extend((c, False) for c in reversed(children) if c.nid not in names)
-                continue
-            calls[f"k{len(calls)}"] = fn
-            lines.append(f"    n{n.nid} = k{len(calls) - 1}(env)")
-        names[n.nid] = f"n{n.nid}"
-    lines.append(f"    return {names[node.nid]}")
+
+    def skip(n: Node) -> bool:
+        if n.kind in ("const", "bconst"):
+            names[n] = repr(n.args[0])
+            return True
+        fn = known(n.nid) if known is not None and n is not node else None
+        if fn is None:
+            return False
+        calls[f"k{len(calls)}"] = fn
+        lines.append(f"    n{n.nid} = k{len(calls) - 1}(env)")
+        names[n] = f"n{n.nid}"
+        return True
+
+    for n in walk(node, skip):
+        operands = [names[a] for a in n.args if isinstance(a, Node)]
+        lines.append(f"    n{n.nid} = {_expr(n, operands)}")
+        names[n] = f"n{n.nid}"
+    lines.append(f"    return {names[node]}")
     namespace = dict(calls)
     exec(compile("\n".join(lines), "<compile_node>", "exec"), namespace)
     return namespace.pop("_eval")  # kept in its own globals, it would be a reference cycle
@@ -410,22 +428,8 @@ def _expr(n: Node, a: list[str]) -> str:
     return bvarith.PYTHON[k].format(a=a[0], b=a[1], w=w, m=m)
 
 
-def free_vars(node: Node, acc: dict[str, Node] | None = None, seen: set | None = None):
-    if acc is None:
-        acc = {}
-    if seen is None:
-        seen = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.nid in seen:
-            continue
-        seen.add(n.nid)
-        if n.kind == "var":
-            acc[n.args[0]] = n
-        else:
-            stack.extend(a for a in n.args if isinstance(a, Node))
-    return acc
+def free_vars(node: Node) -> dict[str, Node]:
+    return {n.args[0]: n for n in walk(node) if n.kind == "var"}
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +473,29 @@ class Intervals:
 
     def __init__(self, bounds: dict[str, list[int]]):
         self.bounds = bounds
-        self.memo: dict[int, tuple[int, int, int, int]] = {}
+        self.memo: dict[Node, tuple[int, int, int, int]] = {}
 
     def of(self, n: Node) -> tuple[int, int, int, int]:
-        got = self.memo.get(n.nid)
-        if got is not None:
-            return got
+        memo = self.memo
+        if n not in memo:  # most calls ask again for a node valued before
+            for m in walk(n, lambda m: m.width == 0 or m in memo):  # no Boolean has one
+                memo[m] = self._interval(m, [memo.get(a) for a in m.args if isinstance(a, Node)])
+        return memo[n]
+
+    def _interval(self, n: Node, v: list) -> tuple[int, int, int, int]:
+        """One node's interval from its operands' ``v`` (None for a Boolean)."""
         w = n.width
         smin, smax = -(1 << (w - 1)), (1 << (w - 1)) - 1
         umax = bvarith.mask(w)
         k = n.kind
-        out = full(w)
         if k == "const":
-            v = n.args[0]
-            out = (v, v, bvarith.to_signed(v, w), bvarith.to_signed(v, w))
-        elif k == "var":
+            x = n.args[0]
+            return (x, x, bvarith.to_signed(x, w), bvarith.to_signed(x, w))
+        if k == "var":
             b = self.bounds.get(n.args[0])
-            if b is not None:
-                out = tuple(b)
-        elif k in ("add", "sub", "mul"):
-            a, b = (self.of(x) for x in n.args[:2])
+            return full(w) if b is None else tuple(b)
+        if k in ("add", "sub", "mul"):
+            a, b = v
             if k == "add":
                 slo, shi = a[2] + b[2], a[3] + b[3]
                 ulo, uhi = a[0] + b[0], a[1] + b[1]
@@ -501,66 +508,44 @@ class Intervals:
                 ulo, uhi = a[0] * b[0], a[1] * b[1]
             su = (ulo, uhi) if 0 <= ulo and uhi <= umax else (0, umax)
             ss = (slo, shi) if smin <= slo and shi <= smax else (smin, smax)
-            out = norm(w, (*su, *ss))
-        elif k == "shl":
-            a, b = n.args
-            if b.kind == "const":
-                ia = self.of(a)
-                c = b.args[0]
-                if c >= w:
-                    out = (0, 0, 0, 0)
-                elif ia[1] << c <= umax:
-                    out = norm(w, (ia[0] << c, ia[1] << c, smin, smax))
-        elif k == "lshr":
-            a, b = n.args
-            if b.kind == "const":
-                ia = self.of(a)
-                c = min(b.args[0], w)
-                out = norm(w, (ia[0] >> c, ia[1] >> c, smin, smax))
-        elif k == "udiv":
-            a, b = n.args
-            if b.kind == "const" and b.args[0] != 0:
-                ia = self.of(a)
-                c = b.args[0]
-                out = norm(w, (ia[0] // c, ia[1] // c, smin, smax))
-        elif k == "urem":
-            a, b = n.args
-            if b.kind == "const" and b.args[0] != 0:
-                ia = self.of(a)
-                c = b.args[0]
-                if ia[1] < c:
-                    out = norm(w, (ia[0], ia[1], smin, smax))
-                else:
-                    out = norm(w, (0, c - 1, smin, smax))
-        elif k == "and":
-            a, b = (self.of(x) for x in n.args[:2])
-            out = norm(w, (0, min(a[1], b[1]), smin, smax))
-        elif k == "or":
-            a, b = (self.of(x) for x in n.args[:2])
+            return norm(w, (*su, *ss))
+        if k in ("shl", "lshr", "udiv", "urem"):
+            lo, hi = v[0][:2]
+            c = n.args[1].args[0] if n.args[1].kind == "const" else None
+            if c is None:
+                return full(w)
+            if k == "shl" and c >= w:
+                return (0, 0, 0, 0)
+            if k == "shl" and hi << c <= umax:
+                return norm(w, (lo << c, hi << c, smin, smax))
+            if k == "lshr":
+                return norm(w, (lo >> min(c, w), hi >> min(c, w), smin, smax))
+            if k == "udiv" and c:
+                return norm(w, (lo // c, hi // c, smin, smax))
+            if k == "urem" and c:
+                return norm(w, (lo, hi, smin, smax) if hi < c else (0, c - 1, smin, smax))
+            return full(w)
+        if k == "and":
+            return norm(w, (0, min(v[0][1], v[1][1]), smin, smax))
+        if k == "or":
+            a, b = v
             hi = (1 << max(a[1], b[1]).bit_length()) - 1
             out = norm(w, (min(a[0], b[0]), min(hi, umax), smin, smax))
             # lower bound: or is at least each operand's minimum
-            out = norm(w, (max(a[0], b[0], out[0]), out[1], out[2], out[3]))
-        elif k == "xor":
-            a, b = (self.of(x) for x in n.args[:2])
-            hi = (1 << max(a[1], b[1]).bit_length()) - 1
-            out = norm(w, (0, min(hi, umax), smin, smax))
-        elif k == "ite":
-            a, b = self.of(n.args[1]), self.of(n.args[2])
-            out = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
-        elif k == "zext":
-            ia = self.of(n.args[1])
-            out = norm(w, (ia[0], ia[1], smin, smax))
-        elif k == "sext":
-            ia = self.of(n.args[1])
-            out = norm(w, (0, umax, ia[2], ia[3]))
-        elif k == "extract":
-            hi, lo, a = n.args
-            ia = self.of(a)
-            if lo == 0 and ia[1] <= bvarith.mask(n.width):
-                out = norm(w, (ia[0], ia[1], smin, smax))
-        self.memo[n.nid] = out
-        return out
+            return norm(w, (max(a[0], b[0], out[0]), out[1], out[2], out[3]))
+        if k == "xor":
+            hi = (1 << max(v[0][1], v[1][1]).bit_length()) - 1
+            return norm(w, (0, min(hi, umax), smin, smax))
+        if k == "ite":
+            a, b = v[1], v[2]
+            return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+        if k == "zext":
+            return norm(w, (v[0][0], v[0][1], smin, smax))
+        if k == "sext":
+            return norm(w, (0, umax, v[0][2], v[0][3]))
+        if k == "extract" and n.args[1] == 0 and v[0][1] <= umax:
+            return norm(w, (v[0][0], v[0][1], smin, smax))
+        return full(w)
 
 
 class Simplifier:
@@ -569,50 +554,40 @@ class Simplifier:
     def __init__(self, table: TermTable, intervals: Intervals):
         self.t = table
         self.iv = intervals
-        self.memo: dict[int, Node] = {}
+        self.memo: dict[Node, Node] = {}
 
     def run(self, n: Node) -> Node:
-        got = self.memo.get(n.nid)
-        if got is not None:
-            return got
+        memo = self.memo
+        for m in walk(n, memo.__contains__):
+            memo[m] = self._rebuild(m, [memo[a] for a in m.args if isinstance(a, Node)])
+        return memo[n]
+
+    def _rebuild(self, n: Node, s: list[Node]) -> Node:
+        """One node over its operands' simplified forms ``s``."""
         t = self.t
         k = n.kind
         if k in ("const", "bconst"):
-            out = n
-        elif k == "var":
+            return n
+        if k == "var":
             b = self.iv.bounds.get(n.args[0])
-            if b is not None and b[0] == b[1]:
-                out = t.const(b[0], n.width)
-            else:
-                out = n
-        elif k == "bnot":
-            out = t.bnot(self.run(n.args[0]))
-        elif k == "band":
-            out = t.band([self.run(x) for x in n.args])
-        elif k == "bor":
-            out = t.bor([self.run(x) for x in n.args])
-        elif k == "beq":
-            out = t.beq(self.run(n.args[0]), self.run(n.args[1]))
-        elif k in ("eq", "ult", "slt"):
-            a, b = self.run(n.args[0]), self.run(n.args[1])
-            out = self._atom(k, a, b)
-        elif k == "ite":
-            c = self.run(n.args[0])
-            if c.kind == "bconst":
-                out = self.run(n.args[1]) if c.args[0] else self.run(n.args[2])
-            else:
-                out = t.ite(c, self.run(n.args[1]), self.run(n.args[2]))
-        elif k == "extract":
-            hi, lo, a = n.args
-            out = t.extract(hi, lo, self.run(a))
-        elif k == "zext":
-            out = t.zext(n.args[0], self.run(n.args[1]))
-        elif k == "sext":
-            out = t.sext(n.args[0], self.run(n.args[1]))
-        else:
-            out = t.bv2(k, self.run(n.args[0]), self.run(n.args[1]))
-        self.memo[n.nid] = out
-        return out
+            return t.const(b[0], n.width) if b is not None and b[0] == b[1] else n
+        if k == "bnot":
+            return t.bnot(s[0])
+        if k == "band":
+            return t.band(s)
+        if k == "bor":
+            return t.bor(s)
+        if k == "beq":
+            return t.beq(s[0], s[1])
+        if k in ("eq", "ult", "slt"):
+            return self._atom(k, s[0], s[1])
+        if k == "ite":
+            return t.ite(s[0], s[1], s[2])
+        if k == "extract":
+            return t.extract(n.args[0], n.args[1], s[0])
+        if k in ("zext", "sext"):
+            return getattr(t, k)(n.args[0], s[0])
+        return t.bv2(k, s[0], s[1])
 
     def _atom(self, kind: str, a: Node, b: Node) -> Node:
         t = self.t

@@ -356,6 +356,27 @@ def test_the_budget_and_query_timeout_bound_sending_summaries(tmp_path):
     assert "verdict:     unknown" in proc.stdout.splitlines()
 
 
+@pytest.mark.parametrize("command", ["check", "impact"])
+def test_a_long_straight_line_function_is_analyzed(tmp_path, command):
+    # each statement nests the returned term once more: 900 levels, past the depth at
+    # which hashing, serializing and the bundled solver's reading once recursed too deep
+    body = "".join(f"    x = x + {i % 7 + 1};\n" for i in range(900))
+    (tmp_path / "a.fn").write_text(f"fn f(x: i32) -> i32 {{\n{body}    return x;\n}}\n")
+    (tmp_path / "b.fn").write_text(
+        f"fn f(x: i32) -> i32 {{\n    if (x == 5) {{ return 0; }}\n{body}    return x;\n}}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "patcheq.cli", command, str(tmp_path / "a.fn"),
+         str(tmp_path / "b.fn"), "--format", "json", "--solver-cmd", SOLVER],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "partially_equivalent"
+    assert report["witness"] == {"x": 5}
+
+
 @pytest.mark.parametrize("command", ["summarize", "check"])
 def test_unroll_limit_below_one_exits_2(corpus_dir, capsys, command):
     files = [str(corpus_dir / "eqbench_ltfive/original.fn")] * (1 if command == "summarize" else 2)

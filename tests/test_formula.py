@@ -1,18 +1,21 @@
 """Formula construction, range constraints, serialization, evaluation."""
 
+import hashlib
 import itertools
 import pickle
+import random
 from pathlib import Path
 
 import pytest
 
 from patcheq import bvarith
 from patcheq.formula import (
-    BvVar, FIff, FNot, FormulaError, eval_formula, feq, mk_range_constraint, pretty,
-    serialize, serialize_formula, tconst, tvar,
+    BvVar, FIff, FNot, FormulaError, compile_paths, eval_formula, feq, fle, mk_range_constraint,
+    pretty, serialize, serialize_formula, tbin, tconst, tvar,
 )
 from patcheq.minilang import SORTS
 from patcheq.oracle import SolverSession
+from patcheq.randgen import random_function
 from patcheq.summarizer import eval_concrete, summarize
 
 from conftest import corpus_fn
@@ -130,6 +133,27 @@ def test_serialize_injective_on_corpus():
     ]
     texts = {serialize_formula(summarize(corpus_fn(c, w)).formula) for c, w in cases}
     assert len(texts) == len(cases)
+
+
+def test_random_summaries_serialize_to_pinned_text():
+    # the SMT-LIB of the first 300 random_function summaries, so a refactor of the
+    # summarizer or the serializer cannot change one byte of what the solver reads
+    digest = hashlib.sha256()
+    for seed in range(300):
+        s = summarize(random_function(random.Random(seed)))
+        digest.update(serialize(s.decls, s.formula).encode())
+    assert digest.hexdigest() == "779c73b2c30accbedb76f9cbc968713b47cad5e3cc7e0c4addee31cc06e04a5a"
+
+
+def test_a_term_of_any_depth_serializes_and_compiles():
+    x = BvVar("x", U8, "input")
+    chain = tvar(x)
+    for _ in range(5000):  # far deeper than the interpreter's recursion limit
+        chain = tbin("add", chain, tconst(1, 8))
+    assert serialize_formula(feq(tvar(x), chain)) == (
+        "(= x " + "(bvadd " * 5000 + "x" + " (_ bv1 8))" * 5000 + ")")
+    outputs = compile_paths([([fle(False, tconst(0, 8), tvar(x))], chain)])
+    assert outputs({"x": 7}) == {(7 + 5000) % 256}
 
 
 def test_formula_eval_division_total():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from patcheq import classifier, enumcount, oracle, report as report_module
+from patcheq import classifier, cli, enumcount, oracle, report as report_module
 from patcheq.classifier import Verdict
+from patcheq.formula import TRUE
 from patcheq.report import (
     AnalysisError, ManifestError, analyze_pair, fraction_decimal, load_case,
 )
@@ -215,6 +216,29 @@ def test_fraction_decimal_rendering():
     assert fraction_decimal(Fraction(1, 3), places=4) == "0.3333"
     assert fraction_decimal(Fraction(1, 800)) == "0.00"  # rounds half even
     assert fraction_decimal(Fraction(25, 2), places=0) == "12"
+    assert fraction_decimal(Fraction(1, 800), toward=1) == "0.01"
+    assert fraction_decimal(Fraction(2, 3), toward=-1) == "0.66"
+    assert fraction_decimal(Fraction(175, 2), toward=-1) == "87.50"  # no remainder to round
+
+
+def test_a_rounded_bound_claims_no_more_than_was_proven():
+    # fb_requeue_guard proves (2^31 - 1)^2 of 2^64 inputs equivalent: 24.99999998...%
+    def proven(exact):
+        return report_module.ImpactReport(
+            name="p", original="a.fn", patched="b.fn", verdict=Verdict.P_EQ,
+            method="relational", eq_lower_bound=(2**31 - 1) ** 2, domain_size=2**64,
+            exact=exact, condition=TRUE, witness=None, solver_calls=0, elapsed_ms=0,
+            incomplete=False, stats={})
+
+    data = proven(False).to_json()
+    assert data["eq_percent_lower_bound"]["decimal"] == "24.99"
+    assert data["impact_percent_upper_bound"]["decimal"] == "75.01"
+    text = cli._render_text(proven(False)).splitlines()
+    assert "eq percent:  >= 24.99" in text
+    assert text[5].startswith("impact:      <= 75.01% (")
+    data = proven(True).to_json()  # an exact value rounds half even
+    assert data["eq_percent_lower_bound"]["decimal"] == "25.00"
+    assert data["impact_percent_upper_bound"]["decimal"] == "75.00"
 
 
 def test_manifest_loader_rejects_missing_fields(tmp_path):
