@@ -1,13 +1,16 @@
 """Quantifier-free bit-vector formulas and their SMT-LIB2 serialization.
 
-Terms, atoms, and boolean connectives are plain frozen dataclasses; there is
-deliberately no rewriting engine here.  A small concrete evaluator doubles as
-the ground-truth semantics used by tests and by model validation.
+Terms, atoms, and boolean connectives are plain frozen dataclasses, and terms
+are hash-consed; there is deliberately no rewriting engine here.  A small
+concrete evaluator doubles as the ground-truth semantics used by tests and by
+model validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from . import bvarith
@@ -38,24 +41,31 @@ class BvVar:
 # --- terms ---
 
 
-def _term(cls):
-    """A frozen dataclass hashed once per object, as the generated hash walks shared
-    subterms as a tree; pickles drop the cached hash, as ``str`` hashes vary by process."""
-    cls = dataclass(frozen=True)(cls)
-    fields_hash = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        return self.__dict__.setdefault("_hash", fields_hash(self)) if h is None else h
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = lambda self: {k: v for k, v in self.__dict__.items() if k != "_hash"}
-    return cls
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()  # summaries are built on threads under ``corpus --jobs``
 
 
-@dataclass(frozen=True)
+def _intern(cls, *values):
+    """The one live ``cls(*values)``.  Terms are hash-consed (Filliâtre & Conchon, ML 2006):
+    equal terms are one object, so they compare and hash by identity, at any depth.  An
+    operand is keyed by its ``id``, which stays its own while a term holding it lives."""
+    key = (cls, *(id(v) if isinstance(v, Term) else v for v in values))
+    with _intern_lock:
+        t = _interned.get(key)
+        if t is None:
+            t = _interned[key] = cls(*values)
+        return t
+
+
+_term = dataclass(frozen=True, eq=False)
+
+
+@_term
 class Term:
     width: int
+
+    def __reduce__(self):  # an unpickled term is interned again
+        return _intern, (type(self), *(getattr(self, f.name) for f in fields(self)))
 
 
 @_term
@@ -99,11 +109,11 @@ class TExtract(Term):
 
 
 def tconst(value: int, width: int) -> TConst:
-    return TConst(width, value & bvarith.mask(width))
+    return _intern(TConst, width, value & bvarith.mask(width))
 
 
 def tvar(var: BvVar) -> TVar:
-    return TVar(var.sort.width, var)
+    return _intern(TVar, var.sort.width, var)
 
 
 def tbin(op: str, lhs: Term, rhs: Term) -> TBin:
@@ -111,23 +121,23 @@ def tbin(op: str, lhs: Term, rhs: Term) -> TBin:
         raise FormulaError(f"unknown term operator {op!r}")
     if lhs.width != rhs.width:
         raise SortMismatch(f"{op}: operand widths {lhs.width} vs {rhs.width}")
-    return TBin(lhs.width, op, lhs, rhs)
+    return _intern(TBin, lhs.width, op, lhs, rhs)
 
 
 def tneg(arg: Term) -> TNeg:
-    return TNeg(arg.width, arg)
+    return _intern(TNeg, arg.width, arg)
 
 
 def textend(kind: str, extra: int, arg: Term) -> TExtend:
     if kind not in ("zero", "sign") or extra < 0:
         raise FormulaError("bad extension")
-    return TExtend(arg.width + extra, kind, extra, arg)
+    return _intern(TExtend, arg.width + extra, kind, extra, arg)
 
 
 def textract(hi: int, lo: int, arg: Term) -> TExtract:
     if not (0 <= lo <= hi < arg.width):
         raise FormulaError("bad extract bounds")
-    return TExtract(hi - lo + 1, hi, lo, arg)
+    return _intern(TExtract, hi - lo + 1, hi, lo, arg)
 
 
 # --- atoms and formulas ---

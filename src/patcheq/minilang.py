@@ -1,4 +1,4 @@
-"""A fixed-width integer C subset: parsing, type checking, and printing.
+"""A fixed-width integer C subset: parsing and type checking.
 
 Programs are single functions over typed integer parameters with one return
 value.  Control flow is if/else and bounded while; all arithmetic is
@@ -94,14 +94,12 @@ ARITH_OPS = {"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"}
 CMP_OPS = {"<", "<=", ">", ">=", "==", "!="}
 LOGIC_OPS = {"&&", "||"}
 
-# C precedence of the binary operators, loosest first; the parser and the
-# printer both read it.
+# C precedence of the binary operators, loosest first.
 _PRECEDENCE = {
     "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
     "==": 6, "!=": 6, "<": 7, "<=": 7, ">": 7, ">=": 7,
     "<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
 }
-_UNARY_PREC = 11
 
 
 @dataclass(frozen=True)
@@ -565,64 +563,6 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
     if not _block_returns(body):
         raise TypeError_(f"function {fn.name!r} does not return on every path")
     return replace(fn, body=body)
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer
-
-def _fmt_expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, Lit):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Cast):
-        s = f"({e.target.name}) {_fmt_expr(e.arg, _UNARY_PREC)}"
-        return f"({s})" if parent_prec > _UNARY_PREC else s
-    if isinstance(e, Unary):
-        if e.op == "-" and isinstance(e.arg, Lit):
-            s = f"-({_fmt_expr(e.arg)})"  # keep it a negation node on reparse
-        else:
-            s = f"{e.op}{_fmt_expr(e.arg, _UNARY_PREC)}"
-        return f"({s})" if parent_prec > _UNARY_PREC else s
-    if isinstance(e, Binary):
-        prec = _PRECEDENCE[e.op]
-        s = f"{_fmt_expr(e.lhs, prec)} {e.op} {_fmt_expr(e.rhs, prec + 1)}"
-        return f"({s})" if parent_prec > prec else s
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(_fmt_expr(a) for a in e.args)})"
-    raise MiniLangError(f"cannot print {type(e).__name__} inline")
-
-
-def to_source(fn: TypedFunction) -> str:
-    """Render a function back to surface syntax; callees are not printed."""
-
-    def fmt_block(stmts: tuple[Stmt, ...], indent: str) -> list[str]:
-        lines = []
-        for s in stmts:
-            if isinstance(s, Let):
-                lines.append(f"{indent}let {s.name}: {s.declared.name} = {_fmt_expr(s.value)};")
-            elif isinstance(s, Assign):
-                lines.append(f"{indent}{s.name} = {_fmt_expr(s.value)};")
-            elif isinstance(s, If):
-                lines.append(f"{indent}if ({_fmt_expr(s.cond)}) {{")
-                lines.extend(fmt_block(s.then, indent + "    "))
-                if s.other is not None:
-                    lines.append(f"{indent}}} else {{")
-                    lines.extend(fmt_block(s.other, indent + "    "))
-                lines.append(f"{indent}}}")
-            elif isinstance(s, While):
-                lines.append(f"{indent}while ({_fmt_expr(s.cond)}) {{")
-                lines.extend(fmt_block(s.body, indent + "    "))
-                lines.append(f"{indent}}}")
-            elif isinstance(s, Return):
-                lines.append(f"{indent}return {_fmt_expr(s.value)};")
-        return lines
-
-    params = ", ".join(f"{n}: {s.name}" for n, s in fn.params)
-    lines = [f"fn {fn.name}({params}) -> {fn.return_sort.name} {{"]
-    lines.extend(fmt_block(fn.body, "    "))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _infer_same_sort(lhs, rhs, env, expected, infer):

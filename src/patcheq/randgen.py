@@ -81,20 +81,6 @@ def random_function(rng: random.Random, n_params: int | None = None) -> TypedFun
     return typecheck(fn)
 
 
-def _collect_exprs(stmts: tuple[Stmt, ...]) -> list[tuple]:
-    """(container, field) handles to every mutable expression position."""
-    out = []
-    for i, s in enumerate(stmts):
-        if isinstance(s, Return):
-            out.append(("return", stmts, i))
-        elif isinstance(s, If):
-            out.append(("cond", stmts, i))
-            out.extend(_collect_exprs(s.then))
-            if s.other:
-                out.extend(_collect_exprs(s.other))
-    return out
-
-
 def _mutate_expr(rng: random.Random, e: Expr, sort: IntSort) -> Expr:
     if isinstance(e, Binary) and e.op in CMP and rng.random() < 0.6:
         return replace(e, op=rng.choice([op for op in CMP if op != e.op]))

@@ -72,20 +72,18 @@ def _shift(ivs: Intervals, d: int, width: int) -> Intervals:
 
 def _linear(t: Term) -> tuple[BvVar, int, int] | None:
     """``(x, s, k)`` with ``t == s*x + k`` modulo ``2**w`` and ``s`` = ±1, or None."""
-    if isinstance(t, TVar):
-        return t.var, 1, 0
-    if isinstance(t, TNeg):
-        inner = _linear(t.arg)
-        return inner and (inner[0], -inner[1], -inner[2])
-    if isinstance(t, TBin) and t.op in ("add", "sub"):
-        sign = 1 if t.op == "add" else -1
-        if isinstance(t.rhs, TConst):
-            inner = _linear(t.lhs)
-            return inner and (inner[0], inner[1], inner[2] + sign * t.rhs.value)
-        if isinstance(t.lhs, TConst):
-            inner = _linear(t.rhs)
-            return inner and (inner[0], sign * inner[1], t.lhs.value + sign * inner[2])
-    return None
+    s, k = 1, 0  # the whole term is s*t + k
+    while True:
+        if isinstance(t, TVar):
+            return t.var, s, k
+        if isinstance(t, TNeg):
+            s, t = -s, t.arg
+        elif isinstance(t, TBin) and t.op in ("add", "sub") and isinstance(t.rhs, TConst):
+            k, t = k + s * t.rhs.value * (1 if t.op == "add" else -1), t.lhs
+        elif isinstance(t, TBin) and t.op in ("add", "sub") and isinstance(t.lhs, TConst):
+            k, s, t = k + s * t.lhs.value, s * (1 if t.op == "add" else -1), t.rhs
+        else:
+            return None
 
 
 def read(f: Formula) -> tuple[BvVar, Intervals] | None:

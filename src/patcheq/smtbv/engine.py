@@ -179,12 +179,9 @@ class SmtEngine:
                 bb[i] = max(bb[i], c + positive)
 
         for name, b in bounds.items():
-            w = self.lookup_width(name)
-            if w is None:
-                continue
             if b[0] > b[1] or b[2] > b[3]:
                 return None  # contradictory range facts
-            bounds[name] = list(norm(w, tuple(b)))
+            bounds[name] = list(norm(self.lookup_width(name), tuple(b)))
         return bounds
 
     def _bound_constraints(self, bounds: dict[str, list[int]]) -> list[Node]:
@@ -193,8 +190,6 @@ class SmtEngine:
         out = []
         for name, (ulo, uhi, slo, shi) in bounds.items():
             w = self.lookup_width(name)
-            if w is None:
-                continue
             v = t.var(name, w)
             if ulo > 0:
                 out.append(t.bnot(t.ult(v, t.const(ulo, w))))
@@ -358,13 +353,6 @@ class SmtEngine:
     def check_sat(self) -> str:
         self.last_model = None
         actives = [n for lvl in self.levels for n in lvl.asserts]
-        if any(n is self.table.FALSE for n in actives):
-            return "unsat"
-        actives = [n for n in actives if n is not self.table.TRUE]
-        if not actives:
-            self.last_model = {}
-            return "sat"
-
         deadline = None
         if self.timeout_ms is not None:
             deadline = time.monotonic() + self.timeout_ms / 1000.0
@@ -393,9 +381,6 @@ class SmtEngine:
         probed = self._probe(actives, bounds)
         if probed is not None:
             model = {name: probed.get(name, 0) for name in self.declared()}
-            for name, b in bounds.items():
-                if name not in probed and name in model:
-                    model[name] = b[0]
             if all(eval_node(a, model, {}) for a in actives):
                 self.last_model = model
                 return "sat"

@@ -285,11 +285,16 @@ class _PathExploder:
     def block(self, stmts: tuple[Stmt, ...], env, path: _Path, out: list):
         """Yield the (env, path) states that run off the end of ``stmts``; a return adds
         (conditions, term) to ``out`` instead."""
-        if not stmts:
-            yield env, path
-            return
-        for env, path in self.stmt(stmts[0], env, path, out):
-            yield from self.block(stmts[1:], env, path, out)
+        stack = [(0, iter([(env, path)]))]  # (next statement, the states that reach it)
+        while stack:
+            i, states = stack[-1]
+            state = next(states, None)
+            if state is None:
+                stack.pop()
+            elif i == len(stmts):
+                yield state
+            else:
+                stack.append((i + 1, self.stmt(stmts[i], *state, out)))
 
     def stmt(self, s: Stmt, env, path: _Path, out: list):
         if isinstance(s, (Let, Assign)):

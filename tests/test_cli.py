@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import ast
 import json
 import shlex
 import subprocess
@@ -11,6 +12,9 @@ import pytest
 
 from patcheq.cli import main
 from patcheq.oracle import bundled_solver_command
+from patcheq.summarizer import eval_concrete
+
+from conftest import fn_file
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
@@ -48,6 +52,37 @@ def test_check_reports_verdict_and_witness(capsys, corpus_dir):
     data = json.loads(out)
     assert data["verdict"] == "partially_equivalent"
     assert "x" in data["witness"]
+
+
+def test_check_text_names_the_verdict_and_a_diverging_input(capsys, corpus_dir):
+    case = corpus_dir / "eqbench_ltfive"
+    code, out, _ = run_cli(["check", str(case / "original.fn"), str(case / "patched.fn")],
+                           capsys)
+    assert code == 0
+    verdict, diverging = out.splitlines()
+    assert verdict == "verdict: partially_equivalent"
+    assert diverging.startswith("diverging input: ")
+    x = ast.literal_eval(diverging.removeprefix("diverging input: "))["x"]
+    assert (eval_concrete(fn_file(case / "original.fn"), [x])
+            != eval_concrete(fn_file(case / "patched.fn"), [x]))
+
+
+# Answers every check-sat with unknown.
+UNKNOWN_SOLVER = """
+import sys
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        print("unknown", flush=True)
+"""
+
+
+def test_check_exits_1_when_the_solver_answers_unknown(capsys, corpus_dir):
+    case = corpus_dir / "eqbench_ltfive"
+    code = main(["check", str(case / "original.fn"), str(case / "patched.fn"),
+                 "--solver-cmd", shlex.join([sys.executable, "-c", UNKNOWN_SOLVER])])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines() == ["verdict: unknown"]
 
 
 def test_impact_json_fields(capsys, corpus_dir):
@@ -375,6 +410,28 @@ def test_a_long_straight_line_function_is_analyzed(tmp_path, command):
     report = json.loads(proc.stdout)
     assert report["verdict"] == "partially_equivalent"
     assert report["witness"] == {"x": 5}
+
+
+def test_a_5000_statement_function_is_checked(tmp_path):
+    # summarizing once recursed per statement, and hashing and reading the guard's term
+    # once per nesting level, so the client stopped near 1,000 statements
+    body = "".join(f"    x = x + ({i % 7 + 1});\n" for i in range(5000))
+    (tmp_path / "a.fn").write_text(f"fn f(x: i32) -> i32 {{\n{body}    return x;\n}}\n")
+    (tmp_path / "b.fn").write_text(
+        f"fn f(x: i32) -> i32 {{\n{body}    if (x == 5) {{ return 0; }}\n    return x;\n}}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "patcheq.cli", "check", str(tmp_path / "a.fn"),
+         str(tmp_path / "b.fn"), "--format", "json", "--solver-cmd", SOLVER],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "partially_equivalent"
+    x = report["witness"]["x"]
+    assert (eval_concrete(fn_file(tmp_path / "a.fn"), [x])
+            != eval_concrete(fn_file(tmp_path / "b.fn"), [x]))
 
 
 @pytest.mark.parametrize("command", ["summarize", "check"])

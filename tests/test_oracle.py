@@ -213,6 +213,44 @@ def test_a_dead_session_drops_commands_and_answers_unknown(cfg):
         assert session.check_sat() == "unknown"
 
 
+@pytest.mark.parametrize("value, expected", [
+    ("#x2a", 42), ("#xFF", 255), ("#b101", 5), ("#b0", 0), ("42", 42),
+    (["_", "bv42", "8"], 42), (["_", "bv0", "32"], 0),
+])
+def test_bv_values_read_in_every_solver_notation(value, expected):
+    assert oracle._parse_bv_value(value) == expected
+
+
+@pytest.mark.parametrize("value", ["#q12", "true", ["_", "bvx", "8"], ["bv5", "8"], []])
+def test_an_unreadable_bv_value_is_a_value_error(value):
+    with pytest.raises(ValueError):
+        oracle._parse_bv_value(value)
+
+
+# Answers sat, then a get-value reply that leaves out y.
+MISSING_NAME = """
+import sys
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        print("sat", flush=True)
+    elif line.startswith("(get-value"):
+        print("((x #x05))", flush=True)
+"""
+
+
+def test_a_reply_missing_a_requested_name_reads_no_model(cfg):
+    x, y = (BvVar(name, SORTS["u8"], "input") for name in "xy")
+    stub = SolverConfig(solver_cmd=(sys.executable, "-c", MISSING_NAME),
+                        query_timeout_ms=cfg.query_timeout_ms, budget_ms=cfg.budget_ms)
+    with SolverSession(stub, (x, y)) as session:
+        assert session.check_sat() == "sat"
+        assert session.get_values([x]) == {"x": 5}
+        assert not session.dead
+        assert session.get_values([x, y]) is None
+        assert session.dead
+        assert session.check_sat() == "unknown"
+
+
 def test_close_never_reaps_a_child_that_already_exited():
     session = SolverSession(SolverConfig(solver_cmd=(sys.executable, "-c", "pass")))
     pid = session.proc.pid

@@ -19,6 +19,7 @@ from patcheq.formula import (
     tneg, tvar,
 )
 from patcheq.oracle import bundled_preamble, bundled_solver_command
+from patcheq.smtbv import engine
 from patcheq.smtbv.engine import SmtEngine, SmtError
 from patcheq.smtbv.protocol import SmtSession, run_stdio
 from patcheq.smtbv.sat import Solver
@@ -543,6 +544,36 @@ def test_probe_caches_stay_flat_over_many_range_queries():
         gc.enable()
     assert max(sizes) <= sizes[9] == 2  # only the two definitions remain
     assert garbage == 0
+
+
+def test_a_model_that_breaks_an_original_assertion_is_solved_again(monkeypatch):
+    # five inputs, so the probe steps aside and CDCL answers the simplified set; with
+    # one assertion dropped its model breaks that assertion, so the originals are solved
+    eng = SmtEngine()
+    t = eng.table
+    xs = []
+    for name in "abcde":
+        eng.declare(name, 8)
+        xs.append(t.var(name, 8))
+    total = xs[0]
+    for x in xs[1:]:
+        total = t.bv2("add", total, x)
+    kept = t.eq(total, t.const(200, 8))
+    dropped = t.eq(t.bv2("xor", xs[0], xs[1]), t.const(0x5A, 8))
+    eng.assert_node(kept)
+    eng.assert_node(dropped)
+
+    class Dropping(engine.Simplifier):
+        def run(self, n):
+            return self.t.TRUE if n is dropped else super().run(n)
+
+    monkeypatch.setattr(engine, "Simplifier", Dropping)
+    solved, solve_cnf = [], eng._solve_cnf
+    monkeypatch.setattr(eng, "_solve_cnf", lambda blast_set, originals, deadline: (
+        solved.append(blast_set) or solve_cnf(blast_set, originals, deadline)))
+    assert eng.check_sat() == "sat"
+    assert dropped not in solved[0] and solved[1:] == [[kept, dropped]]
+    assert eval_node(kept, eng.last_model, {}) and eval_node(dropped, eng.last_model, {})
 
 
 def test_harvested_bounds_hold_every_model():
