@@ -39,22 +39,17 @@ def _env(name: str, default):
     return os.environ.get(f"PATCHEQ_{name}", default)
 
 
-def _depth_limit(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"depth limit {text} is negative")
-    return int(text)
+def _at_least(lo: int, what: str):
+    """An argparse type: an int no less than ``lo``, called ``what`` when it is."""
 
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            below = "negative" if lo == 0 else f"below {lo}"
+            raise argparse.ArgumentTypeError(f"{what} {text} is {below}")
+        return int(text)
 
-def _unroll_limit(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"unroll limit {text} is below 1")
-    return int(text)
-
-
-def _percent_places(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"percent places {text} is negative")
-    return int(text)
+    parse.__name__ = "int"  # argparse's "invalid int value" for text that is no int
+    return parse
 
 
 class _AfterSubcommand(argparse.Action):
@@ -72,19 +67,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--query-timeout-ms", type=int,
                         default=_env("QUERY_TIMEOUT_MS", "10000"))
     common.add_argument("--budget-ms", type=int, default=_env("BUDGET_MS", "120000"))
-    common.add_argument("--depth-limit", type=_depth_limit,
+    common.add_argument("--depth-limit", type=_at_least(0, "depth limit"),
                         default=_env("DEPTH_LIMIT", None),
                         help="range-search depth limit (default 8 single-var, 4 multi-var)")
     common.add_argument("--algorithm", choices=ALL_METHODS,
                         default=_env("ALGORITHM", None))
     common.add_argument("--format", choices=("json", "text"),
                         default=_env("FORMAT", "text"))
-    common.add_argument("--jobs", type=int, default=_env("JOBS", "1"))
+    common.add_argument("--jobs", type=_at_least(1, "jobs"), default=_env("JOBS", "1"))
     common.add_argument("--stable", action="store_true",
                         default=str(_env("STABLE", "")).lower() in ("1", "true"),
                         help="omit timing fields for byte-identical reports")
-    common.add_argument("--unroll-limit", type=_unroll_limit, default=DEFAULT_UNROLL_LIMIT)
-    common.add_argument("--percent-places", type=_percent_places,
+    common.add_argument("--unroll-limit", type=_at_least(1, "unroll limit"),
+                        default=DEFAULT_UNROLL_LIMIT)
+    common.add_argument("--percent-places", type=_at_least(0, "percent places"),
                         default=_env("PERCENT_PLACES", "2"),
                         help="decimal places for rendered percentages")
 

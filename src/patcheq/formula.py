@@ -1,9 +1,10 @@
 """Quantifier-free bit-vector formulas and their SMT-LIB2 serialization.
 
 Terms, atoms, and boolean connectives are plain frozen dataclasses, and terms
-are hash-consed; there is deliberately no rewriting engine here.  A small
-concrete evaluator doubles as the ground-truth semantics used by tests and by
-model validation.
+are hash-consed; there is deliberately no rewriting engine here.  Formulas are
+evaluated by compiling them to straight-line Python (``eval_formula``,
+``compile_paths``); the solver validates its models with its own
+``smtbv.terms.eval_node``.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def textract(hi: int, lo: int, arg: Term) -> TExtract:
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    def __reduce__(self):  # without the evaluator ``eval_formula`` keeps on it
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -439,56 +441,37 @@ def pretty(f: Formula) -> str:
 # --- concrete evaluation ---
 
 
-def eval_term(t: Term, env: dict[str, int]) -> int:
-    """Evaluate under an assignment of unsigned canonical values."""
-    if isinstance(t, TConst):
-        return t.value
-    if isinstance(t, TVar):
-        return env[t.var.name]
-    if isinstance(t, TBin):
-        return bvarith.BINARY[t.op](eval_term(t.lhs, env), eval_term(t.rhs, env), t.width)
-    if isinstance(t, TNeg):
-        return bvarith.neg(eval_term(t.arg, env), t.width)
-    if isinstance(t, TExtend):
-        v = eval_term(t.arg, env)
-        if t.kind == "sign":
-            return bvarith.to_unsigned(bvarith.to_signed(v, t.arg.width), t.width)
-        return v
-    if isinstance(t, TExtract):
-        return (eval_term(t.arg, env) >> t.lo) & bvarith.mask(t.width)
-    raise FormulaError(f"cannot evaluate {type(t).__name__}")
-
-
 def eval_formula(f: Formula, env: dict[str, int]) -> bool:
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, FEq):
-        return eval_term(f.lhs, env) == eval_term(f.rhs, env)
-    if isinstance(f, FLt):
-        a, b = eval_term(f.lhs, env), eval_term(f.rhs, env)
-        return bvarith.slt(a, b, f.lhs.width) if f.signed else a < b
-    if isinstance(f, FLe):
-        a, b = eval_term(f.lhs, env), eval_term(f.rhs, env)
-        return bvarith.sle(a, b, f.lhs.width) if f.signed else a <= b
-    if isinstance(f, FNot):
-        return not eval_formula(f.arg, env)
-    if isinstance(f, FAnd):
-        return all(eval_formula(x, env) for x in f.items)
-    if isinstance(f, FOr):
-        return any(eval_formula(x, env) for x in f.items)
-    if isinstance(f, FIff):
-        return eval_formula(f.lhs, env) == eval_formula(f.rhs, env)
-    raise FormulaError(f"cannot evaluate {type(f).__name__}")
+    """Whether ``f`` holds under an assignment of unsigned canonical values."""
+    return _evaluator(f)(env)
 
 
 def compile_paths(paths: Sequence[tuple[Sequence[Formula], Term]]):
-    """``f(env) == {eval_term(t, env) for conds, t in paths if all(eval_formula(c, env)
-    for c in conds)}`` for summarizer paths (no true, false, iff or empty and/or), as
-    straight-line source like ``smtbv.terms.compile_node``: one assignment per distinct
-    term and formula, computed once per call, and one ``if`` per path."""
-    lines = ["def _outputs(env):"]
+    """``f(env)``: the values at ``env`` of the return terms of the paths whose every
+    condition holds there, as a set; one ``if`` per path."""
+
+    def tests(name: dict[int, str]) -> list[str]:
+        holds = [(" and ".join(name[id(c)] for c in conds) or "True", name[id(t)])
+                 for conds, t in paths]
+        return ["    out = set()", *(f"    if {c}: out.add({v})" for c, v in holds), "    return out"]
+
+    return _compile([x for conds, t in paths for x in (*conds, t)], tests)
+
+
+def _evaluator(x: Term | Formula):
+    """``x``'s value as a function of ``env``, compiled on first use and kept on ``x``, as
+    ``Summary.outputs`` keeps its function; a cache of its own would keep every term alive."""
+    f = x.__dict__.get("_evaluate")
+    if f is None:
+        f = x.__dict__["_evaluate"] = _compile([x], lambda name: [f"    return {name[id(x)]}"])
+    return f
+
+
+def _compile(roots: Sequence, result):
+    """``f(env)`` as straight-line source like ``smtbv.terms.compile_node``: one assignment
+    per distinct term and formula under ``roots``, computed once per call, then the lines
+    ``result(name)`` writes from ``name[id(x)]``, the local that holds node ``x``."""
+    lines = ["def f(env):"]
     named: dict[Term | Formula, str] = {}
 
     def assign(x: Term | Formula, a: list[str]) -> str:
@@ -497,12 +480,9 @@ def compile_paths(paths: Sequence[tuple[Sequence[Formula], Term]]):
             named[x] = f"v{len(named)}"
         return named[x]
 
-    name = _fold([x for conds, t in paths for x in (*conds, t)], assign)
-    tests = [(" and ".join(name[id(c)] for c in conds) or "True", name[id(t)])
-             for conds, t in paths]
-    lines += ["    out = set()", *(f"    if {c}: out.add({v})" for c, v in tests), "    return out"]
-    exec(compile("\n".join(lines), "<compile_paths>", "exec"), namespace := dict(bvarith.BINARY))
-    return namespace.pop("_outputs")  # kept in its own globals, it would be a reference cycle
+    lines += result(_fold(roots, assign))
+    exec(compile("\n".join(lines), "<formula>", "exec"), namespace := dict(bvarith.BINARY))
+    return namespace.pop("f")  # kept in its own globals, it would be a reference cycle
 
 
 def _python(x: Term | Formula, a: list[str]) -> str:
@@ -520,7 +500,9 @@ def _python(x: Term | Formula, a: list[str]) -> str:
         return f"{v} | {fill} if {v} >> {x.arg.width - 1} else {v}" if x.kind == "sign" else v
     if isinstance(x, TExtract):
         return f"({a[0]} >> {x.lo}) & {bvarith.mask(x.width)}"
-    if isinstance(x, (FEq, FLt, FLe)):
+    if isinstance(x, (FTrue, FFalse)):
+        return repr(isinstance(x, FTrue))
+    if isinstance(x, (FEq, FLt, FLe, FIff)):
         lhs, rhs = a
         if getattr(x, "signed", False):
             top = 1 << (x.lhs.width - 1)  # flipping the sign bit orders signed values
@@ -528,6 +510,6 @@ def _python(x: Term | Formula, a: list[str]) -> str:
         return f"{lhs} {'<' if isinstance(x, FLt) else '<=' if isinstance(x, FLe) else '=='} {rhs}"
     if isinstance(x, FNot):
         return f"not {a[0]}"
-    if isinstance(x, (FAnd, FOr)):
-        return (" and " if isinstance(x, FAnd) else " or ").join(a)
+    if isinstance(x, (FAnd, FOr)):  # empty, ``all([])`` and ``any([])``
+        return (" and " if isinstance(x, FAnd) else " or ").join(a) or repr(isinstance(x, FAnd))
     raise FormulaError(f"cannot compile {type(x).__name__}")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import bvarith, minilang, regions
 from .formula import (
     BvVar, Formula, Term, TConst, FAnd, FNot, FOr, FTrue, FFalse, TRUE, FALSE,
-    compile_paths, eval_term, fand, feq, fle, flt, for_, tbin, tconst, textend, textract,
+    compile_paths, fand, feq, fle, flt, for_, tbin, tconst, textend, textract,
     tneg, tvar,
 )
 from .minilang import (
@@ -156,13 +156,12 @@ def _mk_cmp(op: str, signed: bool, lhs: Term, rhs: Term) -> Formula:
 def _cast_term(t: Term, src: IntSort, dst: IntSort) -> Term:
     if dst.width == src.width:
         return t
-    if dst.width < src.width:
-        out = textract(dst.width - 1, 0, t)
-    else:
-        out = textend("sign" if src.signed else "zero", dst.width - src.width, t)
     if isinstance(t, TConst):
-        return tconst(eval_term(out, {}), dst.width)
-    return out
+        v = t.value
+        return tconst(bvarith.to_signed(v, src.width) if src.signed else v, dst.width)
+    if dst.width < src.width:
+        return textract(dst.width - 1, 0, t)
+    return textend("sign" if src.signed else "zero", dst.width - src.width, t)
 
 
 # minilang operator -> (unsigned, signed) term operator

@@ -320,6 +320,9 @@ def test_negative_depth_limit_exits_2(corpus_dir, monkeypatch, capsys, flag, env
     ([], {"PATCHEQ_PERCENT_PLACES": "-1"}, "percent places -1 is negative"),
     ([], {"PATCHEQ_BUDGET_MS": "2s"}, "invalid int value: '2s'"),
     ([], {"PATCHEQ_JOBS": "many"}, "invalid int value: 'many'"),
+    (["--jobs", "0"], {}, "jobs 0 is below 1"),
+    (["--jobs", "-4"], {}, "jobs -4 is below 1"),
+    ([], {"PATCHEQ_JOBS": "0"}, "jobs 0 is below 1"),
 ])
 def test_bad_numeric_option_exits_2(corpus_dir, monkeypatch, capsys, flag, env, message):
     for name, value in env.items():
@@ -432,6 +435,27 @@ def test_a_5000_statement_function_is_checked(tmp_path):
     x = report["witness"]["x"]
     assert (eval_concrete(fn_file(tmp_path / "a.fn"), [x])
             != eval_concrete(fn_file(tmp_path / "b.fn"), [x]))
+
+
+def test_a_1200_statement_pair_is_enumerated_exactly(tmp_path):
+    # enumeration finds the path each model takes, which once walked the 1,200-level
+    # return term by recursion
+    body = "".join(f"    x = x + {i % 7 + 1};\n" for i in range(1200))
+    (tmp_path / "a.fn").write_text(f"fn f(x: i32) -> i32 {{\n{body}    return x;\n}}\n")
+    (tmp_path / "b.fn").write_text(
+        f"fn f(x: i32) -> i32 {{\n{body}    if (x == 5) {{ return 0; }}\n    return x;\n}}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "patcheq.cli", "impact", str(tmp_path / "a.fn"),
+         str(tmp_path / "b.fn"), "--algorithm", "enumerate", "--format", "json",
+         "--solver-cmd", SOLVER],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["exact"] is True and report["case"] == "case1"
+    assert report["eq_lower_bound"] == str(2**32 - 1) and report["neq_model_count"] == 1
 
 
 @pytest.mark.parametrize("command", ["summarize", "check"])

@@ -4,14 +4,15 @@ import hashlib
 import itertools
 import pickle
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
-from patcheq import bvarith
+from patcheq import bvarith, formula
 from patcheq.formula import (
-    BvVar, FIff, FNot, FormulaError, compile_paths, eval_formula, feq, fle, mk_range_constraint,
-    pretty, serialize, serialize_formula, tbin, tconst, tvar,
+    FALSE, TRUE, BvVar, FAnd, FIff, FNot, FOr, FormulaError, compile_paths, eval_formula, feq,
+    fle, mk_range_constraint, pretty, serialize, serialize_formula, tbin, tconst, tvar,
 )
 from patcheq.minilang import SORTS
 from patcheq.oracle import SolverSession
@@ -154,29 +155,40 @@ def test_a_term_of_any_depth_serializes_and_compiles():
         "(= x " + "(bvadd " * 5000 + "x" + " (_ bv1 8))" * 5000 + ")")
     outputs = compile_paths([([fle(False, tconst(0, 8), tvar(x))], chain)])
     assert outputs({"x": 7}) == {(7 + 5000) % 256}
+    assert eval_formula(feq(chain, tconst((7 + 5000) % 256, 8)), {"x": 7})
 
 
 def test_formula_eval_division_total():
     x = BvVar("x", U8, "input")
-    from patcheq.formula import tbin
-
     env = {"x": 7}
     assert bvarith.udiv(7, 0, 8) == 255
-    from patcheq.formula import eval_term
+    for op, value in (("udiv", 255), ("urem", 7), ("sdiv", 255)):
+        assert eval_formula(feq(tbin(op, tvar(x), tconst(0, 8)), tconst(value, 8)), env)
 
-    assert eval_term(tbin("udiv", tvar(x), tconst(0, 8)), env) == 255
-    assert eval_term(tbin("urem", tvar(x), tconst(0, 8)), env) == 7
-    assert eval_term(tbin("sdiv", tvar(x), tconst(0, 8)), env) == 255
+
+def test_constants_iff_and_empty_connectives_evaluate():
+    atom = feq(tvar(BvVar("x", U8, "input")), tconst(3, 8))
+    cases = [(TRUE, True), (FALSE, False), (FAnd(()), True), (FOr(()), False),
+             (FIff(atom, FNot(atom)), False), (FIff(FNot(atom), FNot(atom)), True)]
+    for f, holds in cases:
+        assert eval_formula(f, {"x": 3}) is holds
 
 
 def test_a_term_pickles_without_its_cached_hash():
-    # an unpickled term is interned again, so it is the live term it equals
-    from patcheq.formula import tbin
-
+    # an unpickled term is interned again, so it is the live term it equals; an evaluated
+    # term or formula pickles without its compiled evaluator, and outlives no last use
     t = tbin("add", tvar(BvVar("x", U8, "input")), tconst(1, 8))
     h = hash(t)
+    assert formula._evaluator(t)({"x": 7}) == 8
     copy = pickle.loads(pickle.dumps(t))
     assert copy == t and hash(copy) == h
+    f = feq(t, tconst(8, 8))
+    assert eval_formula(f, {"x": 7})
+    f_copy = pickle.loads(pickle.dumps(f))
+    assert f_copy == f and f_copy.lhs is t and eval_formula(f_copy, {"x": 7})
+    dead = [weakref.ref(x) for x in (t, f, f_copy)]
+    del t, copy, f, f_copy
+    assert [ref() for ref in dead] == [None] * 3
 
 
 def test_pretty_renders_signed_constants():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patcheq import bvarith, regions, summarizer
-from patcheq.formula import FAnd, FEq, FOr, eval_formula, eval_term, pretty
+from patcheq.formula import FAnd, FEq, FIff, FNot, FOr, eval_formula, pretty
 from patcheq.oracle import Budget
 from patcheq.randgen import random_function, random_pair
 from patcheq.summarizer import (
@@ -18,7 +18,7 @@ from patcheq.summarizer import (
     summarize,
 )
 
-from conftest import corpus_fn, fn
+from conftest import corpus_fn, fn, walk_formula, walk_term
 
 
 def output_equation(disjunct):
@@ -454,14 +454,29 @@ def test_a_shared_call_argument_hashes_once():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_compiled_outputs_match_the_tree_walk(seed):
+    # compiled evaluation, the reference tree walk and the program itself agree
     rng = random.Random(seed)
-    for f in random_pair(rng):
-        summary = summarize(f)
-        for _ in range(20):
-            env = {v.name: rng.randrange(v.sort.domain_size) for v in summary.inputs}
-            assert summary.outputs(env) == {
-                eval_term(t, env) for conds, t in summary.paths
-                if all(eval_formula(c, env) for c in conds)}
+    pair = random_pair(rng)
+    s1, s2 = summaries = [summarize(f) for f in pair]
+    diverge = FNot(FIff(s1.formula, s2.formula))
+    out = s1.output
+    for _ in range(20):
+        env = {v.name: rng.randrange(v.sort.domain_size) for v in s1.inputs}
+        args = [bvarith.to_signed(env[name], sort.width) if sort.signed else env[name]
+                for name, sort in pair[0].params]
+        values = {rng.randrange(out.sort.domain_size)}
+        for f, summary in zip(pair, summaries):
+            value = bvarith.to_unsigned(eval_concrete(f, args), out.sort.width)
+            assert summary.outputs(env) == {value} == {
+                walk_term(t, env) for conds, t in summary.paths
+                if all(walk_formula(c, env) for c in conds)}
+            for c in {c for conds, _ in summary.paths for c in conds}:
+                assert eval_formula(c, env) == walk_formula(c, env)
+            values.add(value)
+        for value in values:
+            point = {**env, out.name: value}
+            for phi in (s1.formula, s2.formula, diverge):
+                assert eval_formula(phi, point) == walk_formula(phi, point)
 
 
 def test_summaries_leave_no_reference_cycles():
@@ -473,7 +488,11 @@ def test_summaries_leave_no_reference_cycles():
     gc.disable()
     try:
         for f in fns * 8:
-            summarize(f).outputs({name: 3 for name, _ in f.params})
+            summary, env = summarize(f), {name: 3 for name, _ in f.params}
+            summary.outputs(env)
+            for conds, _ in summary.paths:
+                for c in conds:
+                    eval_formula(c, env)
         garbage = gc.collect()  # before enable(), whose next allocation would collect it
     finally:
         gc.enable()
