@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -21,7 +20,9 @@ from pathlib import Path
 from .classifier import Verdict, eq_check
 from .formula import pretty, serialize
 from .minilang import MiniLangError
-from .oracle import Budget, SolverConfig, SolverConfigError, default_solver_command
+from .oracle import (
+    Budget, SolverConfig, SolverConfigError, default_solver_command, split_command,
+)
 from .rangesearch import RangeSearch
 from .report import (
     ALL_METHODS, AnalysisError, ImpactReport, ManifestError, analyze_pair,
@@ -114,12 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args) -> SolverConfig:
-    if args.solver_cmd:
-        cmd = tuple(shlex.split(args.solver_cmd))
-    else:
-        cmd = default_solver_command()
     return SolverConfig(
-        solver_cmd=cmd,
+        solver_cmd=split_command(args.solver_cmd) if args.solver_cmd else default_solver_command(),
         query_timeout_ms=args.query_timeout_ms,
         budget_ms=args.budget_ms,
     )
@@ -303,7 +300,7 @@ def main(argv=None) -> int:
     except (AnalysisError, ManifestError, MiniLangError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED if isinstance(err, AnalysisError) else EXIT_INFRA
-    except (SolverConfigError, FileNotFoundError) as err:
+    except (SolverConfigError, OSError) as err:  # a missing or unreadable path, too
         print(f"infrastructure error: {err}", file=sys.stderr)
         return EXIT_INFRA
 

@@ -439,17 +439,6 @@ def parse(source: str) -> TypedFunction:
 # Type checking
 
 
-def _block_returns(stmts: tuple[Stmt, ...]) -> bool:
-    """True when every control-flow path through the block ends in a return."""
-    for s in stmts:
-        if isinstance(s, Return):
-            return True
-        if isinstance(s, If) and s.other is not None:
-            if _block_returns(s.then) and _block_returns(s.other):
-                return True
-    return False
-
-
 def typecheck(fn: TypedFunction) -> TypedFunction:
     """Annotate every expression with its sort and verify totality.
 
@@ -525,12 +514,14 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
             return replace(e, arg=check_cond(e.arg, env), sort=BOOL)
         raise TypeError_("condition must be a comparison or logical expression")
 
-    def check_block(stmts: tuple[Stmt, ...], env: dict[str, IntSort]) -> tuple[Stmt, ...]:
+    def check_block(stmts: tuple[Stmt, ...], env: dict[str, IntSort]
+                    ) -> tuple[tuple[Stmt, ...], bool]:
+        """The checked statements, and whether every path through them returns."""
         env = dict(env)
         out = []
-        returned = False
+        returns = False
         for s in stmts:
-            if returned:
+            if returns:
                 raise TypeError_("unreachable statement after return")
             if isinstance(s, Let):
                 if s.name in env:
@@ -543,24 +534,20 @@ def typecheck(fn: TypedFunction) -> TypedFunction:
                 out.append(Assign(s.name, infer(s.value, env, env[s.name])))
             elif isinstance(s, If):
                 cond = check_cond(s.cond, env)
-                then = check_block(s.then, env)
-                other = None
-                if s.other is not None:
-                    other = check_block(s.other, env)
+                then, then_returns = check_block(s.then, env)
+                other, other_returns = (None, False) if s.other is None else check_block(s.other, env)
                 out.append(If(cond, then, other))
-                if s.other is not None and _block_returns(then) and _block_returns(other):
-                    returned = True
+                returns = then_returns and other_returns
             elif isinstance(s, While):
                 cond = check_cond(s.cond, env)
-                body = check_block(s.body, env)
-                out.append(While(cond, body))
+                out.append(While(cond, check_block(s.body, env)[0]))
             elif isinstance(s, Return):
                 out.append(Return(infer(s.value, env, fn.return_sort)))
-                returned = True
-        return tuple(out)
+                returns = True
+        return tuple(out), returns
 
-    body = check_block(fn.body, dict(fn.params))
-    if not _block_returns(body):
+    body, returns = check_block(fn.body, dict(fn.params))
+    if not returns:
         raise TypeError_(f"function {fn.name!r} does not return on every path")
     return replace(fn, body=body)
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import bvarith
 from .formula import BvVar, FNot, Formula, serialize_formula
-from .smtbv.sexpr import SexprError, balanced, parse_all
+from .smtbv.sexpr import Incomplete, SexprError, parse_all
 
 GRACE_MS = 2000
 
@@ -77,10 +77,18 @@ def bundled_preamble() -> bytes:
     return b"%d\n" % len(data) + data
 
 
+def split_command(text: str) -> tuple[str, ...]:
+    """A solver command line split as a POSIX shell would split it."""
+    try:
+        return tuple(shlex.split(text))
+    except ValueError as err:  # an unclosed quote or a trailing escape
+        raise SolverConfigError(f"solver command {text!r}: {err}") from err
+
+
 def default_solver_command() -> tuple[str, ...]:
     env_cmd = os.environ.get(ENV_SOLVER_CMD)
     if env_cmd:
-        return tuple(shlex.split(env_cmd))
+        return split_command(env_cmd)
     if shutil.which("z3"):
         return ("z3", "-in")
     return bundled_solver_command()
@@ -93,6 +101,8 @@ class SolverConfig:
     budget_ms: int = 120_000
 
     def __post_init__(self):
+        if not self.solver_cmd:
+            raise SolverConfigError("solver command is empty")
         if self.query_timeout_ms <= 0:
             raise SolverConfigError("query timeout must be positive")
         if self.budget_ms < self.query_timeout_ms:
@@ -172,7 +182,8 @@ class SolverSession:
         """The next reply, parsed; None, and a dead session, on timeout, EOF or garbage.
 
         A reply may span lines (z3 prints a get-value of two or more names one
-        pair per line), so lines are buffered until the text is balanced.
+        pair per line), so lines are buffered until the lines read so far
+        parse whole.
         """
         deadline = time.monotonic() + (self.cfg.query_timeout_ms + GRACE_MS) / 1000.0
         fd = self.proc.stdout.fileno()
@@ -189,15 +200,15 @@ class SolverSession:
                 self._buffer += chunk
                 continue
             end = nl + 1
-            text = self._buffer[:end].decode(errors="replace")
-            if balanced(text):
-                try:
-                    parsed = parse_all(text)
-                except SexprError:
-                    break
-                if parsed:
-                    self._buffer = self._buffer[end:]
-                    return parsed[0]
+            try:
+                parsed = parse_all(self._buffer[:end].decode(errors="replace"))
+            except Incomplete:
+                continue
+            except SexprError:
+                break
+            if parsed:
+                self._buffer = self._buffer[end:]
+                return parsed[0]
         self._teardown()
         return None
 

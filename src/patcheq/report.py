@@ -136,9 +136,10 @@ class AnalysisError(Exception):
 
 
 def load_function(path: str | Path):
-    text = Path(path).read_text()
+    """The typed function in a UTF-8 source file; an unreadable path raises ``OSError``."""
+    data = Path(path).read_bytes()
     try:
-        return typecheck(parse(text))
+        return typecheck(parse(data.decode()))
     except Exception as err:
         raise AnalysisError(f"parse/typecheck {path}", str(err)) from err
 
@@ -295,7 +296,11 @@ MANIFEST_KEYS = {"name", "original", "patched"} | _MANIFEST_VALUES.keys()
 def load_case(path: str | Path) -> CorpusCase:
     path = Path(path)
     fields: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), 1):
+    try:
+        text = path.read_bytes().decode()
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"{path}: {err}") from err
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -324,8 +329,8 @@ def load_case(path: str | Path) -> CorpusCase:
         expectations={k: v for k, v in fields.items() if k in EXPECT_KEYS},
     )
     for fn in (case.original, case.patched):
-        if not fn.exists():
-            raise ManifestError(f"{path}: missing source file {fn}")
+        if not fn.is_file():
+            raise ManifestError(f"{path}: source {fn} is missing or not a regular file")
     return case
 
 

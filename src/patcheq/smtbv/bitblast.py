@@ -28,6 +28,15 @@ class Blaster:
     def fresh(self) -> int:
         return self.solver.new_var() << 1
 
+    def _gate(self, key: tuple, clauses) -> int:
+        """The cached literal of gate ``key``, else a fresh ``g`` defined by ``clauses(g)``."""
+        g = self.gates.get(key)
+        if g is None:
+            g = self.gates[key] = self.fresh()
+            for clause in clauses(g):
+                self.solver.add_clause(clause)
+        return g
+
     def and2(self, a: int, b: int) -> int:
         if a == self.FALSE or b == self.FALSE or a == (b ^ 1):
             return self.FALSE
@@ -35,16 +44,8 @@ class Blaster:
             return b
         if b == self.TRUE or a == b:
             return a
-        key = ("and", a, b) if a < b else ("and", b, a)
-        g = self.gates.get(key)
-        if g is None:
-            g = self.fresh()
-            add = self.solver.add_clause
-            add([g ^ 1, a])
-            add([g ^ 1, b])
-            add([g, a ^ 1, b ^ 1])
-            self.gates[key] = g
-        return g
+        return self._gate(("and", min(a, b), max(a, b)), lambda g: (
+            [g ^ 1, a], [g ^ 1, b], [g, a ^ 1, b ^ 1]))
 
     def or2(self, a: int, b: int) -> int:
         return self.and2(a ^ 1, b ^ 1) ^ 1
@@ -62,17 +63,8 @@ class Blaster:
             return self.FALSE
         if a == (b ^ 1):
             return self.TRUE
-        key = ("xor", a, b) if a < b else ("xor", b, a)
-        g = self.gates.get(key)
-        if g is None:
-            g = self.fresh()
-            add = self.solver.add_clause
-            add([g ^ 1, a, b])
-            add([g ^ 1, a ^ 1, b ^ 1])
-            add([g, a, b ^ 1])
-            add([g, a ^ 1, b])
-            self.gates[key] = g
-        return g
+        return self._gate(("xor", min(a, b), max(a, b)), lambda g: (
+            [g ^ 1, a, b], [g ^ 1, a ^ 1, b ^ 1], [g, a, b ^ 1], [g, a ^ 1, b]))
 
     def mux(self, c: int, a: int, b: int) -> int:
         """c ? a : b"""
@@ -86,19 +78,9 @@ class Blaster:
             return c
         if a == self.FALSE and b == self.TRUE:
             return c ^ 1
-        key = ("mux", c, a, b)
-        g = self.gates.get(key)
-        if g is None:
-            g = self.fresh()
-            add = self.solver.add_clause
-            add([g ^ 1, c ^ 1, a])
-            add([g, c ^ 1, a ^ 1])
-            add([g ^ 1, c, b])
-            add([g, c, b ^ 1])
-            add([g ^ 1, a, b])
-            add([g, a ^ 1, b ^ 1])
-            self.gates[key] = g
-        return g
+        return self._gate(("mux", c, a, b), lambda g: (
+            [g ^ 1, c ^ 1, a], [g, c ^ 1, a ^ 1], [g ^ 1, c, b], [g, c, b ^ 1],
+            [g ^ 1, a, b], [g, a ^ 1, b ^ 1]))
 
     def maj(self, a: int, b: int, c: int) -> int:
         if a == self.FALSE:
@@ -119,19 +101,9 @@ class Blaster:
             return a
         if b == c:
             return b
-        key = ("maj",) + tuple(sorted((a, b, c)))
-        g = self.gates.get(key)
-        if g is None:
-            g = self.fresh()
-            add = self.solver.add_clause
-            add([g, a ^ 1, b ^ 1])
-            add([g, a ^ 1, c ^ 1])
-            add([g, b ^ 1, c ^ 1])
-            add([g ^ 1, a, b])
-            add([g ^ 1, a, c])
-            add([g ^ 1, b, c])
-            self.gates[key] = g
-        return g
+        return self._gate(("maj", *sorted((a, b, c))), lambda g: (
+            [g, a ^ 1, b ^ 1], [g, a ^ 1, c ^ 1], [g, b ^ 1, c ^ 1],
+            [g ^ 1, a, b], [g ^ 1, a, c], [g ^ 1, b, c]))
 
     def and_list(self, lits) -> int:
         out = []
@@ -279,19 +251,7 @@ class Blaster:
             return b[0] + [b[0][-1]] * node.args[0]
         raise ValueError(f"cannot blast node kind {k!r}")
 
-    def model_value(self, name: str, width: int) -> int | None:
-        bits = self.var_bits.get(name)
-        if bits is None:
-            return None
-        solver = self.solver
-        value = 0
-        for i, lit in enumerate(bits):
-            if lit == self.TRUE:
-                value |= 1 << i
-            elif lit == self.FALSE:
-                continue
-            else:
-                v = solver.assign[lit >> 1]
-                bit = 0 if v == -1 else (v ^ (lit & 1))
-                value |= bit << i
-        return value
+    def model_value(self, name: str) -> int:
+        """A variable's value in the last model; unassigned bits, and unblasted names, read 0."""
+        bits = self.var_bits.get(name, ())
+        return sum(max(self.solver.value(lit), 0) << i for i, lit in enumerate(bits))

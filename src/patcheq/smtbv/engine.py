@@ -372,18 +372,11 @@ class SmtEngine:
                 simplified.append(s)
         blast_set = simplified + self._bound_constraints(bounds)
 
-        if not blast_set:
-            model = {name: bounds.get(name, [0])[0] for name in self.declared()}
-            if all(eval_node(a, model, {}) for a in actives):
-                self.last_model = model
-                return "sat"
-
+        if not blast_set and self._accept({name: b[0] for name, b in bounds.items()}, actives):
+            return "sat"
         probed = self._probe(actives, bounds)
-        if probed is not None:
-            model = {name: probed.get(name, 0) for name in self.declared()}
-            if all(eval_node(a, model, {}) for a in actives):
-                self.last_model = model
-                return "sat"
+        if probed is not None and self._accept(probed, actives):
+            return "sat"
 
         result = self._solve_cnf(blast_set, actives, deadline)
         if result is not None:
@@ -405,19 +398,18 @@ class SmtEngine:
             return "unknown"
         if verdict is False:
             return "unsat"
-        model = {}
-        declared = self.declared()
-        for name, width in declared.items():
-            value = self.blaster.model_value(name, width)
-            if value is None:
-                value = 0
-            model[name] = value
-        ok = all(eval_node(a, model, {}) for a in originals)
+        values = {name: self.blaster.model_value(name) for name in self.declared()}
         self.solver._backtrack(0)
-        if not ok:
-            return None  # caller falls back to the unsimplified instance
+        # None: the caller falls back to the unsimplified instance
+        return "sat" if self._accept(values, originals) else None
+
+    def _accept(self, values: dict[str, int], originals: list[Node]) -> bool:
+        """Keep the model giving each declared name its value, or 0, if it satisfies ``originals``."""
+        model = {name: values.get(name, 0) for name in self.declared()}
+        if not all(eval_node(a, model, {}) for a in originals):
+            return False
         self.last_model = model
-        return "sat"
+        return True
 
     def get_values(self, names: list[str]) -> list[tuple[str, int, int]]:
         if self.last_model is None:

@@ -6,7 +6,7 @@ import sys
 
 from .. import bvarith
 from .engine import SmtEngine, SmtError
-from .sexpr import SexprError, balanced, parse_all
+from .sexpr import Incomplete, SexprError, parse_all
 from .terms import Node
 
 
@@ -185,10 +185,10 @@ def run_stdio(stdin=None, stdout=None) -> int:
         if not line:
             break
         buffer += line
-        if not balanced(buffer):
-            continue
         try:
             commands = parse_all(buffer)
+        except Incomplete:
+            continue
         except SexprError as err:
             buffer = ""
             print(f'(error "{err}")', file=stdout, flush=True)

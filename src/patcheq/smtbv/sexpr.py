@@ -1,10 +1,21 @@
-"""Minimal SMT-LIB2 s-expression reading."""
+"""Minimal SMT-LIB2 s-expression reading.
+
+``parse_all`` is the one reader at both ends of the solver pipe.  The solver,
+reading commands, and the client, reading replies, each hand it the lines
+read so far and read on while it raises ``Incomplete``: a string or a ``(``
+still open at the end of the text.  Any other ``SexprError`` is malformed
+text that no further line can mend.
+"""
 
 from __future__ import annotations
 
 
 class SexprError(Exception):
     pass
+
+
+class Incomplete(SexprError):
+    """The text ends inside a string or an s-expression; more may complete it."""
 
 
 def tokenize(text: str):
@@ -31,6 +42,8 @@ def tokenize(text: str):
                         continue
                     break
                 j += 1
+            if j >= n:
+                raise Incomplete("unterminated string")
             yield text[i: j + 1]
             i = j + 1
             continue
@@ -42,7 +55,7 @@ def tokenize(text: str):
 
 
 def parse_all(text: str) -> list:
-    """Parse every complete s-expression in the text."""
+    """Parse every s-expression in the text; the text must end outside all of them."""
     stack: list[list] = []
     out: list = []
     for tok in tokenize(text):
@@ -62,32 +75,5 @@ def parse_all(text: str) -> list:
             else:
                 out.append(tok)
     if stack:
-        raise SexprError("unbalanced '('")
+        raise Incomplete("unbalanced '('")
     return out
-
-
-def balanced(text: str) -> bool:
-    depth = 0
-    in_string = False
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if in_string:
-            if c == '"':
-                in_string = False
-            i += 1
-            continue
-        if c == '"':
-            in_string = True
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        elif c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth < 0:
-                return True  # malformed; let the parser raise
-        i += 1
-    return depth == 0 and not in_string

@@ -229,27 +229,24 @@ class TermTable:
     def bvnot(self, a: Node) -> Node:
         return self.bv2("xor", a, self.const(bvarith.mask(a.width), a.width))
 
+    def _magnitudes(self, a: Node, b: Node) -> tuple[Node, Node, Node, Node]:
+        """``(a < 0, b < 0, |a|, |b|)``, the prelude of signed division and remainder."""
+        zero = self.const(0, a.width)
+        a_neg = self.slt(a, zero)
+        b_neg = self.slt(b, zero)
+        return a_neg, b_neg, self.ite(a_neg, self.neg(a), a), self.ite(b_neg, self.neg(b), b)
+
     def sdiv(self, a: Node, b: Node) -> Node:
         if a.kind == "const" and b.kind == "const":
             return self.const(bvarith.sdiv(a.args[0], b.args[0], a.width), a.width)
-        w = a.width
-        zero = self.const(0, w)
-        a_neg = self.slt(a, zero)
-        b_neg = self.slt(b, zero)
-        mag_a = self.ite(a_neg, self.neg(a), a)
-        mag_b = self.ite(b_neg, self.neg(b), b)
+        a_neg, b_neg, mag_a, mag_b = self._magnitudes(a, b)
         q = self.bv2("udiv", mag_a, mag_b)
         return self.ite(self.beq(a_neg, b_neg), q, self.neg(q))
 
     def srem(self, a: Node, b: Node) -> Node:
         if a.kind == "const" and b.kind == "const":
             return self.const(bvarith.srem(a.args[0], b.args[0], a.width), a.width)
-        w = a.width
-        zero = self.const(0, w)
-        a_neg = self.slt(a, zero)
-        b_neg = self.slt(b, zero)
-        mag_a = self.ite(a_neg, self.neg(a), a)
-        mag_b = self.ite(b_neg, self.neg(b), b)
+        a_neg, _, mag_a, mag_b = self._magnitudes(a, b)
         r = self.bv2("urem", mag_a, mag_b)
         return self.ite(a_neg, self.neg(r), r)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from patcheq.cli import main
-from patcheq.oracle import bundled_solver_command
+from patcheq.oracle import SolverConfig, SolverConfigError, bundled_solver_command
 from patcheq.summarizer import eval_concrete
 
 from conftest import fn_file
@@ -302,6 +302,72 @@ def test_unrunnable_solver_stops_corpus_as_infrastructure_error(tmp_path, capsys
     assert code == 2
     assert err.startswith("infrastructure error: solver executable cannot be run")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "{dir}"],
+    ["check", "{fn}", "{dir}"],
+    ["impact", "{dir}", "{fn}"],
+], ids=["summarize", "check", "impact"])
+def test_a_directory_as_source_is_an_infrastructure_error(tmp_path, capsys, corpus_dir, argv):
+    fn = corpus_dir / "eqbench_ltfive/original.fn"
+    code, out, err = run_cli([arg.format(dir=tmp_path, fn=fn) for arg in argv], capsys)
+    assert code == 2
+    assert err.startswith("infrastructure error: ") and str(tmp_path) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["summarize", "check"])
+def test_a_source_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    source = tmp_path / "a.fn"
+    source.write_bytes("fn f(x: i8) -> i8 { return x; } // caf\xe9\n".encode("latin-1"))
+    code, out, err = run_cli([command, *[str(source)] * (2 if command == "check" else 1)],
+                             capsys)
+    assert code == 1
+    assert err.startswith(f"error: parse/typecheck {source}: ") and "utf-8" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_manifest_source_that_is_a_directory_exits_2(tmp_path, capsys, corpus_dir, jobs):
+    src = corpus_dir / "cve_2013_0859_doubles_metadata"
+    (tmp_path / "patched.fn").write_text((src / "patched.fn").read_text())
+    (tmp_path / "original.fn").mkdir()
+    (tmp_path / "pair.case").write_text("original = original.fn\npatched = patched.fn\n")
+    code, out, err = run_cli(["corpus", str(tmp_path), "--jobs", jobs], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "original.fn is missing or not a regular file" in err
+    assert out == ""
+
+
+def test_a_manifest_that_is_not_utf8_exits_2(tmp_path, capsys):
+    (tmp_path / "pair.case").write_bytes(b"original = caf\xe9.fn\npatched = b.fn\n")
+    code, out, err = run_cli(["corpus", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "utf-8" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    (["--solver-cmd", 'z3 "-in'], {}, "No closing quotation"),
+    ([], {"PATCHEQ_SOLVER_CMD": 'z3 "-in'}, "No closing quotation"),
+    (["--solver-cmd", " "], {}, "solver command is empty"),
+])
+def test_a_bad_solver_command_exits_2(corpus_dir, monkeypatch, capsys, flag, env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    case = corpus_dir / "eqbench_ltfive"
+    code = main(["check", str(case / "original.fn"), str(case / "patched.fn"), *flag])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("configuration error: ") and message in err
+    assert out == ""
+
+
+def test_an_unsplittable_solver_command_in_the_environment_is_a_config_error(monkeypatch):
+    monkeypatch.setenv("PATCHEQ_SOLVER_CMD", 'z3 "-in')
+    with pytest.raises(SolverConfigError, match="No closing quotation"):
+        SolverConfig()
 
 
 @pytest.mark.parametrize("flag, env", [(["--depth-limit=-1"], None), ([], "-1")])

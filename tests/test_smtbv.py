@@ -23,7 +23,7 @@ from patcheq.smtbv import engine
 from patcheq.smtbv.engine import SmtEngine, SmtError
 from patcheq.smtbv.protocol import SmtSession, run_stdio
 from patcheq.smtbv.sat import Solver
-from patcheq.smtbv.sexpr import parse_all
+from patcheq.smtbv.sexpr import Incomplete, SexprError, parse_all
 from patcheq.smtbv.terms import TermTable, compile_node, eval_node, free_vars, walk
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -336,6 +336,59 @@ def test_a_term_of_any_depth_is_solved_and_a_too_deep_command_is_an_error():
     assert lines[:2] == ["sat", "((x (_ bv7 8)))"]  # x + 5000 = x + 136 (mod 256)
     assert lines[2].startswith("(error ")
     assert lines[3:] == ["sat"]
+
+
+@pytest.mark.parametrize("script, replies", [
+    ("(assert\n  (bvult (_ bv3 8)\n    x))\n(check-sat)\n(get-value (x))\n",
+     ["sat", "((x (_ bv4 8)))"]),
+    ("(assert (bvult x (_ bv3 8))) (check-sat)\n(get-value (x))\n", ["sat", "((x (_ bv0 8)))"]),
+    ("; an open ( in a comment\n(check-sat) ; and ( here\n(get-value (x))\n",
+     ["sat", "((x (_ bv0 8)))"]),
+    ('(set-option :note "one (\ntwo")\n(check-sat)\n', ["sat"]),
+    ('(set-option :note "say ""(hi"" ")\n(check-sat)\n', ["sat"]),
+    (")\n(check-sat)\n", ['(error "unbalanced \')\'")', "sat"]),
+    # the whole line is dropped: the push never happens, so the pop has nothing to pop
+    ("(push 1) ) (pop 1)\n(check-sat)\n(pop 1)\n",
+     ['(error "unbalanced \')\'")', "sat", '(error "pop past the root level")']),
+    ("(check-sat)\n(assert (bvult x\n", ["sat"]),
+    ('(check-sat)\n(set-option :note "open\n', ["sat"]),
+], ids=["three-lines", "two-on-one-line", "paren-in-comment", "string-spans-lines",
+        "escaped-quote", "stray-paren-own-line", "stray-paren-mid-line", "open-at-eof",
+        "string-open-at-eof"])
+def test_run_stdio_reads_a_command_once_the_lines_so_far_parse_whole(script, replies):
+    out = io.StringIO()
+    assert run_stdio(io.StringIO("(declare-const x (_ BitVec 8))\n" + script), out) == 0
+    assert out.getvalue().splitlines() == replies
+
+
+def test_parse_all_tells_incomplete_text_from_malformed_text():
+    assert parse_all('(a "say ""(hi"" ") ; (\n') == [["a", '"say ""(hi"" "']]
+    for text in ("(a (b)", '(a "open', '"ends in an escaped quote""'):
+        with pytest.raises(Incomplete):
+            parse_all(text)
+    with pytest.raises(SexprError, match="unbalanced") as raised:
+        parse_all("(a)) (b")
+    assert not isinstance(raised.value, Incomplete)
+
+
+# The bundled solver's sessions of one `patcheq corpus corpus/ --jobs 1` pass, in start
+# order, with the replies they got: recorded through a --solver-cmd wrapper that copies
+# its stdin to session_NN.smt2 and its stdout to session_NN.out around
+# protocol.run_stdio.  They pin every answer and model on real client traffic.
+CORPUS_SESSIONS = sorted((Path(__file__).resolve().parent / "golden" / "smtbv_corpus")
+                         .glob("session_*.smt2"))
+
+
+def test_the_recorded_corpus_traffic_is_all_there():
+    assert len(CORPUS_SESSIONS) == 12
+    assert sum(p.read_text().count("(check-sat)") for p in CORPUS_SESSIONS) == 345
+
+
+@pytest.mark.parametrize("session", CORPUS_SESSIONS, ids=lambda p: p.stem)
+def test_a_recorded_corpus_session_gets_byte_identical_replies(session):
+    out = io.StringIO()
+    assert run_stdio(io.StringIO(session.read_text()), out) == 0
+    assert out.getvalue() == session.with_suffix(".out").read_text()
 
 
 def test_walk_yields_operands_first_each_node_once_and_skip_prunes():
