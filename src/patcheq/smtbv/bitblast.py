@@ -21,7 +21,6 @@ class Blaster:
         solver.add_clause([self.TRUE])
         self.cache: dict[Node, object] = {}
         self.gates: dict[tuple, int] = {}
-        self.var_bits: dict[str, list[int]] = {}
 
     # --- gate primitives ---
 
@@ -210,10 +209,7 @@ class Blaster:
         if k == "const":
             return self.const_bits(node.args[0], node.width)
         if k == "var":
-            bits = self.var_bits.get(node.args[0])
-            if bits is None:
-                bits = self.var_bits[node.args[0]] = [self.fresh() for _ in range(node.width)]
-            return bits
+            return [self.fresh() for _ in range(node.width)]
         if k == "bnot":
             return b[0] ^ 1
         if k == "band":
@@ -251,7 +247,7 @@ class Blaster:
             return b[0] + [b[0][-1]] * node.args[0]
         raise ValueError(f"cannot blast node kind {k!r}")
 
-    def model_value(self, name: str) -> int:
-        """A variable's value in the last model; unassigned bits, and unblasted names, read 0."""
-        bits = self.var_bits.get(name, ())
+    def model_value(self, var: Node) -> int:
+        """A var node's value in the last model; unassigned bits, and unblasted vars, read 0."""
+        bits = self.cache.get(var, ())
         return sum(max(self.solver.value(lit), 0) << i for i, lit in enumerate(bits))

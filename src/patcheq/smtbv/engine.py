@@ -6,6 +6,11 @@ assumptions, so popped state costs nothing and learned clauses survive.
 Every sat answer is validated by concrete evaluation of the original
 assertions before it is reported.
 
+Names are scoped the same way, in one table per level, ``_Level.names``: a
+declared constant maps to its var node, whose bits are the blaster's for that
+node, and a ``define-fun`` name to its body.  A name is bound at most once in
+scope; once popped it may be declared again at any width, as a new node.
+
 Bound harvesting walks the ``and`` spine of the assertions and reads each
 ``v op c`` or ``c op v`` (a variable against a constant), negated or not, as
 a bound on ``v``: ``bvult`` bounds the unsigned view and ``bvslt`` the signed
@@ -36,13 +41,12 @@ class SmtError(Exception):
 
 
 class _Level:
-    """One push/pop scope: declarations, definitions, assertions, probe facts."""
+    """One push/pop scope: the names it binds, its assertions and probe facts."""
 
-    __slots__ = ("decls", "defs", "asserts", "facts")
+    __slots__ = ("names", "asserts", "facts")
 
     def __init__(self):
-        self.decls: dict[str, int] = {}  # name -> width
-        self.defs: dict[str, Node] = {}  # zero-arity define-fun bodies
+        self.names: dict[str, Node] = {}  # declared constant -> var node, define-fun -> body
         self.asserts: list[Node] = []
         self.facts: dict[int, _Facts] = {}  # nid -> facts of a node asserted or defined here
 
@@ -89,34 +93,24 @@ class SmtEngine:
 
     # --- state management ---
 
-    def _check_fresh(self, name: str):
-        for lvl in self.levels:
-            if name in lvl.decls or name in lvl.defs:
-                raise SmtError(f"{name} already declared")
+    def lookup(self, name: str) -> Node | None:
+        """What ``name`` is bound to in scope: a declared constant's var node, or a body."""
+        return next((lvl.names[name] for lvl in self.levels if name in lvl.names), None)
+
+    def _bind(self, name: str, node: Node):
+        if self.lookup(name) is not None:
+            raise SmtError(f"{name} already declared")
+        self.levels[-1].names[name] = node
 
     def declare(self, name: str, width: int):
-        self._check_fresh(name)
-        self.levels[-1].decls[name] = width
+        self._bind(name, self.table.declared_var(name, width))
 
     def define(self, name: str, node: Node):
         """Bind a zero-arity Boolean name, scoped like a declaration."""
         if node.width != 0:
             raise SmtError("define-fun requires a boolean term")
-        self._check_fresh(name)
-        self.levels[-1].defs[name] = node
+        self._bind(name, node)
         self._learn(node)
-
-    def lookup_width(self, name: str) -> int | None:
-        for lvl in reversed(self.levels):
-            if name in lvl.decls:
-                return lvl.decls[name]
-        return None
-
-    def lookup_definition(self, name: str) -> Node | None:
-        for lvl in reversed(self.levels):
-            if name in lvl.defs:
-                return lvl.defs[name]
-        return None
 
     def assert_node(self, node: Node):
         if node.width != 0:
@@ -126,21 +120,17 @@ class SmtEngine:
         self.last_model = None
 
     def push(self, n: int = 1):
-        for _ in range(n):
-            self.levels.append(_Level())
+        self.levels += [_Level() for _ in range(n)]
 
     def pop(self, n: int = 1):
-        for _ in range(n):
-            if len(self.levels) == 1:
-                raise SmtError("pop past the root level")
-            self.levels.pop()
+        if n >= len(self.levels):
+            raise SmtError("pop past the root level")
+        del self.levels[len(self.levels) - n:]
         self.last_model = None
 
-    def declared(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for lvl in self.levels:
-            out.update(lvl.decls)
-        return out
+    def declared(self) -> list[Node]:
+        """The var nodes of the declared constants in scope, outermost first."""
+        return [node for lvl in self.levels for node in lvl.names.values() if node.kind == "var"]
 
     # --- bounds harvesting ---
 
@@ -181,7 +171,7 @@ class SmtEngine:
         for name, b in bounds.items():
             if b[0] > b[1] or b[2] > b[3]:
                 return None  # contradictory range facts
-            bounds[name] = list(norm(self.lookup_width(name), tuple(b)))
+            bounds[name] = list(norm(self.lookup(name).width, tuple(b)))
         return bounds
 
     def _bound_constraints(self, bounds: dict[str, list[int]]) -> list[Node]:
@@ -189,8 +179,8 @@ class SmtEngine:
         t = self.table
         out = []
         for name, (ulo, uhi, slo, shi) in bounds.items():
-            w = self.lookup_width(name)
-            v = t.var(name, w)
+            v = self.lookup(name)
+            w = v.width
             if ulo > 0:
                 out.append(t.bnot(t.ult(v, t.const(ulo, w))))
             if uhi < bvarith.mask(w):
@@ -398,14 +388,14 @@ class SmtEngine:
             return "unknown"
         if verdict is False:
             return "unsat"
-        values = {name: self.blaster.model_value(name) for name in self.declared()}
+        values = {v.args[0]: self.blaster.model_value(v) for v in self.declared()}
         self.solver._backtrack(0)
         # None: the caller falls back to the unsimplified instance
         return "sat" if self._accept(values, originals) else None
 
     def _accept(self, values: dict[str, int], originals: list[Node]) -> bool:
         """Keep the model giving each declared name its value, or 0, if it satisfies ``originals``."""
-        model = {name: values.get(name, 0) for name in self.declared()}
+        model = {v.args[0]: values.get(v.args[0], 0) for v in self.declared()}
         if not all(eval_node(a, model, {}) for a in originals):
             return False
         self.last_model = model
@@ -416,8 +406,8 @@ class SmtEngine:
             raise SmtError("no model available; call check-sat first")
         out = []
         for name in names:
-            width = self.lookup_width(name)
-            if width is None:
+            node = self.lookup(name)
+            if node is None or node.kind != "var":
                 raise SmtError(f"unknown constant {name}")
-            out.append((name, self.last_model.get(name, 0), width))
+            out.append((name, self.last_model.get(name, 0), node.width))
         return out

@@ -51,13 +51,11 @@ class SmtSession:
                 return t.TRUE
             if e == "false":
                 return t.FALSE
-            defined = self.engine.lookup_definition(e)
-            if defined is not None:
-                return defined
-            width = self.engine.lookup_width(e)
-            if width is None:
+            node = self.engine.lookup(e)
+            if node is None:
                 raise SmtError(f"unknown constant {e}")
-            return t.var(e, width)
+            # a declared constant's node is numbered here, where a term first names it
+            return t.var(e, node.width) if node.kind == "var" else node
         if not e:
             raise SmtError("empty term")
         if len(e) == 3 and isinstance(e[1], str) and e[1].startswith("bv"):

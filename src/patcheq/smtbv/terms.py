@@ -14,7 +14,7 @@ from .. import bvarith
 class Node:
     __slots__ = ("kind", "width", "args", "nid")
 
-    def __init__(self, kind: str, width: int, args: tuple, nid: int):
+    def __init__(self, kind: str, width: int, args: tuple, nid: int | None):
         self.kind = kind
         self.width = width
         self.args = args
@@ -34,14 +34,14 @@ class TermTable:
         self.TRUE = self._node("bconst", 0, (True,))
         self.FALSE = self._node("bconst", 0, (False,))
 
-    def _node(self, kind: str, width: int, args: tuple) -> Node:
+    def _node(self, kind: str, width: int, args: tuple, number: bool = True) -> Node:
         key = (kind, width, tuple(a.nid if isinstance(a, Node) else a for a in args))
-        found = self._table.get(key)
-        if found is not None:
-            return found
-        node = Node(kind, width, args, self._next)
-        self._next += 1
-        self._table[key] = node
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = Node(kind, width, args, None)
+        if node.nid is None and number:  # new, or a declared var that a term now names
+            node.nid = self._next
+            self._next += 1
         return node
 
     def bconst(self, value: bool) -> Node:
@@ -52,6 +52,13 @@ class TermTable:
 
     def var(self, name: str, width: int) -> Node:
         return self._node("var", width, (name,))
+
+    def declared_var(self, name: str, width: int) -> Node:
+        """The node ``var`` returns, numbered when ``var`` is first asked for it.
+
+        So a declared constant is numbered where a term first names it, and
+        operand order, which follows numbers, is that of first use."""
+        return self._node("var", width, (name,), number=False)
 
     # --- boolean constructors ---
 
@@ -147,15 +154,9 @@ class TermTable:
 
     # --- bit-vector operators ---
 
-    def _fold2(self, op: str, a: Node, b: Node):
+    def bv2(self, op: str, a: Node, b: Node) -> Node:
         if a.kind == "const" and b.kind == "const":
             return self.const(bvarith.BINARY[op](a.args[0], b.args[0], a.width), a.width)
-        return None
-
-    def bv2(self, op: str, a: Node, b: Node) -> Node:
-        folded = self._fold2(op, a, b)
-        if folded is not None:
-            return folded
         w = a.width
         zero, ones = 0, bvarith.mask(w)
         ca = a.args[0] if a.kind == "const" else None

@@ -391,6 +391,24 @@ def test_a_recorded_corpus_session_gets_byte_identical_replies(session):
     assert out.getvalue() == session.with_suffix(".out").read_text()
 
 
+# One pass of perfbench's paths16 pairs (one-input i16 pairs with 8 to 32 paths per
+# version, run with the combined method), recorded the same way.
+PATHS16_SESSIONS = sorted((Path(__file__).resolve().parent / "golden" / "smtbv_paths16")
+                          .glob("session_*.smt2"))
+
+
+def test_the_recorded_paths16_traffic_is_all_there():
+    assert len(PATHS16_SESSIONS) == 4
+    assert sum(p.read_text().count("(check-sat)") for p in PATHS16_SESSIONS) == 81
+
+
+@pytest.mark.parametrize("session", PATHS16_SESSIONS, ids=lambda p: p.stem)
+def test_a_recorded_paths16_session_gets_byte_identical_replies(session):
+    out = io.StringIO()
+    assert run_stdio(io.StringIO(session.read_text()), out) == 0
+    assert out.getvalue() == session.with_suffix(".out").read_text()
+
+
 def test_walk_yields_operands_first_each_node_once_and_skip_prunes():
     t = TermTable()
     x, y = t.var("x", 8), t.var("y", 8)
@@ -545,6 +563,100 @@ def test_bad_definitions_are_errors_and_the_session_continues():
     assert len(lines) == 6
     assert all(line.startswith("(error") for line in lines[:5])
     assert lines[5] == "unsat"  # d kept its first body
+
+
+# --- scoped names ---
+
+
+def _replies(commands: list[str]) -> list[str]:
+    out = io.StringIO()
+    assert run_stdio(io.StringIO("\n".join(commands) + "\n"), out) == 0
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("commands, replies", [
+    (["(push 1)", "(declare-const x (_ BitVec 4))", "(assert (= (bvmul x (_ bv3 4)) (_ bv7 4)))",
+      "(check-sat)", "(get-value (x))", "(pop 1)", "(declare-const x (_ BitVec 8))",
+      "(assert (= (bvmul x (_ bv3 8)) (_ bv88 8)))", "(check-sat)", "(get-value (x))"],
+     ["sat", "((x (_ bv13 4)))", "sat", "((x (_ bv200 8)))"]),
+    (["(declare-const x (_ BitVec 8))", "(push 1)", "(declare-const y (_ BitVec 4))",
+      "(assert (= (bvmul x (_ bv27 8)) (_ bv70 8)))", "(check-sat)",
+      "(assert (= (bvmul y (_ bv5 4)) (_ bv7 4)))", "(check-sat)", "(get-value (y))", "(pop 1)",
+      "(declare-const y (_ BitVec 8))", "(assert (= (bvmul y (_ bv61 8)) (_ bv24 8)))",
+      "(check-sat)", "(get-value (y))"],
+     ["sat", "sat", "((y (_ bv11 4)))", "sat", "((y (_ bv248 8)))"]),
+], ids=["one-name", "beside-an-outer-name"])
+def test_a_popped_name_declared_again_at_another_width_gets_bits_of_its_own(commands, replies):
+    assert _replies(commands) == replies
+
+
+def test_pop_past_the_root_is_an_error_that_pops_nothing():
+    replies = _replies(["(declare-const x (_ BitVec 8))", "(push 1)",
+                        "(assert (= x (_ bv1 8)))", "(pop 2)",
+                        "(assert (= x (_ bv2 8)))", "(check-sat)"])
+    assert replies == ['(error "pop past the root level")', "unsat"]
+
+
+def test_names_are_bound_once_in_scope_and_go_with_their_level():
+    replies = _replies([
+        "(declare-const x (_ BitVec 8))", "(define-fun d () Bool (bvult x (_ bv5 8)))",
+        "(push 1)", "(declare-const x (_ BitVec 4))", "(define-fun x () Bool true)",
+        "(declare-const d (_ BitVec 8))", "(define-fun d () Bool true)",
+        "(declare-const y (_ BitVec 8))", "(pop 1)",
+        "(assert (bvult y (_ bv5 8)))", "(assert d)", "(check-sat)",
+        "(get-value (y))", "(get-value (d))", "(get-value (x))",
+    ])
+    assert replies[:-1] == [
+        '(error "x already declared")', '(error "x already declared")',
+        '(error "d already declared")', '(error "d already declared")',
+        '(error "unknown constant y")', "sat",
+        '(error "unknown constant y")', '(error "unknown constant d")',
+    ]
+    assert replies[-1].startswith("((x (_ bv") and replies[-1].endswith(" 8)))")
+
+
+def _scoped_script(rng: random.Random) -> tuple[list[str], list[list[str]]]:
+    """Random declare/push/pop/assert/check-sat traffic over x and y at widths 4 and 8.
+
+    Returns the commands and, for each check-sat, the declarations and then
+    the assertions in scope at it.  Every assertion is followed by a check-sat.
+    """
+    levels: list[tuple[list[str], list[str]]] = [([], [])]  # declarations, assertions
+    commands, scopes = [], []
+    for _ in range(rng.randint(6, 20)):
+        widths = {cmd.split()[1]: int(cmd.split()[-1][:-2]) for lvl in levels for cmd in lvl[0]}
+        move = rng.choice(["declare", "push", "pop", "assert", "check-sat"])
+        if move == "declare" and len(widths) < 2:
+            name = rng.choice([n for n in "xy" if n not in widths])
+            levels[-1][0].append(f"(declare-const {name} (_ BitVec {rng.choice((4, 8))}))")
+            commands.append(levels[-1][0][-1])
+        elif move == "push":
+            levels.append(([], []))
+            commands.append("(push 1)")
+        elif move == "pop" and len(levels) > 1:
+            levels.pop()
+            commands.append("(pop 1)")
+        elif move == "assert" and widths:
+            name = rng.choice(sorted(widths))
+            w = widths[name]
+            k, c = rng.randrange(1, 1 << w, 2), rng.randrange(1 << w)  # one root: x = c / k
+            levels[-1][1].append(f"(assert (= (bvmul {name} (_ bv{k} {w})) (_ bv{c} {w})))")
+            commands.append(levels[-1][1][-1])
+            move = "check-sat"
+        if move == "check-sat":
+            commands.append("(check-sat)")
+            scopes.append([cmd for lvl in levels for cmd in lvl[0]]
+                          + [cmd for lvl in levels for cmd in lvl[1]])
+    return commands, scopes
+
+
+def test_every_check_sat_answers_as_a_fresh_session_given_what_is_in_scope():
+    rng = random.Random(5)
+    for _ in range(800):
+        commands, scopes = _scoped_script(rng)
+        fresh = [_replies([*scope, "(check-sat)"])[0] for scope in scopes]
+        assert "unknown" not in fresh
+        assert _replies(commands) == fresh, commands
 
 
 # --- probe caches ---
