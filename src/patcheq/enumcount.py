@@ -87,8 +87,9 @@ class DuplicateModel(Exception):
 
 
 def _path_at(summary: Summary, env: dict[str, int]):
-    """The (conditions, return term) path of ``summary`` that holds at ``env``."""
-    return next(p for p in summary.paths if all(eval_formula(c, env) for c in p[0]))
+    """The (box, exact, return term) of the path of ``summary`` that holds at ``env``."""
+    return next(boxed for (conds, _), boxed in zip(summary.paths, summary.boxes)
+                if all(eval_formula(c, env) for c in conds))
 
 
 class _Enumeration:
@@ -110,9 +111,9 @@ class _Enumeration:
     def _pair_box(self, env: dict[str, int]) -> regions.Box | None:
         """The exact box of the path pair holding at this side's model ``env``, if it is
         decided; a decided box lies wholly on the model's side."""
-        (conds1, t1), (conds2, t2) = (_path_at(s, env) for s in self.summaries)
-        box = regions.pair_box(conds1, conds2)
-        return box if box is not None and regions.decided(box, t1, t2) else None
+        (box1, exact1, t1), (box2, exact2, t2) = (_path_at(s, env) for s in self.summaries)
+        box = regions.meet(box1, box2)
+        return box if exact1 and exact2 and regions.decided(box, t1, t2) else None
 
     def step(self) -> str:
         """Draw one more model; returns 'model', 'done', or 'unknown'."""

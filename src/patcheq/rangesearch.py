@@ -21,9 +21,12 @@ Before a range check goes to the solver, both summaries' compiled evaluators
 midpoint and RANDOM_POINTS more drawn from a seed fixed by the range.  A point
 where the summaries allow different outputs is a model of the equivalence
 check, and one where they share an output is a model of the conjunction check,
-so points only ever answer ``sat``; ``unsat`` and every bound still come from
-the solver.  ``query_count``, and so ``solver_calls``, counts only queries sent
-to the solver.
+so points only ever answer ``sat``.  Path-pair boxes (``regions.decide``) then
+answer ``unsat``: the equivalence check when every pair meeting the range has an
+exact box and equal return terms on it, the conjunction check when every one
+differs everywhere on it.  The solver answers the rest.  ``query_count``, and so
+``solver_calls``, counts only solver queries; ``range_checks`` counts the checks
+each of the three answered.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import bvarith
+from . import bvarith, regions
 from .formula import (
     BvVar, Formula, FIff, FName, FNot, FALSE, RangePair, fand, for_, mk_range_constraint,
     var_range_constraint,
@@ -247,9 +250,11 @@ class RangeSearch:
         self.variables = s1.inputs
         self.session: SolverSession | None = None
         self.query_count = 0
-        # the last sampled range and what its points decided; classify_range
-        # and priority ask both checks of one range in a row
+        self.range_checks = {"points": 0, "regions": 0, "solver": 0}
+        # the last sampled range and what its points decided, and the last range the
+        # boxes decided; classify_range and priority ask both checks of one range in a row
         self._last_sample: tuple | None = None
+        self._last_region: tuple | None = None
 
     # --- session/query plumbing ---
 
@@ -277,11 +282,6 @@ class RangeSearch:
 
     def __exit__(self, *exc):
         self.close()
-
-    def _range_formula(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> Formula:
-        return mk_range_constraint(
-            var_subset, [p.lo for p in vec], [p.hi for p in vec]
-        )
 
     def query(self, formulas: list[Formula],
               model_vars: tuple[BvVar, ...] = ()) -> tuple[str, dict[str, int] | None]:
@@ -351,19 +351,35 @@ class RangeSearch:
             self._last_sample = (key, (diverges, shares))
         return self._last_sample[1]
 
+    def _regions_decide(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str | None:
+        """What ``regions.decide`` says of both summaries over the range."""
+        key = (var_subset, vec)
+        if self._last_region is None or self._last_region[0] != key:
+            box = regions.range_box(var_subset, vec)
+            self._last_region = (key, regions.decide(box, self.s1.boxes, self.s2.boxes))
+        return self._last_region[1]
+
+    def _check(self, var_subset: tuple[BvVar, ...], vec: RangeVector, point: int,
+               region: str, formulas: list[Formula]) -> str:
+        """A sampled point answers sat (``_points_decide``'s entry ``point``), the boxes
+        answer unsat when they decide ``region``, and the solver answers the rest."""
+        if self._points_decide(var_subset, vec)[point]:
+            verdict, by = "sat", "points"
+        elif self._regions_decide(var_subset, vec) == region:
+            verdict, by = "unsat", "regions"
+        else:
+            rng = mk_range_constraint(var_subset, [p.lo for p in vec], [p.hi for p in vec])
+            verdict, by = self.query([*formulas, rng])[0], "solver"
+        self.range_checks[by] += 1
+        return verdict
+
     def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is equivalent on this range."""
-        if self._points_decide(var_subset, vec)[0]:
-            return "sat"
-        rng = self._range_formula(var_subset, vec)
-        return self.query([FNot(FIff(*SUMMARIES)), rng])[0]
+        return self._check(var_subset, vec, 0, "eq", [FNot(FIff(*SUMMARIES))])
 
     def check_conjunction(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is totally non-equivalent on this range."""
-        if self._points_decide(var_subset, vec)[1]:
-            return "sat"
-        rng = self._range_formula(var_subset, vec)
-        return self.query([*SUMMARIES, rng])[0]
+        return self._check(var_subset, vec, 1, "neq", [*SUMMARIES])
 
     def classify_range(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         verdict = self.check_equiv(var_subset, vec)

@@ -12,9 +12,14 @@ maps each input to the intersection of its conditions' sets.  Other
 conditions are opaque and constrain nothing, so an empty set proves a
 conjunction unsatisfiable; a non-empty box proves nothing.
 
-A path pair whose conditions all read has an exact box (``pair_box``), on
-which ``decided`` may show the two return terms equal or unequal everywhere;
-``volume``, ``points`` and ``box_formula`` count, list and render a box.
+A path whose conditions all read has an exact box (``path_box``); the box of
+any other path still bounds where it can hold.  Two paths' boxes ``meet`` where
+both hold, and on an exact pair's box ``decided`` may show the two return terms
+equal or unequal everywhere.  ``decide`` answers that question for two whole
+summaries over a range (``range_box``); it rests on summaries being total, every
+input on exactly one path of each version, which holds because ``summarize``
+raises instead of truncating a loop.  ``volume``, ``points`` and ``box_formula``
+count, list and render a box.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Iterable, Sequence
 
 from .bvarith import mask
 from .formula import (
-    BvVar, FAnd, FEq, FLe, FLt, FNot, FOr, Formula, TBin, TConst, Term, TNeg, TVar, fand, for_,
-    point_formula, var_range_constraint,
+    BvVar, FAnd, FEq, FLe, FLt, FNot, FOr, Formula, RangePair, TBin, TConst, Term, TNeg, TVar,
+    fand, for_, point_formula, var_range_constraint,
 )
 
 Intervals = list[tuple[int, int]]
@@ -149,10 +154,22 @@ def is_empty(b: Box) -> bool:
 # --- path pairs ---
 
 
-def pair_box(conds1: Iterable[Formula], conds2: Iterable[Formula]) -> Box | None:
-    """The exact box where two paths' conditions all hold; None if any of them is opaque."""
-    found = {f: read(f) for f in _atoms([*conds1, *conds2])}
-    return None if None in found.values() else narrow({}, found, found.get)
+def path_box(conds: Iterable[Formula], reads=read) -> tuple[Box, bool]:
+    """The box of a path's read conditions, and whether it is exact: whether every
+    condition reads, so that the path holds on all of it."""
+    found = {f: reads(f) for f in _atoms(conds)}
+    return narrow({}, found, found.get), None not in found.values()
+
+
+def meet(a: Box, b: Box) -> Box:
+    """The box where both ``a`` and ``b`` hold."""
+    return {**a, **b, **{x: intersect(a[x], b[x]) for x in a.keys() & b.keys()}}
+
+
+def range_box(inputs: Sequence[BvVar], vec: Sequence[RangePair]) -> Box:
+    """A range vector over ``inputs`` as a box; a signed range across zero wraps to two
+    unsigned intervals."""
+    return {x: _shift([(0, p.hi - p.lo)], p.lo, x.sort.width) for x, p in zip(inputs, vec)}
 
 
 def _value(t: Term) -> tuple[BvVar | None, int, int] | None:
@@ -181,6 +198,30 @@ def decided(b: Box, t1: Term, t2: Term) -> str | None:
         return None  # two different inputs
     root = s * (c - k) % (1 << t1.width)  # the one x with s*x + k == c
     return None if any(lo <= root <= hi for lo, hi in b.get(x, _full(x))) else "neq"
+
+
+Boxed = Sequence[tuple[Box, bool, Term]]  # a summary's paths: (box, exact, return term)
+
+
+def decide(b: Box, paths1: Boxed, paths2: Boxed) -> str | None:
+    """"eq" if two total summaries' outputs agree everywhere in ``b``, "neq" if they differ
+    everywhere in it; None if a path meeting ``b`` is not exact, a pair meeting it is not
+    ``decided``, or the pairs disagree.  Each version's paths are filtered against ``b``
+    first, so only paths that meet it are paired."""
+    met: list[list[tuple[Box, Term]]] = [[], []]
+    for paths, out in zip((paths1, paths2), met):
+        for box, exact, t in paths:
+            if not is_empty(box := meet(box, b)):
+                if not exact:
+                    return None
+                out.append((box, t))
+    verdicts = set()
+    for (b1, t1), (b2, t2) in itertools.product(*met):
+        if not is_empty(box := meet(b1, b2)):
+            verdicts.add(decided(box, t1, t2))
+            if None in verdicts or len(verdicts) > 1:
+                return None
+    return verdicts.pop() if verdicts else None
 
 
 def _full(x: BvVar) -> Intervals:

@@ -246,7 +246,7 @@ def analyze_pair(
     return finish(
         quantify_calls=quant.solver_calls, eq_lower_bound=quant.eq_lower_bound, exact=False,
         condition=quant.condition, incomplete=quant.incomplete,
-        per_var_source=quant.per_var_source,
+        per_var_source=quant.per_var_source, stats={"range_checks": search.range_checks},
     )
 
 

@@ -89,6 +89,12 @@ class Summary:
         the summary's compiled evaluator, built by ``compile_paths`` on first use."""
         return compile_paths(self.paths)
 
+    @cached_property
+    def boxes(self) -> tuple[tuple[regions.Box, bool, Term], ...]:
+        """Each path as (box, exact, return term), read on first use (``regions.path_box``)."""
+        reads = cache(regions.read)
+        return tuple((*regions.path_box(conds, reads), t) for conds, t in self.paths)
+
 
 def _require_sorted(e: Expr) -> IntSort:
     if not isinstance(e.sort, IntSort):

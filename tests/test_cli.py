@@ -124,6 +124,22 @@ def test_impact_json_reports_phase_times_and_path_counts(capsys, corpus_dir):
     assert "enum" not in stats  # only enumeration reports its work
 
 
+@pytest.mark.parametrize("case, patched, checks", [
+    ("cve_2012_2384_cliprects", "patched.fn", {"points": 29, "regions": 35, "solver": 3}),
+    ("juliet_multiply_cwe190", "good.fn", {"points": 24, "regions": 38, "solver": 1}),
+])
+def test_impact_json_counts_who_answered_each_range_check(capsys, corpus_dir, case, patched,
+                                                          checks):
+    # every path of both pairs reads as a box, so the path boxes answer most unsat checks
+    case = corpus_dir / case
+    code, out, _ = run_cli(["impact", str(case / "original.fn"), str(case / patched),
+                            "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["stats"]["range_checks"] == checks
+    assert data["solver_calls"] == 2 + checks["solver"]  # the classifier's two, then these
+
+
 def test_impact_json_reports_enumeration_work(capsys, corpus_dir):
     case = corpus_dir / "cve_2010_4165_tcp_window"
     argv = ["impact", str(case / "original.fn"), str(case / "patched.fn"),

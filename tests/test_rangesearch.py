@@ -1,12 +1,13 @@
 """Range division, the four search strategies, bounds, and conditions."""
 
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patcheq import bvarith
+from patcheq import bvarith, regions
 from patcheq.enumcount import brute_force_eq_count
 from patcheq.formula import (
     FALSE, FIff, FNot, RangePair, eval_formula, mk_range_constraint, serialize_formula,
@@ -106,11 +107,23 @@ def test_iterative_bound_full_equivalence():
 
 
 def test_relational_identical_summaries_full_range_one_call(cfg):
-    s = summarize(corpus_fn("cve_2010_4165_tcp_window", "original.fn"))
+    # an opaque guard keeps the path boxes from answering: the solver certifies
+    s = summarize(fn("fn f(x: i32) -> i32 { if (x * 3 < 100) { return x; } return 0 - x; }"))
     with RangeSearch(s, s, cfg) as rs:
         out = rs.relational(limit=8)
         assert out.vectors() == [full_domain(s.inputs)]
         assert rs.query_count == 1
+        assert rs.range_checks == {"points": 0, "regions": 0, "solver": 1}
+
+
+def test_relational_identical_exact_summaries_full_range_no_call(cfg):
+    # every tcp_window path has an exact box and meets only its own twin
+    s = summarize(corpus_fn("cve_2010_4165_tcp_window", "original.fn"))
+    with RangeSearch(s, s, cfg) as rs:
+        out = rs.relational(limit=8)
+        assert out.vectors() == [full_domain(s.inputs)]
+        assert rs.query_count == 0 and rs.session is None
+        assert rs.range_checks == {"points": 0, "regions": 1, "solver": 0}
 
 
 def test_relational_quadrant_pair(cfg):
@@ -364,7 +377,7 @@ def test_certificates_reproduce_unsat(cfg):
 
 def test_a_point_answer_leaves_the_solver_alone(cfg, monkeypatch):
     s1, s2 = summary_pair(
-        "fn f(x: u8) -> u8 { return x; }",
+        "fn f(x: u8) -> u8 { if (x * 3 < 100) { return x; } return x; }",
         "fn f(x: u8) -> u8 { if (x < 128) { return 0; } return x; }",
     )
     full = full_domain(s1.inputs)
@@ -379,15 +392,42 @@ def test_a_point_answer_leaves_the_solver_alone(cfg, monkeypatch):
         assert rs.query_count == 0
         assert sent == []
         monkeypatch.undo()
-        # no point of [128, 255] diverges: only the solver can answer unsat
+        # no point of [128, 255] diverges, and the original's opaque guard leaves the
+        # path boxes undecided: only the solver can answer unsat
         assert rs.check_equiv(s1.inputs, (RangePair(128, 255),)) == "unsat"
         assert rs.query_count == 1
+        assert rs.range_checks == {"points": 4, "regions": 0, "solver": 1}
+
+
+def test_a_region_answer_leaves_the_solver_alone(cfg, monkeypatch):
+    s1, s2 = summary_pair(
+        "fn f(x: u8) -> u8 { return x; }",
+        "fn f(x: u8) -> u8 { if (x < 128) { return 0; } return x; }",
+    )
+    sent = []
+    monkeypatch.setattr(SolverSession, "_send", lambda session, text: sent.append(text))
+    with RangeSearch(s1, s2, cfg) as rs:
+        # [128, 255] meets only the pair that returns x twice, [1, 127] only the pair of
+        # x against 0, which differ wherever x != 0
+        assert rs.classify_range(s1.inputs, (RangePair(128, 255),)) == "eq"
+        assert rs.classify_range(s1.inputs, (RangePair(1, 127),)) == "neq"
+        assert rs.range_checks == {"points": 1, "regions": 2, "solver": 0}
+        assert rs.query_count == 0 and rs.session is None
+    assert sent == []
+
+
+def _region_answered(rs: RangeSearch, check, var_subset, vec) -> tuple[str, bool]:
+    """``check``'s verdict on the range, and whether the path boxes gave it."""
+    before = rs.range_checks["regions"]
+    verdict = check(var_subset, vec)
+    return verdict, rs.range_checks["regions"] > before
 
 
 def test_point_answers_agree_with_the_solver(cfg):
-    # every check the sample answers without the solver gets sat from it too
+    # every check the sample answers gets sat from the solver too, and every check the
+    # path boxes answer gets unsat from it
     rng = random.Random(4242)
-    decided = 0
+    decided = by_regions = 0
     for _ in range(12):
         f1, f2 = random_pair(rng)
         s1, s2 = summarize(f1), summarize(f2)
@@ -404,12 +444,63 @@ def test_point_answers_agree_with_the_solver(cfg):
                     (rs.check_conjunction, [*SUMMARIES, rng_f]),
                 ):
                     before = rs.query_count
-                    verdict = check(var_subset, vec)
-                    if rs.query_count == before:
+                    verdict, from_regions = _region_answered(rs, check, var_subset, vec)
+                    if from_regions:
+                        assert verdict == "unsat"
+                        assert rs.query(formulas)[0] == "unsat", (f1, f2, vec)
+                        by_regions += 1
+                    elif rs.query_count == before:
                         assert verdict == "sat"
                         assert rs.query(formulas)[0] == "sat", (f1, f2, vec)
                         decided += 1
     assert decided >= 150
+    assert by_regions >= 30
+
+
+def _width8_ranges(rng: random.Random, inputs):
+    """The whole domain and its relational pieces, then per input: ranges across its sign
+    boundary (0 for signed sorts, 128 for unsigned ones), halves, and random ranges."""
+    full = full_domain(inputs)
+    yield from ((inputs, vec) for vec in [full, *divide_range(full)])
+    for var in inputs:
+        lo, hi = var.sort.min_value, var.sort.max_value
+        mid = 0 if var.sort.signed else 128
+        spans = [(mid - 1, mid), (mid - 9, mid + 20), (lo, mid), (mid, hi)]
+        spans += [sorted((rng.randint(lo, hi), rng.randint(lo, hi))) for _ in range(8)]
+        yield from (((var,), (RangePair(a, b),)) for a, b in spans)
+
+
+def test_region_answers_agree_with_brute_force_width8(cfg, monkeypatch):
+    # with the solver stubbed to unknown, every unsat comes from the path boxes; each
+    # verdict regions.decide gives, points or not, is checked on every input of its range
+    monkeypatch.setattr(RangeSearch, "query", lambda self, formulas, model_vars=(): ("unknown", None))
+    rng = random.Random(2026)
+    answered, kinds = {"eq": 0, "neq": 0}, set()
+    for _ in range(40):
+        f1, f2 = random_pair(rng)
+        s1, s2 = summarize(f1), summarize(f2)
+        inputs = s1.inputs
+        kinds.add((inputs[0].sort.signed, len(inputs)))
+        axes = [range(v.sort.min_value, v.sort.max_value + 1) for v in inputs]
+        agrees = functools.cache(lambda p: eval_concrete(f1, p) == eval_concrete(f2, p))
+        with RangeSearch(s1, s2, cfg) as rs:
+            for var_subset, vec in _width8_ranges(rng, inputs):
+                verdict = regions.decide(regions.range_box(var_subset, vec), s1.boxes, s2.boxes)
+                answers = [_region_answered(rs, check, var_subset, vec)
+                           for check in (rs.check_equiv, rs.check_conjunction)]
+                if verdict is None:
+                    assert not any(from_regions for _, from_regions in answers)
+                    continue
+                bounds = dict(zip(var_subset, vec))
+                inside = {agrees(p) for p in itertools.product(*(
+                    range(bounds[v].lo, bounds[v].hi + 1) if v in bounds else axis
+                    for v, axis in zip(inputs, axes)))}
+                assert inside == {verdict == "eq"}, (f1, f2, vec, verdict)
+                assert answers[verdict == "neq"] == ("unsat", True)
+                answered[verdict] += 1
+        assert rs.session is None  # nothing reached a solver
+    assert kinds == {(signed, n) for signed in (False, True) for n in (1, 2)}
+    assert min(answered.values()) >= 40, answered
 
 
 # --- condition rendering ---

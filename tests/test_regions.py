@@ -7,11 +7,12 @@ import pytest
 
 from patcheq.bvarith import to_signed
 from patcheq.formula import (
-    BvVar, FAnd, FNot, FOr, eval_formula, feq, fle, flt, for_, tbin, tconst, tneg, tvar,
+    BvVar, FAnd, FNot, FOr, RangePair, eval_formula, feq, fle, flt, for_, tbin, tconst, tneg, tvar,
 )
 from patcheq.minilang import SORTS
 from patcheq.regions import (
-    box_formula, complement, decided, intersect, is_empty, narrow, pair_box, points, read, volume,
+    box_formula, complement, decided, intersect, is_empty, meet, narrow, path_box, points,
+    range_box, read, volume,
 )
 
 X = BvVar("x", SORTS["u8"], "input")
@@ -180,13 +181,26 @@ def test_box_points_and_formula_over_two_inputs():
                 if eval_formula(f, {"x": x, "y": y})} == inside
 
 
-def test_pair_box_is_none_when_any_condition_is_opaque():
+def test_path_box_is_inexact_when_any_condition_is_opaque():
     lin = flt(False, tvar(X), tconst(9, 8))
     opaque = flt(False, tbin("mul", tvar(X), tvar(Y)), tconst(9, 8))
-    assert pair_box([lin], [FAnd((lin, feq(tvar(Y), tconst(2, 8))))]) == narrow(
-        {}, [lin, feq(tvar(Y), tconst(2, 8))])
-    assert pair_box([lin], [opaque]) is None
-    assert pair_box([FAnd((lin, opaque))], []) is None
+    pinned = feq(tvar(Y), tconst(2, 8))
+    assert path_box([lin, FAnd((pinned,))]) == (narrow({}, [lin, pinned]), True)
+    # the read conditions still bound an inexact box
+    assert path_box([FAnd((lin, opaque))]) == (narrow({}, [lin]), False)
+    assert meet(narrow({}, [lin]), narrow({}, [pinned])) == narrow({}, [lin, pinned])
+
+
+def test_a_range_box_holds_exactly_the_range_and_wraps_across_zero():
+    for var, spans in ((X, [(0, 255), (3, 3), (100, 200)]),
+                       (Y, [(-128, 127), (-1, 0), (-100, 20), (-9, -3), (5, 90)])):
+        for lo, hi in spans:
+            (x, ivs), = range_box([var], [RangePair(lo, hi)]).items()
+            assert x == var
+            assert_normal(ivs)
+            assert {to_signed(v, 8) if var.sort.signed else v for v in members(ivs)} == set(
+                range(lo, hi + 1))
+    assert range_box([Y], [RangePair(-1, 0)]) == {Y: [(0, 0), (255, 255)]}
 
 
 def test_decided_pairs_agree_or_differ_everywhere_in_their_box():
