@@ -1,10 +1,12 @@
 """Classify a program pair: equivalent, totally non-equivalent, or partial.
 
-Two solver queries decide the trichotomy: the pair is equivalent when the
-negated biconditional of the summaries is unsat, totally non-equivalent when
-their conjunction is unsat, and partially equivalent otherwise.  An unknown
-on a deciding query, or a budget that runs out first, yields Unknown rather
-than a guess.
+Two checks over the full domain decide the trichotomy: the pair is equivalent
+when the negated biconditional of the summaries is unsat, totally
+non-equivalent when their conjunction is unsat, and partially equivalent
+otherwise.  Both go through ``RangeSearch``'s checks, so a sampled point or a
+path-pair box answers them when it can, and the solver, sent exactly these two
+queries, answers the rest.  An unknown on a deciding query, or a budget that
+runs out first, yields Unknown rather than a guess.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import enum
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .formula import FIff, FNot
 from .oracle import SolverConfig
-from .rangesearch import SUMMARIES, BudgetExhausted, RangeSearch
+from .rangesearch import BudgetExhausted, RangeSearch, full_domain
 from .summarizer import Summary
 
 
@@ -48,13 +49,14 @@ def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
 
 
 def _classify(search: RangeSearch) -> tuple[Verdict, dict[str, int] | None]:
+    inputs, witness = search.variables, {}
     try:
-        neq, witness = search.query([FNot(FIff(*SUMMARIES))], search.variables)
+        neq = search.check_equiv(inputs, full_domain(inputs), witness)
         if neq == "unsat":
             return Verdict.T_EQ, None
-        if neq == "unknown" or witness is None:
+        if neq == "unknown" or len(witness) != len(inputs):  # or a sat with no model
             return Verdict.UNKNOWN, None
-        both, _ = search.query([*SUMMARIES])
+        both = search.check_conjunction(inputs, full_domain(inputs))
     except BudgetExhausted:
         return Verdict.UNKNOWN, None
     if both == "unsat":

@@ -149,6 +149,7 @@ def cmd_check(args, cfg) -> int:
             "verdict": result.kind.value,
             "witness": result.witness,
             "solver_calls": result.solver_calls,
+            "range_checks": search.range_checks,
         }, indent=2, sort_keys=True))
     else:
         print(f"verdict: {result.kind.value}")

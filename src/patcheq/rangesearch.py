@@ -16,17 +16,22 @@ A region enters a result only with an unsat certificate from the solver;
 unknown verdicts drop the region, and budget expiry returns a partial result
 flagged incomplete.  All counting is exact big-integer/rational arithmetic.
 
-Before a range check goes to the solver, both summaries' compiled evaluators
-(``Summary.outputs``) run at a few points of the range: its two ends, its
-midpoint and RANDOM_POINTS more drawn from a seed fixed by the range.  A point
-where the summaries allow different outputs is a model of the equivalence
-check, and one where they share an output is a model of the conjunction check,
-so points only ever answer ``sat``.  Path-pair boxes (``regions.decide``) then
-answer ``unsat``: the equivalence check when every pair meeting the range has an
-exact box and equal return terms on it, the conjunction check when every one
-differs everywhere on it.  The solver answers the rest.  ``query_count``, and so
-``solver_calls``, counts only solver queries; ``range_checks`` counts the checks
-each of the three answered.
+Every satisfiability check of an analysis goes through ``RangeSearch._check``:
+the classifier's two checks over the full domain and every range check.  Before
+one goes to the solver, both summaries' compiled evaluators (``Summary.outputs``)
+run at a few points of the range: its two ends, its midpoint and RANDOM_POINTS
+more drawn from a seed fixed by the range.  A point where the summaries allow
+different outputs is a model of the equivalence check, and one where they share
+an output is a model of the conjunction check.  Path-pair boxes
+(``regions.decide``) then answer both ways: a box where two exact paths meet with
+different (equal) return terms proves the equivalence (conjunction) check sat,
+and when every pair meeting the range has exact boxes and agrees (differs)
+everywhere on them, it proves the check unsat.  This is differential symbolic
+execution's path-pair reasoning (Person, Dwyer, Elbaum & Pasareanu, FSE 2008).
+The solver answers the rest, so an analysis whose checks points and boxes all
+answer starts no solver process.  ``query_count``, and so ``solver_calls``,
+counts only solver queries; ``range_checks`` counts the checks each of the
+three answered.
 """
 
 from __future__ import annotations
@@ -330,28 +335,32 @@ class RangeSearch:
             yield env
 
     def _points_decide(self, var_subset: tuple[BvVar, ...],
-                       vec: RangeVector) -> tuple[bool, bool]:
-        """Whether a sampled point diverges, and whether one shares an output.
+                       vec: RangeVector) -> dict[str, dict[str, int]]:
+        """The first sampled point where the summaries differ ("neq") and the first where
+        they share an output ("eq"), as unsigned environments.
 
-        A diverging point is a model of check_equiv's query, a shared output
-        one of check_conjunction's.  Raises BudgetExhausted, evaluating
-        nothing, once the budget has run out.
+        A diverging point is a model of check_equiv's query, a shared output one of
+        check_conjunction's.  Raises BudgetExhausted, evaluating nothing, once the
+        budget has run out.
         """
         if self.budget.expired:
             raise BudgetExhausted
         key = (var_subset, vec)
         if self._last_sample is None or self._last_sample[0] != key:
-            diverges = shares = False
+            found: dict[str, dict[str, int]] = {}
             for env in self._sample(var_subset, vec):
                 y1, y2 = self.s1.outputs(env), self.s2.outputs(env)
-                diverges = diverges or y1 != y2
-                shares = shares or bool(y1 & y2)
-                if diverges and shares:
+                if y1 != y2:
+                    found.setdefault("neq", env)
+                if y1 & y2:
+                    found.setdefault("eq", env)
+                if len(found) == 2:
                     break
-            self._last_sample = (key, (diverges, shares))
+            self._last_sample = (key, found)
         return self._last_sample[1]
 
-    def _regions_decide(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str | None:
+    def _regions_decide(self, var_subset: tuple[BvVar, ...],
+                        vec: RangeVector) -> tuple[str | None, dict[str, regions.Box]]:
         """What ``regions.decide`` says of both summaries over the range."""
         key = (var_subset, vec)
         if self._last_region is None or self._last_region[0] != key:
@@ -359,27 +368,43 @@ class RangeSearch:
             self._last_region = (key, regions.decide(box, self.s1.boxes, self.s2.boxes))
         return self._last_region[1]
 
-    def _check(self, var_subset: tuple[BvVar, ...], vec: RangeVector, point: int,
-               region: str, formulas: list[Formula]) -> str:
-        """A sampled point answers sat (``_points_decide``'s entry ``point``), the boxes
-        answer unsat when they decide ``region``, and the solver answers the rest."""
-        if self._points_decide(var_subset, vec)[point]:
-            verdict, by = "sat", "points"
-        elif self._regions_decide(var_subset, vec) == region:
-            verdict, by = "unsat", "regions"
+    def _check(self, var_subset: tuple[BvVar, ...], vec: RangeVector, sat_on: str,
+               formulas: list[Formula], model: dict[str, int] | None = None) -> str:
+        """Whether the range has a point where the summaries ``sat_on`` ("neq" or "eq"):
+        a sampled point or a path-pair box answers sat, the boxes' whole-range verdict
+        unsat, and the solver the rest, with no range constraint for a full range.  On
+        sat, ``model`` (when given) gets that point, each input in its sort's reading."""
+        point = self._points_decide(var_subset, vec).get(sat_on)
+        sampled = point is not None
+        verdict, boxes = (None, {}) if sampled else self._regions_decide(var_subset, vec)
+        if sampled or sat_on in boxes:
+            answer, by = "sat", "points" if sampled else "regions"
+            if model is not None:  # a sampled point reads as a one-point box
+                box = {v: [(point[v.name], point[v.name])] for v in self.variables
+                       } if sampled else boxes[sat_on]
+                model.update(zip((v.name for v in self.variables),
+                                 regions.points(box, self.variables, 1)[0]))
+        elif verdict:
+            answer, by = "unsat", "regions"
         else:
-            rng = mk_range_constraint(var_subset, [p.lo for p in vec], [p.hi for p in vec])
-            verdict, by = self.query([*formulas, rng])[0], "solver"
+            rng = [] if vec == full_domain(var_subset) else [
+                mk_range_constraint(var_subset, [p.lo for p in vec], [p.hi for p in vec])]
+            answer, values = self.query([*formulas, *rng], self.variables if model is not None else ())
+            by = "solver"
+            if model is not None and values:
+                model.update(values)
         self.range_checks[by] += 1
-        return verdict
+        return answer
 
-    def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
-        """unsat means: the pair is equivalent on this range."""
-        return self._check(var_subset, vec, 0, "eq", [FNot(FIff(*SUMMARIES))])
+    def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector,
+                    model: dict[str, int] | None = None) -> str:
+        """unsat means: the pair is equivalent on this range; on sat ``model`` gets a
+        diverging input."""
+        return self._check(var_subset, vec, "neq", [FNot(FIff(*SUMMARIES))], model)
 
     def check_conjunction(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is totally non-equivalent on this range."""
-        return self._check(var_subset, vec, 1, "neq", [*SUMMARIES])
+        return self._check(var_subset, vec, "eq", [*SUMMARIES])
 
     def classify_range(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         verdict = self.check_equiv(var_subset, vec)

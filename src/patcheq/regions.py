@@ -16,9 +16,10 @@ A path whose conditions all read has an exact box (``path_box``); the box of
 any other path still bounds where it can hold.  Two paths' boxes ``meet`` where
 both hold, and on an exact pair's box ``decided`` may show the two return terms
 equal or unequal everywhere.  ``decide`` answers that question for two whole
-summaries over a range (``range_box``); it rests on summaries being total, every
-input on exactly one path of each version, which holds because ``summarize``
-raises instead of truncating a loop.  ``volume``, ``points`` and ``box_formula``
+summaries over a range (``range_box``), and names a box inside it where the two
+differ and one where they agree; it rests on summaries being total, every input
+on exactly one path of each version, which holds because ``summarize`` raises
+instead of truncating a loop.  ``volume``, ``points`` and ``box_formula``
 count, list and render a box.
 """
 
@@ -203,25 +204,33 @@ def decided(b: Box, t1: Term, t2: Term) -> str | None:
 Boxed = Sequence[tuple[Box, bool, Term]]  # a summary's paths: (box, exact, return term)
 
 
-def decide(b: Box, paths1: Boxed, paths2: Boxed) -> str | None:
-    """"eq" if two total summaries' outputs agree everywhere in ``b``, "neq" if they differ
-    everywhere in it; None if a path meeting ``b`` is not exact, a pair meeting it is not
-    ``decided``, or the pairs disagree.  Each version's paths are filtered against ``b``
-    first, so only paths that meet it are paired."""
+def decide(b: Box, paths1: Boxed, paths2: Boxed) -> tuple[str | None, dict[str, Box]]:
+    """Whether two total summaries' outputs agree ("eq") or differ ("neq") everywhere in
+    ``b``, and a box inside ``b`` of each kind that some pair shows.
+
+    The whole-range verdict is None if a path meeting ``b`` is not exact, a pair meeting
+    it is not ``decided``, or the pairs disagree.  Each box is where two exact paths meet
+    and are ``decided`` that way, found even when other paths are opaque, so the outputs
+    differ (or agree) at every point of it.  Each version's paths are filtered against
+    ``b`` first, so only paths that meet it are paired."""
     met: list[list[tuple[Box, Term]]] = [[], []]
+    whole = True
     for paths, out in zip((paths1, paths2), met):
         for box, exact, t in paths:
             if not is_empty(box := meet(box, b)):
-                if not exact:
-                    return None
-                out.append((box, t))
-    verdicts = set()
+                whole = whole and exact
+                if exact:
+                    out.append((box, t))
+    found: dict[str, Box] = {}
     for (b1, t1), (b2, t2) in itertools.product(*met):
         if not is_empty(box := meet(b1, b2)):
-            verdicts.add(decided(box, t1, t2))
-            if None in verdicts or len(verdicts) > 1:
-                return None
-    return verdicts.pop() if verdicts else None
+            verdict = decided(box, t1, t2)
+            whole = whole and verdict is not None
+            if verdict:
+                found.setdefault(verdict, box)
+            if len(found) == 2:
+                break
+    return (next(iter(found)) if whole and len(found) == 1 else None), found
 
 
 def _full(x: BvVar) -> Intervals:

@@ -181,8 +181,9 @@ def analyze_pair(
 ) -> ImpactReport:
     """Classify first; quantify only on partial equivalence.
 
-    Classification and quantification share one RangeSearch, so one solver
-    process serves the pair (enumeration adds one for its divergent side).
+    Classification and quantification share one RangeSearch, so at most one solver
+    process serves the pair, none when sampled points and path-pair boxes answer
+    every check (enumeration adds one for its divergent side).
     """
     if method not in ALL_METHODS:
         raise AnalysisError("config", f"unknown algorithm {method!r}")
@@ -215,7 +216,8 @@ def analyze_pair(
             solver_calls=verdict.solver_calls + quantify_calls,
             elapsed_ms=int((time.monotonic() - start) * 1000),
             input_names=[v.name for v in s1.inputs],
-            stats={"phase_ms": phase_ms, "paths": [s1.path_count, s2.path_count], **(stats or {})},
+            stats={"phase_ms": phase_ms, "paths": [s1.path_count, s2.path_count],
+                   "range_checks": search.range_checks, **(stats or {})},
             **kw,
         )
 
@@ -246,7 +248,7 @@ def analyze_pair(
     return finish(
         quantify_calls=quant.solver_calls, eq_lower_bound=quant.eq_lower_bound, exact=False,
         condition=quant.condition, incomplete=quant.incomplete,
-        per_var_source=quant.per_var_source, stats={"range_checks": search.range_checks},
+        per_var_source=quant.per_var_source,
     )
 
 

@@ -47,6 +47,24 @@ def corpus_fn(case: str, which: str):
     return fn_file(CORPUS / case / which)
 
 
+# Differ only at the one x with x * 3 == 5 (mod 2**32).  The guard does not read as a
+# box and sampled points miss that x, so the classifier's equivalence check, and every
+# range check of a range without that x, needs the solver.
+OPAQUE_PAIR = (
+    "fn f(x: i32) -> i32 { return x; }",
+    "fn f(x: i32) -> i32 { if (x * 3 == 5) { return 0; } return x; }",
+)
+
+
+@pytest.fixture
+def opaque_files(tmp_path) -> tuple[Path, Path]:
+    """OPAQUE_PAIR as original.fn and patched.fn."""
+    paths = tmp_path / "original.fn", tmp_path / "patched.fn"
+    for path, text in zip(paths, OPAQUE_PAIR):
+        path.write_text(text)
+    return paths
+
+
 # --- the reference evaluator: a tree walk, against which compiled evaluation is checked ---
 
 

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from patcheq.classifier import Verdict, eq_check
+from patcheq.classifier import Verdict, VerdictResult, eq_check
 from patcheq.enumcount import brute_force_eq_count
+from patcheq.oracle import SolverSession
 from patcheq.randgen import random_pair
 from patcheq.summarizer import SignatureMismatch, eval_concrete, summarize
 
@@ -34,6 +35,43 @@ def test_ltfive_pair_is_partially_equivalent(cfg):
     assert result.witness is not None
     x = result.witness["x"]
     assert eval_concrete(f1, [x]) != eval_concrete(f2, [x])
+
+
+def test_functions_without_inputs_classify_by_their_one_point(cfg):
+    # the one (empty) input is sampled, so both verdicts come without a solver; the
+    # solver's empty get-value used to leave no witness, and the verdict unknown
+    one, two = (summarize(fn(f"fn f() -> i8 {{ return {k}; }}")) for k in (1, 2))
+    assert eq_check(one, two, cfg) == VerdictResult(Verdict.T_NEQ, {}, 0)
+    assert eq_check(one, one, cfg) == VerdictResult(Verdict.T_EQ, None, 0)
+
+
+EQUIV_QUERY = ["(push 1)", "(assert (not (= summary!1 summary!2)))", "(check-sat)",
+               "(get-value (x))", "(pop 1)"]
+CONJUNCTION_QUERY = ["(push 1)", "(assert summary!1)", "(assert summary!2)", "(check-sat)",
+                     "(pop 1)"]
+
+
+@pytest.mark.parametrize("patched, queries, witness", [
+    # no sampled point diverges, and the guard reads as no box
+    ("if (x * 3 == 5) { return 0; } return x;", EQUIV_QUERY, 1431655767),
+    # no sampled point agrees: the witness is the sample's first point, its low end
+    ("if (x * 3 == 5) { return x; } return x + 1;", CONJUNCTION_QUERY, -2**31),
+])
+def test_the_solver_receives_exactly_the_classifiers_queries(cfg, monkeypatch, patched,
+                                                             queries, witness):
+    # a check the points and boxes leave open reaches the solver as the bare
+    # biconditional or conjunction of the summaries, with no range constraint
+    sent = []
+    real_send = SolverSession._send
+    monkeypatch.setattr(SolverSession, "_send",
+                        lambda session, text: (sent.append(text), real_send(session, text)))
+    s1 = summarize(fn("fn f(x: i32) -> i32 { return x; }"))
+    s2 = summarize(fn(f"fn f(x: i32) -> i32 {{ {patched} }}"))
+    result = eq_check(s1, s2, cfg)
+    assert result.kind is Verdict.P_EQ and result.solver_calls == 1
+    assert result.witness == {"x": witness}
+    defined = max(i for i, text in enumerate(sent) if text.startswith("(define-fun"))
+    assert sent[defined + 1:] == queries + ["(exit)"]
 
 
 def test_signature_mismatch_is_an_error_not_unknown(cfg):

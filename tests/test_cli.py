@@ -76,13 +76,29 @@ for line in sys.stdin:
 """
 
 
-def test_check_exits_1_when_the_solver_answers_unknown(capsys, corpus_dir):
-    case = corpus_dir / "eqbench_ltfive"
-    code = main(["check", str(case / "original.fn"), str(case / "patched.fn"),
+def test_check_exits_1_when_the_solver_answers_unknown(capsys, opaque_files):
+    # no sampled point diverges and the guard reads as no box, so the solver must answer
+    code = main(["check", *map(str, opaque_files),
                  "--solver-cmd", shlex.join([sys.executable, "-c", UNKNOWN_SOLVER])])
     out, _ = capsys.readouterr()
     assert code == 1
     assert out.splitlines() == ["verdict: unknown"]
+
+
+def test_check_answers_without_the_solver_when_points_decide(capsys, corpus_dir):
+    # sampled points find both a diverging and an agreeing input of ltfive, so the
+    # solver that only answers unknown is never asked
+    case = corpus_dir / "eqbench_ltfive"
+    code = main(["check", str(case / "original.fn"), str(case / "patched.fn"), "--format", "json",
+                 "--solver-cmd", shlex.join([sys.executable, "-c", UNKNOWN_SOLVER])])
+    data = json.loads(capsys.readouterr()[0])
+    assert code == 0
+    assert data["verdict"] == "partially_equivalent"
+    assert data["solver_calls"] == 0
+    assert data["range_checks"] == {"points": 2, "regions": 0, "solver": 0}
+    x = data["witness"]["x"]
+    assert (eval_concrete(fn_file(case / "original.fn"), [x])
+            != eval_concrete(fn_file(case / "patched.fn"), [x]))
 
 
 def test_impact_json_fields(capsys, corpus_dir):
@@ -125,19 +141,51 @@ def test_impact_json_reports_phase_times_and_path_counts(capsys, corpus_dir):
 
 
 @pytest.mark.parametrize("case, patched, checks", [
-    ("cve_2012_2384_cliprects", "patched.fn", {"points": 29, "regions": 35, "solver": 3}),
-    ("juliet_multiply_cwe190", "good.fn", {"points": 24, "regions": 38, "solver": 1}),
+    ("cve_2012_2384_cliprects", "patched.fn", {"points": 31, "regions": 35, "solver": 3}),
+    ("juliet_multiply_cwe190", "good.fn", {"points": 26, "regions": 38, "solver": 1}),
+    (None, None, {"points": 12, "regions": 0, "solver": 51}),  # OPAQUE_PAIR
 ])
-def test_impact_json_counts_who_answered_each_range_check(capsys, corpus_dir, case, patched,
-                                                          checks):
-    # every path of both pairs reads as a box, so the path boxes answer most unsat checks
-    case = corpus_dir / case
-    code, out, _ = run_cli(["impact", str(case / "original.fn"), str(case / patched),
-                            "--format", "json"], capsys)
+def test_impact_json_counts_who_answered_each_range_check(capsys, corpus_dir, opaque_files,
+                                                          case, patched, checks):
+    # the classifier's two checks count with the range checks.  Every path of both corpus
+    # pairs reads as a box, so the path boxes answer most unsat checks; OPAQUE_PAIR's guard
+    # reads as none, so the solver answers its classifier's equivalence check and every
+    # unsat
+    files = opaque_files if case is None else (corpus_dir / case / "original.fn",
+                                               corpus_dir / case / patched)
+    code, out, _ = run_cli(["impact", *map(str, files), "--format", "json"], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["stats"]["range_checks"] == checks
-    assert data["solver_calls"] == 2 + checks["solver"]  # the classifier's two, then these
+    assert data["solver_calls"] == checks["solver"]  # every solver query is a counted check
+
+
+@pytest.mark.parametrize("patched, verdict, checks", [
+    ("return x;", "equivalent", {"points": 0, "regions": 1, "solver": 0}),
+    ("return x + 1;", "totally_non_equivalent", {"points": 1, "regions": 1, "solver": 0}),
+    ("if (x < 5) { return 0; } return x;", "partially_equivalent",
+     {"points": 2, "regions": 0, "solver": 0}),
+])
+@pytest.mark.parametrize("method", ["relational", "iterative", "priority", "combined",
+                                    "enumerate"])
+def test_impact_json_counts_the_classifiers_checks_for_every_method_and_verdict(
+        capsys, tmp_path, patched, verdict, checks, method):
+    files = tmp_path / "original.fn", tmp_path / "patched.fn"
+    files[0].write_text("fn f(x: i8) -> i8 { return x; }")
+    files[1].write_text(f"fn f(x: i8) -> i8 {{ {patched} }}")
+    code, out, _ = run_cli(["impact", *map(str, files), "--algorithm", method,
+                            "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == verdict
+    counted = data["stats"]["range_checks"]
+    if verdict == "partially_equivalent" and method != "enumerate":
+        # the range search's checks follow the classifier's
+        assert sum(counted.values()) > sum(checks.values())
+        assert all(counted[by] >= checks[by] for by in checks)
+        assert data["solver_calls"] == counted["solver"]
+    else:
+        assert counted == checks  # the classifier's checks: sampled points and boxes
 
 
 def test_impact_json_reports_enumeration_work(capsys, corpus_dir):
@@ -150,11 +198,30 @@ def test_impact_json_reports_enumeration_work(capsys, corpus_dir):
     # one box on each side per path pair, and the last divergent query answers unsat
     assert data["stats"]["enum"] == {"eq": {"queries": 2, "boxes": 2, "points": 0},
                                      "neq": {"queries": 2, "boxes": 1, "points": 0}}
-    assert data["solver_calls"] == 2 + 4
+    # a sampled point and a path-pair box answer the classifier; the solver only enumerates
+    assert data["stats"]["range_checks"] == {"points": 1, "regions": 1, "solver": 0}
+    assert data["solver_calls"] == 4
     assert data["eq_model_count"] == 2**32 - 56 and data["neq_model_count"] == 56
     assert data["neq_models"] == [[v] for v in range(8, 64)]
     code, out, _ = run_cli(argv + ["--stable"], capsys)
     assert "stats" not in json.loads(out)
+
+
+def test_impact_json_reports_enumeration_work_after_a_solver_classification(capsys,
+                                                                           opaque_files):
+    argv = ["impact", *map(str, opaque_files), "--algorithm", "enumerate", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    data = json.loads(out)
+    # no path pair reads as a box, so each side blocks single points
+    assert data["stats"]["enum"] == {"eq": {"queries": 2, "boxes": 0, "points": 2},
+                                     "neq": {"queries": 2, "boxes": 0, "points": 1}}
+    assert data["stats"]["range_checks"] == {"points": 1, "regions": 0, "solver": 1}
+    assert data["solver_calls"] == 1 + 4  # the classifier's equivalence check, then these
+    assert data["witness"] == {"x": 1431655767}  # 3 * 1431655767 == 5 (mod 2**32)
+    assert data["neq_model_count"] == 1 and data["neq_models"] == [[1431655767]]
+    assert data["eq_model_count"] == 2  # the divergent side exhausted first
+    assert data["eq_lower_bound"] == str(2**32 - 1) and data["exact"]
 
 
 def test_stable_reports_are_byte_identical(capsys, corpus_dir):

@@ -2,12 +2,14 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from patcheq import bvarith, regions
+from patcheq.classifier import Verdict, eq_check
 from patcheq.enumcount import brute_force_eq_count
 from patcheq.formula import (
     FALSE, FIff, FNot, RangePair, eval_formula, mk_range_constraint, serialize_formula,
@@ -472,10 +474,12 @@ def _width8_ranges(rng: random.Random, inputs):
 
 def test_region_answers_agree_with_brute_force_width8(cfg, monkeypatch):
     # with the solver stubbed to unknown, every unsat comes from the path boxes; each
-    # verdict regions.decide gives, points or not, is checked on every input of its range
+    # whole-range verdict regions.decide gives, points or not, is checked on every input
+    # of its range, and without one the boxes answer no check unsat.  Each box it names
+    # is checked on its first 256 points
     monkeypatch.setattr(RangeSearch, "query", lambda self, formulas, model_vars=(): ("unknown", None))
     rng = random.Random(2026)
-    answered, kinds = {"eq": 0, "neq": 0}, set()
+    answered, boxes, kinds = {"eq": 0, "neq": 0}, {"eq": 0, "neq": 0}, set()
     for _ in range(40):
         f1, f2 = random_pair(rng)
         s1, s2 = summarize(f1), summarize(f2)
@@ -485,13 +489,20 @@ def test_region_answers_agree_with_brute_force_width8(cfg, monkeypatch):
         agrees = functools.cache(lambda p: eval_concrete(f1, p) == eval_concrete(f2, p))
         with RangeSearch(s1, s2, cfg) as rs:
             for var_subset, vec in _width8_ranges(rng, inputs):
-                verdict = regions.decide(regions.range_box(var_subset, vec), s1.boxes, s2.boxes)
+                verdict, found = regions.decide(regions.range_box(var_subset, vec),
+                                                s1.boxes, s2.boxes)
+                bounds = dict(zip(var_subset, vec))
+                for kind, box in found.items():  # a named box agrees or differs throughout
+                    for p in regions.points(box, inputs, 256):
+                        assert all(bounds[v].lo <= x <= bounds[v].hi
+                                   for v, x in zip(inputs, p) if v in bounds), (f1, f2, vec)
+                        assert agrees(p) == (kind == "eq"), (f1, f2, vec, kind, p)
+                    boxes[kind] += 1
                 answers = [_region_answered(rs, check, var_subset, vec)
                            for check in (rs.check_equiv, rs.check_conjunction)]
                 if verdict is None:
-                    assert not any(from_regions for _, from_regions in answers)
+                    assert ("unsat", True) not in answers
                     continue
-                bounds = dict(zip(var_subset, vec))
                 inside = {agrees(p) for p in itertools.product(*(
                     range(bounds[v].lo, bounds[v].hi + 1) if v in bounds else axis
                     for v, axis in zip(inputs, axes)))}
@@ -501,6 +512,70 @@ def test_region_answers_agree_with_brute_force_width8(cfg, monkeypatch):
         assert rs.session is None  # nothing reached a solver
     assert kinds == {(signed, n) for signed in (False, True) for n in (1, 2)}
     assert min(answered.values()) >= 40, answered
+    assert min(boxes.values()) >= 40, boxes
+
+
+def test_answers_without_the_solver_agree_with_brute_force_width8(cfg, monkeypatch):
+    # with the solver stubbed to unknown, every classifier verdict, witness and sat below
+    # comes from sampled points or path-pair boxes, and each is checked against evaluating
+    # both programs on every input.  Each pair runs twice, the second time with no sampled
+    # points, so that the boxes answer what the points would have answered first.
+    monkeypatch.setattr(RangeSearch, "query", lambda self, formulas, model_vars=(): ("unknown", None))
+    rng = random.Random(1227)
+    answered = {"verdict": 0, "witness": 0, "neq box": 0, "eq box": 0}
+    negative = 0
+    for n_params in [1] * 50 + [2] * 4:
+        f1, f2 = random_pair(rng, n_params)
+        s1, s2 = summarize(f1), summarize(f2)
+        inputs = s1.inputs
+        truth = brute_force_eq_count(f1, f2)
+        diverging = set(truth.neq_inputs)
+        ranges = list(_width8_ranges(rng, inputs))
+
+        def within(p, bounds) -> bool:
+            return all(bounds[v].lo <= x <= bounds[v].hi for v, x in zip(inputs, p) if v in bounds)
+
+        def assert_diverges(model: dict[str, int], bounds: dict):
+            nonlocal negative
+            point = tuple(model[v.name] for v in inputs)
+            assert within(point, bounds), (f1, f2, bounds, model)
+            assert eval_concrete(f1, list(point)) != eval_concrete(f2, list(point)), (f1, f2, model)
+            answered["witness"] += 1
+            negative += min(point) < 0
+
+        for use_points in (True, False):
+            with monkeypatch.context() as patch, RangeSearch(s1, s2, cfg) as rs:
+                if not use_points:
+                    patch.setattr(RangeSearch, "_points_decide", lambda self, subset, vec: {})
+                result = eq_check(s1, s2, cfg, search=rs)
+                if result.kind is not Verdict.UNKNOWN:
+                    expected = {truth.domain_size: Verdict.T_EQ, 0: Verdict.T_NEQ}.get(
+                        truth.eq_count, Verdict.P_EQ)
+                    assert result.kind is expected, (f1, f2, result)
+                    answered["verdict"] += 1
+                if result.witness is not None:
+                    assert_diverges(result.witness, {})
+                for var_subset, vec in ranges:
+                    bounds = dict(zip(var_subset, vec))
+                    model: dict[str, int] = {}
+                    verdict, from_regions = _region_answered(
+                        rs, lambda *a: rs.check_equiv(*a, model), var_subset, vec)
+                    if verdict == "sat":
+                        assert any(within(p, bounds) for p in diverging), (f1, f2, vec)
+                        assert_diverges(model, bounds)
+                        answered["neq box"] += from_regions
+                    verdict, from_regions = _region_answered(rs, rs.check_conjunction,
+                                                             var_subset, vec)
+                    if verdict == "sat" and from_regions:
+                        axes = (range(bounds[v].lo, bounds[v].hi + 1) if v in bounds
+                                else range(v.sort.min_value, v.sort.max_value + 1)
+                                for v in inputs)
+                        assert any(p not in diverging for p in itertools.product(*axes)), (
+                            f1, f2, vec)
+                        answered["eq box"] += 1
+            assert rs.session is None  # nothing reached a solver
+    assert min(answered.values()) >= 20, answered
+    assert negative > 0  # signed sorts' witnesses include negative values
 
 
 # --- condition rendering ---
@@ -581,11 +656,8 @@ def test_query_count_ceiling_iterative(cfg):
     assert calls <= 2 * (2 ** (limit + 1))  # pairs ceiling, two queries per pair
 
 
-def test_range_search_sends_each_summary_once_per_session(cfg, monkeypatch):
-    s1, s2 = (
-        summarize(corpus_fn("cve_2010_4165_tcp_window", which))
-        for which in ("original.fn", "patched.fn")
-    )
+def _recorded_sends(monkeypatch) -> dict[int, list[str]]:
+    """Every text sent to a solver from now on, by session."""
     sent: dict[int, list[str]] = {}
     original_send = SolverSession._send
 
@@ -594,6 +666,17 @@ def test_range_search_sends_each_summary_once_per_session(cfg, monkeypatch):
         return original_send(session, text)
 
     monkeypatch.setattr(SolverSession, "_send", recording_send)
+    return sent
+
+
+def test_range_search_sends_each_summary_once_per_session(cfg, monkeypatch):
+    # ltfive's guards compare (x + 1) * 5 with a constant, which reads as no box, so the solver
+    # answers every unsat range check
+    s1, s2 = (
+        summarize(corpus_fn("eqbench_ltfive", which))
+        for which in ("original.fn", "patched.fn")
+    )
+    sent = _recorded_sends(monkeypatch)
     with RangeSearch(s1, s2, cfg) as rs:
         result = rs.run("combined")
     assert result.solver_calls > 10
@@ -601,6 +684,28 @@ def test_range_search_sends_each_summary_once_per_session(cfg, monkeypatch):
     (texts,) = sent.values()
     for summary in (s1, s2):
         assert sum(text.count(serialize_formula(summary.formula)) for text in texts) == 1
+
+
+def test_range_search_answered_by_points_and_boxes_sends_nothing(cfg, monkeypatch):
+    # every path of tcp_window reads as a box, so no range check reaches a solver
+    s1, s2 = (
+        summarize(corpus_fn("cve_2010_4165_tcp_window", which))
+        for which in ("original.fn", "patched.fn")
+    )
+    sent = _recorded_sends(monkeypatch)
+    with RangeSearch(s1, s2, cfg) as rs:
+        result = rs.run("combined")
+        assert rs.session is None
+    assert result.solver_calls == 0 and sent == {}
+    assert rs.range_checks["regions"] > 10
+    # the solver alone finds the same regions
+    monkeypatch.setattr(RangeSearch, "_points_decide", lambda self, var_subset, vec: {})
+    monkeypatch.setattr(RangeSearch, "_regions_decide", lambda self, var_subset, vec: (None, {}))
+    with RangeSearch(s1, s2, cfg) as rs:
+        by_solver = rs.run("combined")
+    assert by_solver.solver_calls > 10 and len(sent) == 1
+    assert (by_solver.eq_lower_bound, by_solver.condition) == (result.eq_lower_bound,
+                                                               result.condition)
 
 
 def _kill_child(rs: RangeSearch):

@@ -11,9 +11,11 @@ from patcheq.formula import (
 )
 from patcheq.minilang import SORTS
 from patcheq.regions import (
-    box_formula, complement, decided, intersect, is_empty, meet, narrow, path_box, points,
+    box_formula, complement, decide, decided, intersect, is_empty, meet, narrow, path_box, points,
     range_box, read, volume,
 )
+
+from conftest import summary_pair
 
 X = BvVar("x", SORTS["u8"], "input")
 Y = BvVar("y", SORTS["i8"], "input")
@@ -222,3 +224,24 @@ def test_decided_pairs_agree_or_differ_everywhere_in_their_box():
     # a term over one input against a constant decides nothing over another input's box
     assert decided({Y: [(0, 3)]}, tvar(X), tconst(200, 8)) is None
     assert decided({}, tvar(X), tvar(Y)) is None
+
+
+def test_decide_names_a_diverging_and_an_agreeing_box_beside_opaque_paths():
+    # the patch moves the x < 10 guard to x < 20 and adds a guard that reads as no box
+    s1, s2 = summary_pair(
+        "fn f(x: u8) -> u8 { if (x < 10) { return 0; } return x; }",
+        "fn f(x: u8) -> u8 { if (x < 20) { return 0; } if (x * 3 == 5) { return 1; } return x; }",
+    )
+    (x,) = s1.inputs
+
+    def decide_over(lo, hi):
+        verdict, found = decide(range_box([x], [RangePair(lo, hi)]), s1.boxes, s2.boxes)
+        return verdict, {kind: box[x] for kind, box in found.items()}
+
+    # both return 0 below 10; between 10 and 19 the original returns x and the patch 0
+    assert decide_over(0, 255) == (None, {"eq": [(0, 9)], "neq": [(10, 19)]})
+    assert decide_over(0, 9) == ("eq", {"eq": [(0, 9)]})
+    assert decide_over(12, 15) == ("neq", {"neq": [(12, 15)]})
+    assert decide_over(5, 12) == (None, {"eq": [(5, 9)], "neq": [(10, 12)]})
+    # above 19 only the opaque paths meet the original's x: no box is named
+    assert decide_over(20, 255) == (None, {})

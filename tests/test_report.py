@@ -12,7 +12,7 @@ from patcheq.report import (
 )
 from patcheq.summarizer import summarize
 
-from conftest import CORPUS, corpus_fn
+from conftest import CORPUS, OPAQUE_PAIR, corpus_fn, fn, fn_file
 
 
 @pytest.fixture
@@ -78,11 +78,25 @@ def test_expired_budget_stops_the_classifier_before_any_solver_starts(cfg, monke
     assert report.incomplete
 
 
-@pytest.mark.parametrize("case, method, processes, calls", [
-    ("eqbench_ltfive", "combined", 1, 78),  # 2 classifier queries, 76 range queries
-    ("cve_2010_4165_tcp_window", "enumerate", 2, 6),  # 4 enumeration queries
+@pytest.mark.parametrize("method, processes, calls", [
+    ("combined", 1, 1 + 50),  # the classifier's equivalence check, then 50 range checks
+    ("enumerate", 2, 1 + 4),  # 4 enumeration queries
 ])
 def test_one_solver_process_serves_classifier_and_quantification(
+        cfg, spawned, opaque_files, method, processes, calls):
+    report = analyze_pair("opaque", *opaque_files, method, cfg)
+    assert report.verdict is Verdict.P_EQ
+    assert report.stats["range_checks"]["solver"] >= 1  # the classifier asked the solver
+    assert report.solver_calls == calls
+    assert len(spawned) == processes
+    assert_all_exited(spawned)
+
+
+@pytest.mark.parametrize("case, method, processes, calls", [
+    ("eqbench_ltfive", "combined", 1, 76),  # 76 range queries
+    ("cve_2010_4165_tcp_window", "enumerate", 2, 4),  # 4 enumeration queries
+])
+def test_quantification_alone_starts_the_solver_when_points_and_boxes_classify(
         cfg, spawned, case, method, processes, calls):
     pair = CORPUS / case
     report = analyze_pair(case, pair / "original.fn", pair / "patched.fn", method, cfg)
@@ -101,14 +115,48 @@ def test_equivalent_pair_starts_one_solver_process(cfg, spawned):
 
 
 def test_standalone_classifier_and_enumeration_keep_their_sessions(cfg, spawned):
-    ltfive = [summarize(corpus_fn("eqbench_ltfive", w)) for w in ("original.fn", "patched.fn")]
-    assert classifier.eq_check(*ltfive, cfg).solver_calls == 2
+    opaque = [summarize(fn(text)) for text in OPAQUE_PAIR]
+    assert classifier.eq_check(*opaque, cfg).solver_calls == 1
     assert len(spawned) == 1
     tcp = [summarize(corpus_fn("cve_2010_4165_tcp_window", w))
            for w in ("original.fn", "patched.fn")]
     assert enumcount.enumerate_models(*tcp, cfg).solver_calls == 4
     assert len(spawned) == 3
     assert_all_exited(spawned)
+
+
+def test_standalone_classifier_answered_by_points_starts_no_solver(cfg, spawned):
+    ltfive = [summarize(corpus_fn("eqbench_ltfive", w)) for w in ("original.fn", "patched.fn")]
+    result = classifier.eq_check(*ltfive, cfg)
+    assert result.kind is Verdict.P_EQ and result.solver_calls == 0
+    assert spawned == []
+
+
+PATHS16_SHAPED = """fn f(x: i16) -> i16 {{
+    let acc: i16 = 7;
+    if (x > -20000) {{ acc = acc + 311; }}
+    if (x < -6000) {{ acc = acc + 42; }}
+    if (x > {moved}) {{ acc = acc + 500; }}
+    if (x < 24000) {{ acc = acc + 9; }}
+    return acc;
+}}
+"""
+
+
+def test_a_fully_readable_pair_starts_no_solver_process(cfg, spawned, tmp_path):
+    # threshold guards adding to an accumulator, one threshold moved: every path reads as
+    # a box and returns a constant, so points and boxes answer every check.  The moved
+    # guard diverges on [8194, 16384], a piece iterative bisection certifies exactly
+    files = tmp_path / "original.fn", tmp_path / "patched.fn"
+    for path, moved in zip(files, (8193, 16384)):
+        path.write_text(PATHS16_SHAPED.format(moved=moved))
+    report = analyze_pair("p16", *files, "combined", cfg)
+    assert spawned == []
+    assert report.solver_calls == 0
+    assert report.verdict is Verdict.P_EQ
+    truth = enumcount.brute_force_eq_count(*map(fn_file, files))
+    assert truth.eq_count == 2**16 - 8191
+    assert report.eq_lower_bound == truth.eq_count
 
 
 def test_a_solver_that_fails_to_start_leaves_no_process_behind(cfg, spawned, monkeypatch):
@@ -128,18 +176,17 @@ def test_a_solver_that_fails_to_start_leaves_no_process_behind(cfg, spawned, mon
 
 
 def test_solver_death_after_classification_gives_an_incomplete_enumeration(
-        cfg, spawned, monkeypatch):
+        cfg, spawned, monkeypatch, opaque_files):
     real_eq_check = report_module.eq_check
 
     def classify_then_die(*args, search, **kwargs):
         verdict = real_eq_check(*args, search=search, **kwargs)
-        search.session.proc.kill()
+        search.session.proc.kill()  # the classifier's equivalence check started it
         search.session.proc.wait(timeout=10)
         return verdict
 
     monkeypatch.setattr(report_module, "eq_check", classify_then_die)
-    case = CORPUS / "cve_2010_4165_tcp_window"
-    report = analyze_pair("dies", case / "original.fn", case / "patched.fn", "enumerate", cfg)
+    report = analyze_pair("dies", *opaque_files, "enumerate", cfg)
     assert report.verdict is Verdict.P_EQ
     assert report.enum_case is enumcount.EnumCase.CASE3
     assert report.incomplete and not report.exact
@@ -147,17 +194,46 @@ def test_solver_death_after_classification_gives_an_incomplete_enumeration(
     assert_all_exited(spawned)
 
 
-def test_negative_depth_limit_is_a_config_error(cfg, spawned):
-    case = CORPUS / "eqbench_ltfive"
+def test_enumeration_starts_the_session_a_solverless_classification_left_unstarted(
+        cfg, spawned, monkeypatch):
+    real_eq_check = report_module.eq_check
+    sessions = []
+
+    def classify(*args, search, **kwargs):
+        verdict = real_eq_check(*args, search=search, **kwargs)
+        sessions.append(search.session)
+        return verdict
+
+    monkeypatch.setattr(report_module, "eq_check", classify)
+    case = CORPUS / "cve_2010_4165_tcp_window"
+    report = analyze_pair("lazy", case / "original.fn", case / "patched.fn", "enumerate", cfg)
+    assert sessions == [None]
+    assert report.verdict is Verdict.P_EQ
+    assert report.exact and report.eq_lower_bound == 2**32 - 56
+    assert len(spawned) == 2
+    assert_all_exited(spawned)
+
+
+def test_negative_depth_limit_is_a_config_error(cfg, spawned, opaque_files):
     with pytest.raises(AnalysisError, match="config"):
-        analyze_pair("neg", case / "original.fn", case / "patched.fn", "relational",
-                     cfg, depth_limit=-1)
+        analyze_pair("neg", *opaque_files, "relational", cfg, depth_limit=-1)
     assert spawned == []
+    report = analyze_pair("zero", *opaque_files, "relational", cfg, depth_limit=0)
+    # the classifier's equivalence check, and the same check of the one range, which
+    # adds no range constraint to the full domain; sampled points share outputs
+    assert report.solver_calls == 1 + 1
+    assert report.stats["range_checks"] == {"points": 2, "regions": 0, "solver": 2}
+    assert_all_exited(spawned)
+
+
+def test_depth_limit_zero_starts_no_solver_when_points_decide(cfg, spawned):
+    case = CORPUS / "eqbench_ltfive"
     report = analyze_pair("zero", case / "original.fn", case / "patched.fn", "relational",
                           cfg, depth_limit=0)
-    # the classifier's two queries; sampled points answer both checks of the one range
-    assert report.solver_calls == 2 + 0
-    assert_all_exited(spawned)
+    # sampled points answer the classifier's checks and both checks of the one range
+    assert report.solver_calls == 0
+    assert report.stats["range_checks"] == {"points": 4, "regions": 0, "solver": 0}
+    assert spawned == []
 
 
 def test_manifest_rejects_negative_depth_limit(tmp_path):
