@@ -3,10 +3,11 @@
 Two checks over the full domain decide the trichotomy: the pair is equivalent
 when the negated biconditional of the summaries is unsat, totally
 non-equivalent when their conjunction is unsat, and partially equivalent
-otherwise.  Both go through ``RangeSearch``'s checks, so a sampled point or a
-path-pair box answers them when it can, and the solver, sent exactly these two
-queries, answers the rest.  An unknown on a deciding query, or a budget that
-runs out first, yields Unknown rather than a guess.
+otherwise.  ``RangeSearch.classify_range`` over the full domain makes both
+checks, so a sampled point or a path-pair box answers them when it can, and the
+solver, sent exactly these two queries, answers the rest; this module only
+names its status as a Verdict.  An unknown on a deciding query, a sat with no
+model, or a budget that runs out first, yields Unknown rather than a guess.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class VerdictResult:
     solver_calls: int = 0
 
 
+# classify_range's statuses as verdicts
+VERDICTS = {"eq": Verdict.T_EQ, "neq": Verdict.T_NEQ, "partial": Verdict.P_EQ,
+            "unknown": Verdict.UNKNOWN}
+
+
 def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
              search: RangeSearch | None = None) -> VerdictResult:
     """Decide the equivalence trichotomy for two summaries.
@@ -43,24 +49,10 @@ def eq_check(s1: Summary, s2: Summary, cfg: SolverConfig,
     is opened and closed.  ``solver_calls`` counts these queries only.
     """
     with (nullcontext(search) if search else RangeSearch(s1, s2, cfg)) as search:
-        first_query = search.query_count
-        kind, witness = _classify(search)
-    return VerdictResult(kind, witness, search.query_count - first_query)
-
-
-def _classify(search: RangeSearch) -> tuple[Verdict, dict[str, int] | None]:
-    inputs, witness = search.variables, {}
-    try:
-        neq = search.check_equiv(inputs, full_domain(inputs), witness)
-        if neq == "unsat":
-            return Verdict.T_EQ, None
-        if neq == "unknown" or len(witness) != len(inputs):  # or a sat with no model
-            return Verdict.UNKNOWN, None
-        both = search.check_conjunction(inputs, full_domain(inputs))
-    except BudgetExhausted:
-        return Verdict.UNKNOWN, None
-    if both == "unsat":
-        return Verdict.T_NEQ, witness
-    if both == "unknown":
-        return Verdict.UNKNOWN, None
-    return Verdict.P_EQ, witness
+        first_query, inputs, witness = search.query_count, search.variables, {}
+        try:
+            kind = VERDICTS[search.classify_range(inputs, full_domain(inputs), witness)]
+        except BudgetExhausted:
+            kind = Verdict.UNKNOWN
+    return VerdictResult(kind, witness if kind in (Verdict.T_NEQ, Verdict.P_EQ) else None,
+                         search.query_count - first_query)

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 from . import regions
 from .bvarith import to_unsigned
-from .formula import FIff, FNot, Formula, eval_formula, for_
+from .formula import Formula, eval_formula, for_
 from .oracle import SolverConfig
 from .minilang import TypedFunction
-from .rangesearch import SUMMARIES, BudgetExhausted, RangeSearch
+from .rangesearch import CHECKS, BudgetExhausted, RangeSearch
 from .summarizer import Summary, eval_concrete
 
 BRUTE_FORCE_DOMAIN_CAP = 1 << 20
@@ -129,7 +129,7 @@ class _Enumeration:
         env = {v.name: to_unsigned(model[v.name], v.sort.width) for v in self.inputs}
         if any(eval_formula(region, env) for region in self.found.blocked):
             raise DuplicateModel(f"solver repeated blocked assignment {model}")
-        point = {v: [(env[v.name], env[v.name])] for v in self.inputs}
+        point = regions.point_box(self.inputs, env)
         box = self._pair_box(env) or point
         region = regions.box_formula(box, self.inputs)
         self.session.block(region)
@@ -165,8 +165,8 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
         budget = search.budget
         neq_search = stack.enter_context(RangeSearch(s1, s2, cfg, budget))
         try:
-            for on, formulas, found in ((search, SUMMARIES, eq),
-                                        (neq_search, [FNot(FIff(*SUMMARIES))], neq)):
+            for on, formulas, found in ((search, CHECKS["eq"], eq),
+                                        (neq_search, CHECKS["neq"], neq)):
                 sides.append(_Enumeration(on, formulas, found))
                 stack.callback(sides[-1].close)
         except BudgetExhausted:

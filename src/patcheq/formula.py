@@ -4,7 +4,7 @@ Terms, atoms, and boolean connectives are plain frozen dataclasses, and terms
 are hash-consed; there is deliberately no rewriting engine here.  Formulas are
 evaluated by compiling them to straight-line Python (``eval_formula``,
 ``compile_paths``); the solver validates its models with its own
-``smtbv.terms.eval_node``.
+``smtbv.terms.compile_node``.
 """
 
 from __future__ import annotations

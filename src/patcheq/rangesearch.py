@@ -29,9 +29,10 @@ and when every pair meeting the range has exact boxes and agrees (differs)
 everywhere on them, it proves the check unsat.  This is differential symbolic
 execution's path-pair reasoning (Person, Dwyer, Elbaum & Pasareanu, FSE 2008).
 The solver answers the rest, so an analysis whose checks points and boxes all
-answer starts no solver process.  ``query_count``, and so ``solver_calls``,
-counts only solver queries; ``range_checks`` counts the checks each of the
-three answered.
+answer starts no solver process.  A ``RangeRecord`` keeps the last range's
+answers, so each check of a range is answered, and counted in ``range_checks``
+by who answered it, once; every model is the least point of a box.
+``query_count``, and so ``solver_calls``, counts only solver queries.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ DEFAULT_LIMIT_MULTI = 4
 
 # Seeded points evaluated per range, besides its two ends and its midpoint.
 RANDOM_POINTS = 8
+
+# Each check's solver query, by the outcome that makes it sat: check_equiv's "neq"
+# (the summaries differ) and check_conjunction's "eq" (they share an output).
+CHECKS = {"neq": [FNot(FIff(*SUMMARIES))], "eq": [*SUMMARIES]}
 
 
 def default_limit(n_vars: int) -> int:
@@ -242,6 +247,17 @@ class QuantResult:
     per_var_source: list[str] | None = None  # combined: which method won per var
 
 
+@dataclass(slots=True)
+class RangeRecord:
+    """One range's checks: by outcome, the first sampled point showing it and the answer
+    given, its proof of a sat (a point or a box) and who gave it; ``decide``'s once asked."""
+
+    key: tuple
+    points: dict[str, dict[str, int]]
+    answers: dict[str, tuple] = field(default_factory=dict)
+    decided: tuple[str | None, dict[str, regions.Box]] | None = None
+
+
 class RangeSearch:
     """Shared solver session, budget, and counters for one pair analysis."""
 
@@ -256,10 +272,7 @@ class RangeSearch:
         self.session: SolverSession | None = None
         self.query_count = 0
         self.range_checks = {"points": 0, "regions": 0, "solver": 0}
-        # the last sampled range and what its points decided, and the last range the
-        # boxes decided; classify_range and priority ask both checks of one range in a row
-        self._last_sample: tuple | None = None
-        self._last_region: tuple | None = None
+        self._last: RangeRecord | None = None  # the range checked last, often checked again
 
     # --- session/query plumbing ---
 
@@ -334,19 +347,11 @@ class RangeSearch:
                 env[var.name] = bvarith.to_unsigned(value, var.sort.width)
             yield env
 
-    def _points_decide(self, var_subset: tuple[BvVar, ...],
-                       vec: RangeVector) -> dict[str, dict[str, int]]:
-        """The first sampled point where the summaries differ ("neq") and the first where
-        they share an output ("eq"), as unsigned environments.
-
-        A diverging point is a model of check_equiv's query, a shared output one of
-        check_conjunction's.  Raises BudgetExhausted, evaluating nothing, once the
-        budget has run out.
-        """
-        if self.budget.expired:
-            raise BudgetExhausted
+    def _record(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> RangeRecord:
+        """The last range's record if this is that range, else a new one holding the first
+        sampled point where the summaries differ and the first where they share an output."""
         key = (var_subset, vec)
-        if self._last_sample is None or self._last_sample[0] != key:
+        if self._last is None or self._last.key != key:
             found: dict[str, dict[str, int]] = {}
             for env in self._sample(var_subset, vec):
                 y1, y2 = self.s1.outputs(env), self.s2.outputs(env)
@@ -356,68 +361,68 @@ class RangeSearch:
                     found.setdefault("eq", env)
                 if len(found) == 2:
                     break
-            self._last_sample = (key, found)
-        return self._last_sample[1]
-
-    def _regions_decide(self, var_subset: tuple[BvVar, ...],
-                        vec: RangeVector) -> tuple[str | None, dict[str, regions.Box]]:
-        """What ``regions.decide`` says of both summaries over the range."""
-        key = (var_subset, vec)
-        if self._last_region is None or self._last_region[0] != key:
-            box = regions.range_box(var_subset, vec)
-            self._last_region = (key, regions.decide(box, self.s1.boxes, self.s2.boxes))
-        return self._last_region[1]
+            self._last = RangeRecord(key, found)
+        return self._last
 
     def _check(self, var_subset: tuple[BvVar, ...], vec: RangeVector, sat_on: str,
-               formulas: list[Formula], model: dict[str, int] | None = None) -> str:
-        """Whether the range has a point where the summaries ``sat_on`` ("neq" or "eq"):
-        a sampled point or a path-pair box answers sat, the boxes' whole-range verdict
-        unsat, and the solver the rest, with no range constraint for a full range.  On
-        sat, ``model`` (when given) gets that point, each input in its sort's reading."""
-        point = self._points_decide(var_subset, vec).get(sat_on)
-        sampled = point is not None
-        verdict, boxes = (None, {}) if sampled else self._regions_decide(var_subset, vec)
-        if sampled or sat_on in boxes:
-            answer, by = "sat", "points" if sampled else "regions"
-            if model is not None:  # a sampled point reads as a one-point box
-                box = {v: [(point[v.name], point[v.name])] for v in self.variables
-                       } if sampled else boxes[sat_on]
-                model.update(zip((v.name for v in self.variables),
-                                 regions.points(box, self.variables, 1)[0]))
-        elif verdict:
-            answer, by = "unsat", "regions"
-        else:
-            rng = [] if vec == full_domain(var_subset) else [
-                mk_range_constraint(var_subset, [p.lo for p in vec], [p.hi for p in vec])]
-            answer, values = self.query([*formulas, *rng], self.variables if model is not None else ())
-            by = "solver"
-            if model is not None and values:
-                model.update(values)
-        self.range_checks[by] += 1
+               model: dict[str, int] | None = None) -> str:
+        """Whether the range has a point where the summaries ``sat_on`` ("neq" or "eq").
+
+        A sampled point or a path-pair box answers sat, the boxes' whole-range verdict
+        unsat, and the solver the rest (``CHECKS[sat_on]``, with no range constraint for a
+        full range), once a range unless a model is asked of a sat that has none.  On sat,
+        ``model`` (when given) gets the least point of the box, or one-point box, proving
+        it, in each sort's reading.  Raises BudgetExhausted once the budget has run out.
+        """
+        if self.budget.expired:
+            raise BudgetExhausted
+        record = self._record(var_subset, vec)
+        answer, proof, by = record.answers.get(sat_on, (None, None, None))
+        if answer is None or (model is not None and answer == "sat" and proof is None):
+            verdict, proofs, by = None, record.points, "points"
+            if sat_on not in proofs:
+                record.decided = record.decided or regions.decide(
+                    regions.range_box(var_subset, vec), self.s1.boxes, self.s2.boxes)
+                (verdict, proofs), by = record.decided, "regions"
+            if sat_on in proofs:
+                answer, proof = "sat", proofs[sat_on]
+            elif verdict:
+                answer, proof = "unsat", None
+            else:
+                rng = [] if vec == full_domain(var_subset) else [
+                    mk_range_constraint(var_subset, [p.lo for p in vec], [p.hi for p in vec])]
+                want = self.variables if model is not None else ()
+                (answer, proof), by = self.query([*CHECKS[sat_on], *rng], want), "solver"
+            record.answers[sat_on] = answer, proof, by
+            self.range_checks[by] += 1
+        if model is not None and proof is not None:
+            box = proof if by == "regions" else regions.point_box(self.variables, proof)
+            model.update(zip((v.name for v in self.variables),
+                             regions.points(box, self.variables, 1)[0]))
         return answer
 
     def check_equiv(self, var_subset: tuple[BvVar, ...], vec: RangeVector,
                     model: dict[str, int] | None = None) -> str:
         """unsat means: the pair is equivalent on this range; on sat ``model`` gets a
         diverging input."""
-        return self._check(var_subset, vec, "neq", [FNot(FIff(*SUMMARIES))], model)
+        return self._check(var_subset, vec, "neq", model)
 
     def check_conjunction(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
         """unsat means: the pair is totally non-equivalent on this range."""
-        return self._check(var_subset, vec, "eq", [*SUMMARIES])
+        return self._check(var_subset, vec, "eq")
 
-    def classify_range(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> str:
-        verdict = self.check_equiv(var_subset, vec)
+    def classify_range(self, var_subset: tuple[BvVar, ...], vec: RangeVector,
+                       witness: dict[str, int] | None = None) -> str:
+        """"eq", "neq" or "partial" as the pair is equivalent, totally non-equivalent or
+        partially equivalent on the range, else "unknown".  ``witness`` (when given) gets
+        a diverging input; a sat that gives none reads "unknown"."""
+        verdict = self.check_equiv(var_subset, vec, witness)
         if verdict == "unsat":
             return "eq"
-        if verdict == "unknown":
+        if verdict == "unknown" or (witness is not None and len(witness) < len(self.variables)):
             return "unknown"
-        verdict = self.check_conjunction(var_subset, vec)
-        if verdict == "sat":
-            return "partial"
-        if verdict == "unsat":
-            return "neq"
-        return "unknown"
+        return {"sat": "partial", "unsat": "neq"}.get(self.check_conjunction(var_subset, vec),
+                                                      "unknown")
 
     def _bisect(self, var_subset: tuple[BvVar, ...], vec: RangeVector, depth: int,
                 limit: int, found: list[RangeVector]):
@@ -527,18 +532,6 @@ class RangeSearch:
 
         return self._per_variable(search_var)
 
-    # --- combined ---
-
-    def combined(self, limit: int | None = None) -> tuple[RegionList, list[str]]:
-        """Best per-variable bound of iterative vs iterative priority.
-
-        Ties keep the iterative entry.  Returns the merged list and the
-        winning method name per variable.
-        """
-        list_iter = self.iterative(limit)
-        list_prio = self.iterative_priority()
-        return merge_combined(list_iter, list_prio)
-
     # --- entry point producing a full quantification result ---
 
     def run(self, method: str, limit: int | None = None) -> QuantResult:
@@ -556,7 +549,8 @@ class RangeSearch:
             elif method == "priority":
                 region_list = self.iterative_priority()
             elif method == "combined":
-                region_list, sources = self.combined(limit)
+                region_list, sources = merge_combined(self.iterative(limit),
+                                                      self.iterative_priority())
             else:
                 raise ValueError(f"unknown method {method!r}")
             intervals = [region_list.intervals(n) for n in range(len(self.variables))]

@@ -20,7 +20,7 @@ summaries over a range (``range_box``), and names a box inside it where the two
 differ and one where they agree; it rests on summaries being total, every input
 on exactly one path of each version, which holds because ``summarize`` raises
 instead of truncating a loop.  ``volume``, ``points`` and ``box_formula``
-count, list and render a box.
+count, list and render a box, and ``point_box`` makes one of a point.
 """
 
 from __future__ import annotations
@@ -261,6 +261,11 @@ def points(b: Box, inputs: Sequence[BvVar], cap: int) -> list[tuple[int, ...]]:
         values = (v for lo, hi in _ranges(b.get(x, _full(x)), x) for v in range(lo, hi + 1))
         axes.append(list(itertools.islice(values, cap)))
     return list(itertools.islice(itertools.product(*axes), cap))
+
+
+def point_box(inputs: Sequence[BvVar], values: dict[str, int]) -> Box:
+    """The box of one point, its values given by input name in either reading."""
+    return {x: [(values[x.name] & mask(x.sort.width),) * 2] for x in inputs}
 
 
 def box_formula(b: Box, inputs: Sequence[BvVar]) -> Formula:

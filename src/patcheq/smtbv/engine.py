@@ -3,8 +3,8 @@
 The assertion stack mirrors SMT-LIB push/pop.  Definitional clauses from
 bit-blasting are permanent; per-level assertions enter the SAT solver as
 assumptions, so popped state costs nothing and learned clauses survive.
-Every sat answer is validated by concrete evaluation of the original
-assertions before it is reported.
+Every sat answer is validated before it is reported: the original assertions'
+compiled evaluators, the ones the probe calls, must all hold under the model.
 
 Names are scoped the same way, in one table per level, ``_Level.names``: a
 declared constant maps to its var node, whose bits are the blaster's for that
@@ -29,7 +29,7 @@ from .. import bvarith
 from .sat import Solver
 from .bitblast import Blaster
 from .terms import (
-    Intervals, Node, Simplifier, TermTable, compile_node, eval_node, free_vars, full, norm, walk,
+    Intervals, Node, Simplifier, TermTable, compile_node, free_vars, full, norm, walk,
 )
 
 PROBE_COMBO_CAP = 1024
@@ -394,9 +394,10 @@ class SmtEngine:
         return "sat" if self._accept(values, originals) else None
 
     def _accept(self, values: dict[str, int], originals: list[Node]) -> bool:
-        """Keep the model giving each declared name its value, or 0, if it satisfies ``originals``."""
+        """Keep the model giving each declared name its value, or 0, if it satisfies ``originals``
+        (asserted nodes, each checked by its compiled evaluator)."""
         model = {v.args[0]: values.get(v.args[0], 0) for v in self.declared()}
-        if not all(eval_node(a, model, {}) for a in originals):
+        if not all(self._evaluator(self._lookup(a.nid))(model) for a in originals):
             return False
         self.last_model = model
         return True

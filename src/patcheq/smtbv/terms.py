@@ -317,56 +317,13 @@ def walk(root: Node, skip=None):
                         stack.append((a, False))
 
 
-def eval_node(node: Node, env: dict[str, int], memo: dict[Node, int] | None = None):
-    """Evaluate a node under unsigned-canonical variable values.
-
-    Unassigned variables default to 0.  Returns ints for bit-vector nodes and
-    bools for boolean nodes.  ``memo`` maps the nodes valued so far to their
-    values.
-    """
-    memo = {} if memo is None else memo
-    for n in walk(node, memo.__contains__):
-        memo[n] = _value(n, [memo[a] for a in n.args if isinstance(a, Node)], env)
-    return memo[node]
-
-
-def _value(n: Node, v: list, env: dict[str, int]):
-    """One node's value from its operands' values ``v``."""
-    k, a = n.kind, n.args
-    if k in ("const", "bconst"):
-        return a[0]
-    if k == "var":
-        return env.get(a[0], 0)
-    if k == "bnot":
-        return not v[0]
-    if k == "band":
-        return all(v)
-    if k == "bor":
-        return any(v)
-    if k == "ite":
-        return v[1] if v[0] else v[2]
-    if k == "extract":
-        return (v[0] >> a[1]) & bvarith.mask(a[0] - a[1] + 1)
-    if k == "zext":
-        return v[0]
-    if k == "sext":
-        return bvarith.to_unsigned(bvarith.to_signed(v[0], a[1].width), n.width)
-    if k in ("beq", "eq"):
-        return v[0] == v[1]
-    if k == "ult":
-        return v[0] < v[1]
-    if k == "slt":
-        return bvarith.slt(v[0], v[1], a[0].width)
-    return bvarith.BINARY[k](v[0], v[1], n.width)
-
-
 def compile_node(node: Node, known=None):
-    """Compile a node into a straight-line Python evaluator ``f(env)``.
+    """Compile a node into a straight-line Python evaluator ``f(env)``: the node's
+    value under unsigned-canonical variable values, an int or a truth value.
 
-    ``f(env) == eval_node(node, env, {})`` for every env: one statement per
-    DAG node, each computed once, and unassigned variables read as 0.
-    ``known(nid)`` may return an evaluator for a sub-DAG, which is then
-    called instead of inlined.
+    One statement per DAG node, each computed once, and unassigned variables read
+    as 0.  ``known(nid)`` may return an evaluator for a sub-DAG, which is then
+    called instead of inlined.  The probe and model validation both call it.
     """
     names: dict[Node, str] = {}
     calls: dict[str, object] = {}

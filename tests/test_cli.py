@@ -141,16 +141,16 @@ def test_impact_json_reports_phase_times_and_path_counts(capsys, corpus_dir):
 
 
 @pytest.mark.parametrize("case, patched, checks", [
-    ("cve_2012_2384_cliprects", "patched.fn", {"points": 31, "regions": 35, "solver": 3}),
-    ("juliet_multiply_cwe190", "good.fn", {"points": 26, "regions": 38, "solver": 1}),
-    (None, None, {"points": 12, "regions": 0, "solver": 51}),  # OPAQUE_PAIR
+    ("cve_2012_2384_cliprects", "patched.fn", {"points": 29, "regions": 35, "solver": 3}),
+    ("juliet_multiply_cwe190", "good.fn", {"points": 24, "regions": 38, "solver": 1}),
+    (None, None, {"points": 11, "regions": 0, "solver": 50}),  # OPAQUE_PAIR
 ])
 def test_impact_json_counts_who_answered_each_range_check(capsys, corpus_dir, opaque_files,
                                                           case, patched, checks):
-    # the classifier's two checks count with the range checks.  Every path of both corpus
-    # pairs reads as a box, so the path boxes answer most unsat checks; OPAQUE_PAIR's guard
-    # reads as none, so the solver answers its classifier's equivalence check and every
-    # unsat
+    # the classifier's two checks count with the range checks, and a check asked again of
+    # the same range counts once.  Every path of both corpus pairs reads as a box, so the
+    # path boxes answer most unsat checks; OPAQUE_PAIR's guard reads as none, so the solver
+    # answers its classifier's equivalence check and every unsat
     files = opaque_files if case is None else (corpus_dir / case / "original.fn",
                                                corpus_dir / case / patched)
     code, out, _ = run_cli(["impact", *map(str, files), "--format", "json"], capsys)

@@ -23,7 +23,7 @@ from patcheq.rangesearch import (
 )
 from patcheq.summarizer import eval_concrete, summarize
 
-from conftest import corpus_fn, fn, summary_pair
+from conftest import OPAQUE_PAIR, corpus_fn, fn, summary_pair
 
 
 # --- divide_range ---
@@ -323,17 +323,17 @@ def test_combined_picks_priority_on_cliprects(cfg):
         for which in ("original.fn", "patched.fn")
     )
     with RangeSearch(s1, s2, cfg) as rs:
-        merged, sources = rs.combined(limit=8)
-    assert sources == ["iterativePriority"]
-    assert merged.eq_bound(0) == 2**29
+        result = rs.run("combined", limit=8)
+    assert result.per_var_source == ["iterativePriority"]
+    assert result.eq_lower_bound == 2**29
 
 
 def test_combined_tie_keeps_iterative(cfg):
     s = summarize(fn("fn f(x: i8) -> i8 { return x; }"))
     with RangeSearch(s, s, cfg) as rs:
-        merged, sources = rs.combined(limit=8)
-    assert sources == ["iterative"]
-    assert merged.eq_bound(0) == 256
+        result = rs.run("combined", limit=8)
+    assert result.per_var_source == ["iterative"]
+    assert result.eq_lower_bound == 256
 
 
 def test_width8_bounds_sound_and_combined_dominates(cfg):
@@ -398,7 +398,8 @@ def test_a_point_answer_leaves_the_solver_alone(cfg, monkeypatch):
         # path boxes undecided: only the solver can answer unsat
         assert rs.check_equiv(s1.inputs, (RangePair(128, 255),)) == "unsat"
         assert rs.query_count == 1
-        assert rs.range_checks == {"points": 4, "regions": 0, "solver": 1}
+        # classify_range asked the full domain's two checks again: each counts once
+        assert rs.range_checks == {"points": 2, "regions": 0, "solver": 1}
 
 
 def test_a_region_answer_leaves_the_solver_alone(cfg, monkeypatch):
@@ -416,6 +417,31 @@ def test_a_region_answer_leaves_the_solver_alone(cfg, monkeypatch):
         assert rs.range_checks == {"points": 1, "regions": 2, "solver": 0}
         assert rs.query_count == 0 and rs.session is None
     assert sent == []
+
+
+def test_a_check_asked_again_of_one_range_is_sent_and_counted_once(cfg, monkeypatch):
+    # no sampled point of OPAQUE_PAIR diverges and its guard reads as no box, so only the
+    # solver can answer check_equiv; asked again of the same range, the answer is reused
+    s1, s2 = summary_pair(*OPAQUE_PAIR)
+    full = full_domain(s1.inputs)
+    sent = _recorded_sends(monkeypatch)
+    with RangeSearch(s1, s2, cfg) as rs:
+        first, again = {}, {}
+        assert rs.check_equiv(s1.inputs, full, first) == "sat"
+        assert rs.check_equiv(s1.inputs, full) == "sat"
+        assert rs.classify_range(s1.inputs, full, again) == "partial"
+        assert first == again == {"x": 1431655767}  # 3 * 1431655767 == 5 (mod 2**32)
+        assert rs.query_count == 1
+        assert rs.range_checks == {"points": 1, "regions": 0, "solver": 1}
+    (texts,) = sent.values()
+    assert sum(text.count("(check-sat)") for text in texts) == 1
+    # a sat given without a model is asked again when a model is wanted
+    with RangeSearch(s1, s2, cfg) as rs:
+        model = {}
+        assert rs.check_equiv(s1.inputs, full) == "sat"
+        assert rs.check_equiv(s1.inputs, full, model) == "sat"
+        assert model == {"x": 1431655767}
+        assert rs.query_count == 2
 
 
 def _region_answered(rs: RangeSearch, check, var_subset, vec) -> tuple[str, bool]:
@@ -546,7 +572,7 @@ def test_answers_without_the_solver_agree_with_brute_force_width8(cfg, monkeypat
         for use_points in (True, False):
             with monkeypatch.context() as patch, RangeSearch(s1, s2, cfg) as rs:
                 if not use_points:
-                    patch.setattr(RangeSearch, "_points_decide", lambda self, subset, vec: {})
+                    patch.setattr(RangeSearch, "_sample", lambda self, subset, vec: iter(()))
                 result = eq_check(s1, s2, cfg, search=rs)
                 if result.kind is not Verdict.UNKNOWN:
                     expected = {truth.domain_size: Verdict.T_EQ, 0: Verdict.T_NEQ}.get(
@@ -699,8 +725,8 @@ def test_range_search_answered_by_points_and_boxes_sends_nothing(cfg, monkeypatc
     assert result.solver_calls == 0 and sent == {}
     assert rs.range_checks["regions"] > 10
     # the solver alone finds the same regions
-    monkeypatch.setattr(RangeSearch, "_points_decide", lambda self, var_subset, vec: {})
-    monkeypatch.setattr(RangeSearch, "_regions_decide", lambda self, var_subset, vec: (None, {}))
+    monkeypatch.setattr(RangeSearch, "_sample", lambda self, var_subset, vec: iter(()))
+    monkeypatch.setattr(regions, "decide", lambda box, paths1, paths2: (None, {}))
     with RangeSearch(s1, s2, cfg) as rs:
         by_solver = rs.run("combined")
     assert by_solver.solver_calls > 10 and len(sent) == 1

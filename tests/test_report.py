@@ -79,7 +79,7 @@ def test_expired_budget_stops_the_classifier_before_any_solver_starts(cfg, monke
 
 
 @pytest.mark.parametrize("method, processes, calls", [
-    ("combined", 1, 1 + 50),  # the classifier's equivalence check, then 50 range checks
+    ("combined", 1, 1 + 49),  # the classifier's equivalence check, then 49 range checks
     ("enumerate", 2, 1 + 4),  # 4 enumeration queries
 ])
 def test_one_solver_process_serves_classifier_and_quantification(
@@ -218,11 +218,15 @@ def test_negative_depth_limit_is_a_config_error(cfg, spawned, opaque_files):
     with pytest.raises(AnalysisError, match="config"):
         analyze_pair("neg", *opaque_files, "relational", cfg, depth_limit=-1)
     assert spawned == []
+
+
+def test_depth_limit_zero_sends_the_classifiers_question_once(cfg, spawned, opaque_files):
     report = analyze_pair("zero", *opaque_files, "relational", cfg, depth_limit=0)
-    # the classifier's equivalence check, and the same check of the one range, which
-    # adds no range constraint to the full domain; sampled points share outputs
-    assert report.solver_calls == 1 + 1
-    assert report.stats["range_checks"] == {"points": 2, "regions": 0, "solver": 2}
+    # the one range is the full domain, so both its checks are the classifier's: the
+    # solver answered the equivalence check once, and sampled points share outputs
+    assert report.solver_calls == 1 + 0
+    assert report.stats["range_checks"] == {"points": 1, "regions": 0, "solver": 1}
+    assert len(spawned) == 1
     assert_all_exited(spawned)
 
 
@@ -230,9 +234,9 @@ def test_depth_limit_zero_starts_no_solver_when_points_decide(cfg, spawned):
     case = CORPUS / "eqbench_ltfive"
     report = analyze_pair("zero", case / "original.fn", case / "patched.fn", "relational",
                           cfg, depth_limit=0)
-    # sampled points answer the classifier's checks and both checks of the one range
+    # sampled points answer the classifier's checks, which are the one range's checks
     assert report.solver_calls == 0
-    assert report.stats["range_checks"] == {"points": 4, "regions": 0, "solver": 0}
+    assert report.stats["range_checks"] == {"points": 2, "regions": 0, "solver": 0}
     assert spawned == []
 
 

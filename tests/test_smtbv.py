@@ -24,11 +24,57 @@ from patcheq.smtbv.engine import SmtEngine, SmtError
 from patcheq.smtbv.protocol import SmtSession, run_stdio
 from patcheq.smtbv.sat import Solver
 from patcheq.smtbv.sexpr import Incomplete, SexprError, parse_all
-from patcheq.smtbv.terms import TermTable, compile_node, eval_node, free_vars, walk
+from patcheq.smtbv.terms import Node, TermTable, compile_node, free_vars, walk
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # for child interpreters: import from the checkout and leave no __pycache__ in it
 CHILD_ENV = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+# --- the reference node evaluator: a walk over the DAG, against which compile_node is checked ---
+
+
+def eval_node(node: Node, env: dict[str, int], memo: dict[Node, int] | None = None):
+    """Evaluate a node under unsigned-canonical variable values.
+
+    Unassigned variables default to 0.  Returns ints for bit-vector nodes and
+    bools for boolean nodes.  ``memo`` maps the nodes valued so far to their
+    values.
+    """
+    memo = {} if memo is None else memo
+    for n in walk(node, memo.__contains__):
+        memo[n] = _value(n, [memo[a] for a in n.args if isinstance(a, Node)], env)
+    return memo[node]
+
+
+def _value(n: Node, v: list, env: dict[str, int]):
+    """One node's value from its operands' values ``v``."""
+    k, a = n.kind, n.args
+    if k in ("const", "bconst"):
+        return a[0]
+    if k == "var":
+        return env.get(a[0], 0)
+    if k == "bnot":
+        return not v[0]
+    if k == "band":
+        return all(v)
+    if k == "bor":
+        return any(v)
+    if k == "ite":
+        return v[1] if v[0] else v[2]
+    if k == "extract":
+        return (v[0] >> a[1]) & bvarith.mask(a[0] - a[1] + 1)
+    if k == "zext":
+        return v[0]
+    if k == "sext":
+        return bvarith.to_unsigned(bvarith.to_signed(v[0], a[1].width), n.width)
+    if k in ("beq", "eq"):
+        return v[0] == v[1]
+    if k == "ult":
+        return v[0] < v[1]
+    if k == "slt":
+        return bvarith.slt(v[0], v[1], a[0].width)
+    return bvarith.BINARY[k](v[0], v[1], n.width)
 
 
 def test_sat_core_basics():
@@ -408,6 +454,25 @@ def test_the_recorded_paths16_traffic_is_all_there():
 
 @pytest.mark.parametrize("session", PATHS16_SESSIONS, ids=lambda p: p.stem)
 def test_a_recorded_paths16_session_gets_byte_identical_replies(session):
+    out = io.StringIO()
+    assert run_stdio(io.StringIO(session.read_text()), out) == 0
+    assert out.getvalue() == session.with_suffix(".out").read_text()
+
+
+# One pass of perfbench's random8 pairs (the property gate's i8/u8 pairs and work: the
+# classifier, four range searches and the gated enumeration), recorded the same way,
+# through ``Random8.analyze``, after sampled points and path-pair boxes answered checks.
+RANDOM8_SESSIONS = sorted((Path(__file__).resolve().parent / "golden" / "smtbv_random8")
+                          .glob("session_*.smt2"))
+
+
+def test_the_recorded_random8_traffic_is_all_there():
+    assert len(RANDOM8_SESSIONS) == 42
+    assert sum(p.read_text().count("(check-sat)") for p in RANDOM8_SESSIONS) == 548
+
+
+@pytest.mark.parametrize("session", RANDOM8_SESSIONS, ids=lambda p: p.stem)
+def test_a_recorded_random8_session_gets_byte_identical_replies(session):
     out = io.StringIO()
     assert run_stdio(io.StringIO(session.read_text()), out) == 0
     assert out.getvalue() == session.with_suffix(".out").read_text()
