@@ -3,12 +3,14 @@
 Two blocked enumerations run round-robin, each in a scope of its own on a
 RangeSearch session: models of (S1 and S2) projected on inputs (the equivalent
 side) and models of not(S1 iff S2) (the divergent side).  When a side draws a
-model, the path of each version that holds there names a path pair.  If every
-condition of both paths reads as a box (``regions``) and the pair's return
-terms agree on all of it (equivalent side) or differ on all of it (divergent
-side), one assertion blocks that whole box and its volume is counted;
-otherwise the model's point alone is blocked.  This is all-solutions
-enumeration with generalised blocking clauses (Toda & Soh, ACM JEA 2016).
+model, the path of each version that holds there (``Summary.at``) names a path
+pair.  If every condition of both paths reads as a box (``regions``) and the
+pair's return terms agree on all of it (equivalent side) or differ on all of it
+(divergent side), one assertion blocks that whole box and its volume is
+counted; otherwise the model's point alone is blocked.  This is all-solutions
+enumeration with generalised blocking clauses (Toda & Soh, ACM JEA 2016).  A
+model already blocked, or one where the outputs do not agree (equivalent side)
+or differ (divergent side), is a solver fault and raises ``SolverFault``.
 Whichever side exhausts (answers unsat) first gives an exact count; budget
 expiry downgrades to a lower bound.
 """
@@ -82,24 +84,19 @@ class EnumResult:
         return self.eq.count if self.exact_eq_count is None else self.exact_eq_count
 
 
-class DuplicateModel(Exception):
-    """A blocked enumeration returned an input assignment it had already blocked."""
-
-
-def _path_at(summary: Summary, env: dict[str, int]):
-    """The (box, exact, return term) of the path of ``summary`` that holds at ``env``."""
-    return next(boxed for (conds, _), boxed in zip(summary.paths, summary.boxes)
-                if all(eval_formula(c, env) for c in conds))
+class SolverFault(Exception):
+    """A blocked enumeration drew a model it had already blocked, or one off its side."""
 
 
 class _Enumeration:
-    """One side's blocked enumeration, in a scope pushed on ``search``'s session."""
+    """One side's ("eq" or "neq") blocked enumeration, in a scope on ``search``'s session."""
 
-    def __init__(self, search: RangeSearch, formulas, found: SideResult):
+    def __init__(self, search: RangeSearch, side: str, found: SideResult):
         self.session = search.live_session()
         self.session.push()
-        for f in formulas:
+        for f in CHECKS[side]:
             self.session.assert_formula(f)
+        self.side = side
         self.summaries = (search.s1, search.s2)
         self.inputs = list(search.variables)
         self.found = found
@@ -108,12 +105,12 @@ class _Enumeration:
         """Pop the side's scope, blocking clauses included."""
         self.session.pop()
 
-    def _pair_box(self, env: dict[str, int]) -> regions.Box | None:
-        """The exact box of the path pair holding at this side's model ``env``, if it is
-        decided; a decided box lies wholly on the model's side."""
-        (box1, exact1, t1), (box2, exact2, t2) = (_path_at(s, env) for s in self.summaries)
-        box = regions.meet(box1, box2)
-        return box if exact1 and exact2 and regions.decided(box, t1, t2) else None
+    def _pair_box(self, i1: int, i2: int) -> regions.Box | None:
+        """The exact box of path pair (``i1``, ``i2``), which holds at this side's model, if
+        it is decided; a decided box lies wholly on the model's side."""
+        (g1, t1), (g2, t2) = self.summaries[0].paths[i1], self.summaries[1].paths[i2]
+        box = regions.meet(g1.box, g2.box)
+        return box if g1.exact and g2.exact and regions.decided(box, t1, t2) else None
 
     def step(self) -> str:
         """Draw one more model; returns 'model', 'done', or 'unknown'."""
@@ -127,10 +124,13 @@ class _Enumeration:
         if model is None:
             return "unknown"
         env = {v.name: to_unsigned(model[v.name], v.sort.width) for v in self.inputs}
+        (i1, y1), (i2, y2) = (s.at(env) for s in self.summaries)
+        if ("eq" if y1 == y2 else "neq") != self.side:
+            raise SolverFault(f"solver gave {model} as a model of the {self.side} side")
         if any(eval_formula(region, env) for region in self.found.blocked):
-            raise DuplicateModel(f"solver repeated blocked assignment {model}")
+            raise SolverFault(f"solver repeated blocked assignment {model}")
         point = regions.point_box(self.inputs, env)
-        box = self._pair_box(env) or point
+        box = self._pair_box(i1, i2) or point
         region = regions.box_formula(box, self.inputs)
         self.session.block(region)
         if self.session.dead and box is not point:
@@ -165,9 +165,8 @@ def enumerate_models(s1: Summary, s2: Summary, cfg: SolverConfig,
         budget = search.budget
         neq_search = stack.enter_context(RangeSearch(s1, s2, cfg, budget))
         try:
-            for on, formulas, found in ((search, CHECKS["eq"], eq),
-                                        (neq_search, CHECKS["neq"], neq)):
-                sides.append(_Enumeration(on, formulas, found))
+            for on, side, found in ((search, "eq", eq), (neq_search, "neq", neq)):
+                sides.append(_Enumeration(on, side, found))
                 stack.callback(sides[-1].close)
         except BudgetExhausted:
             pass  # a side that cannot start a solver leaves CASE3

@@ -38,6 +38,9 @@ class BvVar:
         if self.role not in ("input", "output"):
             raise FormulaError(f"bad role {self.role!r}")
 
+    def __hash__(self):  # equal variables share a name, and Python keeps a string's hash
+        return hash(self.name)
+
 
 # --- terms ---
 
@@ -447,20 +450,16 @@ def eval_formula(f: Formula, env: dict[str, int]) -> bool:
 
 
 def compile_paths(paths: Sequence[tuple[Sequence[Formula], Term]]):
-    """``f(env)``: the values at ``env`` of the return terms of the paths whose every
-    condition holds there, as a set; one ``if`` per path."""
-
-    def tests(name: dict[int, str]) -> list[str]:
-        holds = [(" and ".join(name[id(c)] for c in conds) or "True", name[id(t)])
-                 for conds, t in paths]
-        return ["    out = set()", *(f"    if {c}: out.add({v})" for c, v in holds), "    return out"]
-
-    return _compile([x for conds, t in paths for x in (*conds, t)], tests)
+    """``f(env)``: the index of the first path whose every condition holds at ``env`` and
+    its return term's value there, or None if none holds; one ``if`` per path."""
+    return _compile([x for conds, t in paths for x in (*conds, t)], lambda name: [
+        f"    if {' and '.join(name[id(c)] for c in conds) or 'True'}: return {i}, {name[id(t)]}"
+        for i, (conds, t) in enumerate(paths)])
 
 
 def _evaluator(x: Term | Formula):
     """``x``'s value as a function of ``env``, compiled on first use and kept on ``x``, as
-    ``Summary.outputs`` keeps its function; a cache of its own would keep every term alive."""
+    ``Summary.at`` keeps its function; a cache of its own would keep every term alive."""
     f = x.__dict__.get("_evaluate")
     if f is None:
         f = x.__dict__["_evaluate"] = _compile([x], lambda name: [f"    return {name[id(x)]}"])

@@ -18,11 +18,12 @@ flagged incomplete.  All counting is exact big-integer/rational arithmetic.
 
 Every satisfiability check of an analysis goes through ``RangeSearch._check``:
 the classifier's two checks over the full domain and every range check.  Before
-one goes to the solver, both summaries' compiled evaluators (``Summary.outputs``)
-run at a few points of the range: its two ends, its midpoint and RANDOM_POINTS
-more drawn from a seed fixed by the range.  A point where the summaries allow
-different outputs is a model of the equivalence check, and one where they share
-an output is a model of the conjunction check.  Path-pair boxes
+one goes to the solver, both summaries' compiled evaluators (``Summary.at``) run
+at a few points of the range: its two ends, its midpoint and RANDOM_POINTS more
+drawn from a seed fixed by the range.  Each point lies on one path of each
+version, so the summaries give one output each there: a point where the two
+differ is a model of the equivalence check, and one where they agree is a model
+of the conjunction check.  Path-pair boxes
 (``regions.decide``) then answer both ways: a box where two exact paths meet with
 different (equal) return terms proves the equivalence (conjunction) check sat,
 and when every pair meeting the range has exact boxes and agrees (differs)
@@ -349,16 +350,13 @@ class RangeSearch:
 
     def _record(self, var_subset: tuple[BvVar, ...], vec: RangeVector) -> RangeRecord:
         """The last range's record if this is that range, else a new one holding the first
-        sampled point where the summaries differ and the first where they share an output."""
+        sampled point where the summaries' outputs differ and the first where they agree."""
         key = (var_subset, vec)
         if self._last is None or self._last.key != key:
             found: dict[str, dict[str, int]] = {}
             for env in self._sample(var_subset, vec):
-                y1, y2 = self.s1.outputs(env), self.s2.outputs(env)
-                if y1 != y2:
-                    found.setdefault("neq", env)
-                if y1 & y2:
-                    found.setdefault("eq", env)
+                same = self.s1.at(env)[1] == self.s2.at(env)[1]
+                found.setdefault("eq" if same else "neq", env)
                 if len(found) == 2:
                     break
             self._last = RangeRecord(key, found)
@@ -382,7 +380,7 @@ class RangeSearch:
             verdict, proofs, by = None, record.points, "points"
             if sat_on not in proofs:
                 record.decided = record.decided or regions.decide(
-                    regions.range_box(var_subset, vec), self.s1.boxes, self.s2.boxes)
+                    regions.range_box(var_subset, vec), self.s1.paths, self.s2.paths)
                 (verdict, proofs), by = record.decided, "regions"
             if sat_on in proofs:
                 answer, proof = "sat", proofs[sat_on]

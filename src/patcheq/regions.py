@@ -12,9 +12,10 @@ maps each input to the intersection of its conditions' sets.  Other
 conditions are opaque and constrain nothing, so an empty set proves a
 conjunction unsatisfiable; a non-empty box proves nothing.
 
-A path whose conditions all read has an exact box (``path_box``); the box of
-any other path still bounds where it can hold.  Two paths' boxes ``meet`` where
-both hold, and on an exact pair's box ``decided`` may show the two return terms
+A path whose conditions all read has an exact box (``narrow`` says which); the
+box of any other path still bounds where it can hold.  ``summarize`` keeps both
+on each path (``summarizer.PathGuard``).  Two paths' boxes ``meet`` where both
+hold, and on an exact pair's box ``decided`` may show the two return terms
 equal or unequal everywhere.  ``decide`` answers that question for two whole
 summaries over a range (``range_box``), and names a box inside it where the two
 differ and one where they agree; it rests on summaries being total, every input
@@ -136,15 +137,13 @@ def _atoms(conds: Iterable[Formula]):
             yield f
 
 
-def narrow(b: Box, conds: Iterable[Formula], reads=read) -> Box:
+def narrow(b: Box, conds: Iterable[Formula], reads=read) -> tuple[Box, bool]:
     """``b`` with each input a read condition of ``conds`` constrains intersected with its
-    set; ``reads`` is ``read`` or a memo of it."""
-    out = dict(b)
-    for f in _atoms(conds):
-        if (found := reads(f)) is not None:
-            x, ivs = found
-            out[x] = intersect(out[x], ivs) if x in out else ivs
-    return out
+    set, and whether every condition read; ``reads`` is ``read`` or a memo of it."""
+    out, found = dict(b), [reads(f) for f in _atoms(conds)]
+    for x, ivs in filter(None, found):
+        out[x] = intersect(out[x], ivs) if x in out else ivs
+    return out, None not in found
 
 
 def is_empty(b: Box) -> bool:
@@ -153,13 +152,6 @@ def is_empty(b: Box) -> bool:
 
 
 # --- path pairs ---
-
-
-def path_box(conds: Iterable[Formula], reads=read) -> tuple[Box, bool]:
-    """The box of a path's read conditions, and whether it is exact: whether every
-    condition reads, so that the path holds on all of it."""
-    found = {f: reads(f) for f in _atoms(conds)}
-    return narrow({}, found, found.get), None not in found.values()
 
 
 def meet(a: Box, b: Box) -> Box:
@@ -201,12 +193,10 @@ def decided(b: Box, t1: Term, t2: Term) -> str | None:
     return None if any(lo <= root <= hi for lo, hi in b.get(x, _full(x))) else "neq"
 
 
-Boxed = Sequence[tuple[Box, bool, Term]]  # a summary's paths: (box, exact, return term)
-
-
-def decide(b: Box, paths1: Boxed, paths2: Boxed) -> tuple[str | None, dict[str, Box]]:
+def decide(b: Box, paths1: Sequence, paths2: Sequence) -> tuple[str | None, dict[str, Box]]:
     """Whether two total summaries' outputs agree ("eq") or differ ("neq") everywhere in
-    ``b``, and a box inside ``b`` of each kind that some pair shows.
+    ``b``, and a box inside ``b`` of each kind that some pair shows; ``paths1`` and
+    ``paths2`` are the summaries' ``paths``, (``summarizer.PathGuard``, term) pairs.
 
     The whole-range verdict is None if a path meeting ``b`` is not exact, a pair meeting
     it is not ``decided``, or the pairs disagree.  Each box is where two exact paths meet
@@ -216,10 +206,10 @@ def decide(b: Box, paths1: Boxed, paths2: Boxed) -> tuple[str | None, dict[str, 
     met: list[list[tuple[Box, Term]]] = [[], []]
     whole = True
     for paths, out in zip((paths1, paths2), met):
-        for box, exact, t in paths:
-            if not is_empty(box := meet(box, b)):
-                whole = whole and exact
-                if exact:
+        for guard, t in paths:
+            if not is_empty(box := meet(guard.box, b)):
+                whole = whole and guard.exact
+                if guard.exact:
                     out.append((box, t))
     found: dict[str, Box] = {}
     for (b1, t1), (b2, t2) in itertools.product(*met):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .classifier import Verdict, eq_check
-from .enumcount import MODEL_LIST_CAP, EnumCase, enumerate_models
+from .enumcount import MODEL_LIST_CAP, EnumCase, SolverFault, enumerate_models
 from .formula import FALSE, TRUE, Formula, FNot, pretty, serialize_formula
 from .minilang import parse, typecheck
 from .oracle import Budget, SolverConfig
@@ -197,7 +197,10 @@ def analyze_pair(
         verdict = eq_check(s1, s2, cfg, search=search)
         clock.append(time.monotonic())
         if verdict.kind is Verdict.P_EQ and method == "enumerate":
-            enum = enumerate_models(s1, s2, cfg, search=search)
+            try:
+                enum = enumerate_models(s1, s2, cfg, search=search)
+            except SolverFault as err:
+                raise AnalysisError("enumerate", str(err)) from err
         elif verdict.kind is Verdict.P_EQ:
             quant = search.run(method, limit=depth_limit)
     clock.append(time.monotonic())

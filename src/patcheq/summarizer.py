@@ -9,11 +9,13 @@ the next starts, a branch's true side first, a loop's exit first, and the
 first operand's paths varying slowest.  Local variables are eliminated by
 substitution, so the summary's free variables are exactly the inputs plus
 the single output.  A call runs the callee's body once per distinct argument
-terms, and forks the path on each callee path.  Each path carries its box
-(``regions``), narrowed by each condition it gains, and is dropped once the
+terms, and forks the path on each callee path.  Each path carries its guard
+(``PathGuard``): its conditions, their box (``regions``), narrowed by each
+condition it gains, and whether that box is exact.  A path is dropped once its
 box is empty, so a summary keeps only box-feasible paths; opaque conditions
-never prune.  Loops are unrolled up to a hard limit; a loop whose next
-iteration is still box-feasible at the limit is an error, never a
+never prune.  The paths partition the inputs, and ``Summary.at`` names the one
+that holds at a point.  Loops are unrolled up to a hard limit; a loop whose
+next iteration is still box-feasible at the limit is an error, never a
 truncation.  A budget stops a long exploration with an error.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import bvarith, minilang, regions
 from .formula import (
@@ -52,18 +54,26 @@ class UnrollLimitExceeded(SummarizeError):
         self.limit = limit
 
 
+class PathGuard(NamedTuple):
+    """A path's conditions, their box, and whether the box is exact (every condition reads)."""
+
+    conds: tuple[Formula, ...]
+    box: regions.Box
+    exact: bool
+
+
 @dataclass(frozen=True)
 class Summary:
     """Disjunctive input/output characterization of one function."""
 
     inputs: tuple[BvVar, ...]
     output: BvVar
-    paths: tuple[tuple[tuple[Formula, ...], Term], ...]  # (path conditions, return term)
+    paths: tuple[tuple[PathGuard, Term], ...]  # (guard, return term)
 
     @cached_property
     def formula(self) -> FOr:
         """One disjunct per path: (path conditions) and (output = return term)."""
-        bodies = [(*conds, feq(tvar(self.output), t)) for conds, t in self.paths]
+        bodies = [(*guard.conds, feq(tvar(self.output), t)) for guard, t in self.paths]
         return FOr(tuple(FAnd(body) if len(body) > 1 else body[0] for body in bodies))
 
     @property
@@ -82,18 +92,11 @@ class Summary:
         return n
 
     @cached_property
-    def outputs(self):
-        """``outputs(env)``: the output values the summary allows at one input point.
-
-        ``env`` maps every input name to its unsigned canonical value.  This is
-        the summary's compiled evaluator, built by ``compile_paths`` on first use."""
-        return compile_paths(self.paths)
-
-    @cached_property
-    def boxes(self) -> tuple[tuple[regions.Box, bool, Term], ...]:
-        """Each path as (box, exact, return term), read on first use (``regions.path_box``)."""
-        reads = cache(regions.read)
-        return tuple((*regions.path_box(conds, reads), t) for conds, t in self.paths)
+    def at(self):
+        """``at(env)``: the index in ``paths`` of the one path that holds at an input point,
+        and the output value there, ``env`` mapping every input name to its unsigned value.
+        This is the summary's compiled evaluator, built by ``compile_paths`` on first use."""
+        return compile_paths([(guard.conds, t) for guard, t in self.paths])
 
 
 def _require_sorted(e: Expr) -> IntSort:
@@ -191,13 +194,6 @@ def _branches(phi: Formula) -> list[tuple[bool, list[Formula]]]:
 # --- symbolic execution ---
 
 
-class _Path(NamedTuple):
-    """A path being explored: its conditions so far, and their box."""
-
-    conds: list[Formula]
-    box: regions.Box
-
-
 class _PathExploder:
     def __init__(self, unroll_limit: int, budget=None):
         self.unroll_limit = unroll_limit
@@ -206,7 +202,7 @@ class _PathExploder:
         self.calls: dict[tuple, list] = {}  # (callee id, argument terms) -> its paths
         self.read = cache(regions.read)  # each condition is read once per summary
 
-    def extend(self, path: _Path, added: list[Formula]) -> _Path | None:
+    def extend(self, path: PathGuard, added: Sequence[Formula]) -> PathGuard | None:
         """``path`` once it gains ``added``, or None if its box is then empty.  The budget is
         read every ``BUDGET_STRIDE`` calls, so a small summary never fails on the clock."""
         self.steps += 1
@@ -214,14 +210,15 @@ class _PathExploder:
             raise SummarizeError(f"budget ran out after {self.steps} steps")
         if not added:
             return path
-        box = regions.narrow(path.box, added, self.read)
-        return None if regions.is_empty(box) else _Path(path.conds + added, box)
+        box, exact = regions.narrow(path.box, added, self.read)
+        return None if regions.is_empty(box) else PathGuard(
+            path.conds + tuple(added), box, path.exact and exact)
 
-    def run(self, fn: TypedFunction, args: tuple[Term, ...]) -> list[tuple[list[Formula], Term]]:
-        """Every path of ``fn``'s body on argument terms ``args``: (conditions, return term)."""
+    def run(self, fn: TypedFunction, args: tuple[Term, ...]) -> list[tuple[PathGuard, Term]]:
+        """Every path of ``fn``'s body on argument terms ``args``: (guard, return term)."""
         out = []
         params = {name: t for (name, _), t in zip(fn.params, args)}
-        for _ in self.block(fn.body, params, _Path([], {}), out):
+        for _ in self.block(fn.body, params, PathGuard((), {}, True), out):
             raise SummarizeError("fell off the end of a block without returning")
         return out
 
@@ -234,7 +231,7 @@ class _PathExploder:
             for path, values in self.each(step, items[1:], env, path):
                 yield path, (value, *values)
 
-    def expr(self, e: Expr, env: dict[str, Term], path: _Path):
+    def expr(self, e: Expr, env: dict[str, Term], path: PathGuard):
         """Yield (path, term) for each way ``e`` evaluates; a call forks on the callee's paths."""
         sort = _require_sorted(e)
         if isinstance(e, Lit):
@@ -266,13 +263,13 @@ class _PathExploder:
                 key = (id(e.fn), terms)
                 if key not in self.calls:
                     self.calls[key] = self.run(e.fn, terms)
-                for conds, t in self.calls[key]:
-                    if (next_path := self.extend(path, conds)) is not None:
+                for guard, t in self.calls[key]:
+                    if (next_path := self.extend(path, guard.conds)) is not None:
                         yield next_path, t
         else:
             raise SummarizeError(f"cannot translate {type(e).__name__}")
 
-    def cond(self, e: Expr, env: dict[str, Term], path: _Path):
+    def cond(self, e: Expr, env: dict[str, Term], path: PathGuard):
         """Yield (path, formula) for each way the condition ``e`` evaluates."""
         if isinstance(e, Binary) and e.op in minilang.CMP_OPS:
             signed = _require_sorted(e.lhs).signed
@@ -287,9 +284,9 @@ class _PathExploder:
         else:
             raise SummarizeError(f"cannot translate condition {type(e).__name__}")
 
-    def block(self, stmts: tuple[Stmt, ...], env, path: _Path, out: list):
+    def block(self, stmts: tuple[Stmt, ...], env, path: PathGuard, out: list):
         """Yield the (env, path) states that run off the end of ``stmts``; a return adds
-        (conditions, term) to ``out`` instead."""
+        (guard, term) to ``out`` instead."""
         stack = [(0, iter([(env, path)]))]  # (next statement, the states that reach it)
         while stack:
             i, states = stack[-1]
@@ -301,13 +298,13 @@ class _PathExploder:
             else:
                 stack.append((i + 1, self.stmt(stmts[i], *state, out)))
 
-    def stmt(self, s: Stmt, env, path: _Path, out: list):
+    def stmt(self, s: Stmt, env, path: PathGuard, out: list):
         if isinstance(s, (Let, Assign)):
             for path, t in self.expr(s.value, env, path):
                 yield {**env, s.name: t}, path
         elif isinstance(s, Return):
             for path, t in self.expr(s.value, env, path):
-                out.append((path.conds, t))
+                out.append((path, t))
         elif isinstance(s, If):
             for path, phi in self.cond(s.cond, env, path):
                 for taken, added in _branches(phi):
@@ -319,7 +316,7 @@ class _PathExploder:
         else:
             raise SummarizeError(f"cannot execute {type(s).__name__}")
 
-    def loop(self, loop: While, iteration: int, env, path: _Path, out: list):
+    def loop(self, loop: While, iteration: int, env, path: PathGuard, out: list):
         """Yield the states that leave ``loop`` from its ``iteration``-th test on, exit first."""
         for path, phi in self.cond(loop.cond, env, path):
             for entered, added in reversed(_branches(phi)):
@@ -351,7 +348,7 @@ def summarize(fn: TypedFunction, unroll_limit: int = DEFAULT_UNROLL_LIMIT,
     inputs = tuple(BvVar(name, sort, "input") for name, sort in fn.params)
     output = BvVar(_fresh_output_name(fn), fn.return_sort, "output")
     paths = _PathExploder(unroll_limit, budget).run(fn, tuple(tvar(v) for v in inputs))
-    return Summary(inputs, output, tuple((tuple(conds), t) for conds, t in paths))
+    return Summary(inputs, output, tuple(paths))
 
 
 # --- concrete interpreter ---

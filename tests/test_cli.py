@@ -3,6 +3,7 @@
 import ast
 import json
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -385,6 +386,45 @@ def test_unrunnable_solver_stops_corpus_as_infrastructure_error(tmp_path, capsys
     assert code == 2
     assert err.startswith("infrastructure error: solver executable cannot be run")
     assert out == ""
+
+
+# Answers sat to every check-sat, and to every get-value val = {eq} on a session that
+# enumerates the equivalent side, val = {neq} on one that enumerates the divergent side.
+FIXED_MODEL_SOLVER = """
+import sys
+value = {eq}
+for line in sys.stdin:
+    if "(not (= summary!1 summary!2))" in line:
+        value = {neq}
+    if line.startswith("(check-sat"):
+        print("sat", flush=True)
+    elif line.startswith("(get-value"):
+        print(f"((val {{value}}))", flush=True)
+"""
+
+
+@pytest.mark.parametrize("models, fault", [
+    ({"eq": 0, "neq": 0}, "solver gave {'val': 0} as a model of the neq side"),
+    # tcp_window's versions agree at 100 and differ at 10
+    ({"eq": 100, "neq": 10}, "solver repeated blocked assignment {'val': 100}"),
+], ids=["wrong-side", "repeated"])
+def test_a_faulty_solver_fails_enumeration_without_a_traceback(tmp_path, capsys, corpus_dir,
+                                                               models, fault):
+    # each model is checked against both summaries: one off its side, or already blocked,
+    # fails the analysis; in a corpus the case fails and the other cases still run
+    solver = shlex.join([sys.executable, "-c", FIXED_MODEL_SOLVER.format(**models)])
+    case = corpus_dir / "cve_2010_4165_tcp_window"
+    code = main(["impact", str(case / "original.fn"), str(case / "patched.fn"),
+                 "--algorithm", "enumerate", "--solver-cmd", solver])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: enumerate: {fault}\n")
+    for name in ("cve_2010_4165_tcp_window", "eqbench_ltfive"):
+        shutil.copytree(corpus_dir / name, tmp_path / name)
+    code = main(["corpus", str(tmp_path), "--format", "json", "--solver-cmd", solver])
+    cases = json.loads(capsys.readouterr()[0])["cases"]
+    assert code == 1
+    assert cases[0]["failures"] == [f"error: enumerate: {fault}"]
+    assert cases[1]["name"] == "eqbench_ltfive" and cases[1]["report"] is not None
 
 
 @pytest.mark.parametrize("argv", [

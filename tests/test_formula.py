@@ -153,8 +153,9 @@ def test_a_term_of_any_depth_serializes_and_compiles():
         chain = tbin("add", chain, tconst(1, 8))
     assert serialize_formula(feq(tvar(x), chain)) == (
         "(= x " + "(bvadd " * 5000 + "x" + " (_ bv1 8))" * 5000 + ")")
-    outputs = compile_paths([([fle(False, tconst(0, 8), tvar(x))], chain)])
-    assert outputs({"x": 7}) == {(7 + 5000) % 256}
+    low = ([fle(False, tvar(x), tconst(6, 8))], tvar(x))  # does not hold at x = 7
+    assert compile_paths([low, ([], chain)])({"x": 7}) == (1, (7 + 5000) % 256)
+    assert compile_paths([low])({"x": 7}) is None
     assert eval_formula(feq(chain, tconst((7 + 5000) % 256, 8)), {"x": 7})
 
 

@@ -516,7 +516,7 @@ def test_region_answers_agree_with_brute_force_width8(cfg, monkeypatch):
         with RangeSearch(s1, s2, cfg) as rs:
             for var_subset, vec in _width8_ranges(rng, inputs):
                 verdict, found = regions.decide(regions.range_box(var_subset, vec),
-                                                s1.boxes, s2.boxes)
+                                                s1.paths, s2.paths)
                 bounds = dict(zip(var_subset, vec))
                 for kind, box in found.items():  # a named box agrees or differs throughout
                     for p in regions.points(box, inputs, 256):

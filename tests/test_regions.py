@@ -9,9 +9,9 @@ from patcheq.bvarith import to_signed
 from patcheq.formula import (
     BvVar, FAnd, FNot, FOr, RangePair, eval_formula, feq, fle, flt, for_, tbin, tconst, tneg, tvar,
 )
-from patcheq.minilang import SORTS
+from patcheq.minilang import SORTS, IntSort
 from patcheq.regions import (
-    box_formula, complement, decide, decided, intersect, is_empty, meet, narrow, path_box, points,
+    box_formula, complement, decide, decided, intersect, is_empty, meet, narrow, points,
     range_box, read, volume,
 )
 
@@ -76,14 +76,15 @@ def test_a_box_is_the_exact_conjunction_of_its_read_atoms():
         atoms = [rng.choice(forms[rng.choice((X, Y))]) for _ in range(rng.randint(1, 4))]
         atoms = [FNot(f) if rng.random() < 0.4 else f for f in atoms]
         conds = [FAnd(tuple(atoms[:2])), *atoms[2:]] if rng.random() < 0.5 else atoms
-        got = narrow({}, conds)
+        got, exact = narrow({}, conds)
+        assert exact
         empty = False
         for var in (X, Y):
             mine = [f for f in atoms if read(f)[0] == var]
             want = {v for v in range(256) if all(eval_formula(f, {var.name: v}) for f in mine)}
             assert members(got[var]) == want if mine else var not in got
             empty |= not want
-        assert is_empty(narrow({}, conds)) == empty
+        assert is_empty(got) == empty
 
 
 def compound_forms(var, rng, n):
@@ -127,8 +128,9 @@ def test_compound_one_input_reads_are_exact(var):
 ])
 def test_opaque_atoms_never_prune(f):
     assert read(f) is None
-    assert not is_empty(narrow({}, [f, FNot(f)]))
-    assert is_empty(narrow({}, [f, feq(tvar(X), tconst(3, 8)), feq(tvar(X), tconst(4, 8))]))
+    assert narrow({}, [f]) == ({}, False)
+    assert not is_empty(narrow({}, [f, FNot(f)])[0])
+    assert is_empty(narrow({}, [f, feq(tvar(X), tconst(3, 8)), feq(tvar(X), tconst(4, 8))])[0])
 
 
 def test_intersect_and_complement():
@@ -152,7 +154,7 @@ def random_boxes(rng, n, variables=(X, Y)):
     while n:
         var = rng.choice(variables)
         conds = [rng.choice(forms[var]) for _ in range(rng.randint(1, 3))]
-        b = narrow({}, [FNot(f) if rng.random() < 0.4 else f for f in conds])
+        b, _ = narrow({}, [FNot(f) if rng.random() < 0.4 else f for f in conds])
         if all(b.values()):
             n -= 1
             yield b
@@ -183,14 +185,17 @@ def test_box_points_and_formula_over_two_inputs():
                 if eval_formula(f, {"x": x, "y": y})} == inside
 
 
-def test_path_box_is_inexact_when_any_condition_is_opaque():
+def test_narrow_reports_whether_every_condition_read():
     lin = flt(False, tvar(X), tconst(9, 8))
     opaque = flt(False, tbin("mul", tvar(X), tvar(Y)), tconst(9, 8))
     pinned = feq(tvar(Y), tconst(2, 8))
-    assert path_box([lin, FAnd((pinned,))]) == (narrow({}, [lin, pinned]), True)
+    both = {X: [(0, 8)], Y: [(2, 2)]}
+    assert narrow({}, [lin, FAnd((pinned,))]) == (both, True)
+    assert narrow({X: [(0, 8)]}, [pinned]) == (both, True)  # a box narrowed further
     # the read conditions still bound an inexact box
-    assert path_box([FAnd((lin, opaque))]) == (narrow({}, [lin]), False)
-    assert meet(narrow({}, [lin]), narrow({}, [pinned])) == narrow({}, [lin, pinned])
+    assert narrow({}, [FAnd((lin, opaque))]) == ({X: [(0, 8)]}, False)
+    assert narrow(both, [opaque]) == (both, False)
+    assert meet({X: [(0, 8)]}, {Y: [(2, 2)]}) == both
 
 
 def test_a_range_box_holds_exactly_the_range_and_wraps_across_zero():
@@ -226,16 +231,21 @@ def test_decided_pairs_agree_or_differ_everywhere_in_their_box():
     assert decided({}, tvar(X), tvar(Y)) is None
 
 
-def test_decide_names_a_diverging_and_an_agreeing_box_beside_opaque_paths():
+def test_decide_names_a_diverging_and_an_agreeing_box_beside_opaque_paths(monkeypatch):
     # the patch moves the x < 10 guard to x < 20 and adds a guard that reads as no box
     s1, s2 = summary_pair(
         "fn f(x: u8) -> u8 { if (x < 10) { return 0; } return x; }",
         "fn f(x: u8) -> u8 { if (x < 20) { return 0; } if (x * 3 == 5) { return 1; } return x; }",
     )
     (x,) = s1.inputs
+    # boxes are keyed by input, and a BvVar hashes its name, whose hash Python keeps, not
+    # its sort (a dataclass hash of (name, sort, role) hashed the sort on every lookup)
+    sort_hashes, real = [], IntSort.__hash__
+    monkeypatch.setattr(IntSort, "__hash__", lambda sort: sort_hashes.append(sort) or real(sort))
+    assert hash(x.sort) == real(x.sort) and sort_hashes.pop()  # the wrapper counts
 
     def decide_over(lo, hi):
-        verdict, found = decide(range_box([x], [RangePair(lo, hi)]), s1.boxes, s2.boxes)
+        verdict, found = decide(range_box([x], [RangePair(lo, hi)]), s1.paths, s2.paths)
         return verdict, {kind: box[x] for kind, box in found.items()}
 
     # both return 0 below 10; between 10 and 19 the original returns x and the patch 0
@@ -245,3 +255,4 @@ def test_decide_names_a_diverging_and_an_agreeing_box_beside_opaque_paths():
     assert decide_over(5, 12) == (None, {"eq": [(5, 9)], "neq": [(10, 12)]})
     # above 19 only the opaque paths meet the original's x: no box is named
     assert decide_over(20, 255) == (None, {})
+    assert sort_hashes == []

@@ -422,7 +422,7 @@ def test_parse_all_tells_incomplete_text_from_malformed_text():
 # its stdin to session_NN.smt2 and its stdout to session_NN.out around
 # protocol.run_stdio.  They pin every answer and model on real client traffic.  They
 # were recorded before path-pair boxes answered range checks, so they hold queries a
-# pass no longer sends (345 where it now sends 272); they are fixed solver input, not
+# pass no longer sends (345 where it now sends 256); they are fixed solver input, not
 # a record of today's client, and are kept as they are.
 CORPUS_SESSIONS = sorted((Path(__file__).resolve().parent / "golden" / "smtbv_corpus")
                          .glob("session_*.smt2"))
@@ -442,7 +442,8 @@ def test_a_recorded_corpus_session_gets_byte_identical_replies(session):
 
 # One pass of perfbench's paths16 pairs (one-input i16 pairs with 8 to 32 paths per
 # version, run with the combined method), recorded the same way and at the same time:
-# a pass now sends 13 of these 81 queries.
+# a pass now sends none of these 81 queries, since sampled points and path-pair boxes
+# answer every check.
 PATHS16_SESSIONS = sorted((Path(__file__).resolve().parent / "golden" / "smtbv_paths16")
                           .glob("session_*.smt2"))
 

@@ -244,7 +244,7 @@ def test_summary_iff_exhaustive_width8(source):
             v.name: bvarith.to_unsigned(val, v.sort.width)
             for v, val in zip(summary.inputs, point)
         }
-        assert summary.outputs(env) == {bvarith.to_unsigned(expected, out_w)}
+        assert summary.at(env)[1] == bvarith.to_unsigned(expected, out_w)
         env[summary.output.name] = bvarith.to_unsigned(expected, out_w)
         assert eval_formula(summary.formula, env)
         env[summary.output.name] = bvarith.to_unsigned(expected + 1, out_w)
@@ -313,7 +313,7 @@ def test_one_input_guard_chains_keep_one_path_per_interval(guard):
     points = [-(2**31), -16001, -16000, -1, 0, 1, 999, 1000, 15999, 16000, 2**31 - 1]
     for x in points + [1000 * i + d for i in range(-20, 33) for d in (-1, 0, 1)]:
         env = {"x": bvarith.to_unsigned(x, 32)}
-        assert summary.outputs(env) == {bvarith.to_unsigned(eval_concrete(f, [x]), 32)}
+        assert summary.at(env)[1] == bvarith.to_unsigned(eval_concrete(f, [x]), 32)
 
 
 def test_each_condition_is_read_once_per_summary(monkeypatch):
@@ -373,7 +373,7 @@ def test_pruned_summaries_match_concrete_runs(seed):
     points = list(itertools.product(*[range(s.min_value, s.max_value + 1) for s in sorts]))
     for point in points if len(sorts) == 1 else rng.sample(points, 2000):
         env = {v.name: bvarith.to_unsigned(x, 8) for v, x in zip(summary.inputs, point)}
-        assert summary.outputs(env) == {bvarith.to_unsigned(eval_concrete(f, list(point)), 8)}
+        assert summary.at(env)[1] == bvarith.to_unsigned(eval_concrete(f, list(point)), 8)
 
 
 def test_a_callee_runs_once_per_argument_tuple(monkeypatch):
@@ -424,7 +424,7 @@ def test_summarize_runs_a_callee_once_per_argument_terms(monkeypatch):
     summary = summarize(top)
     assert runs.count(True) == 1
     assert summary.path_count == 1
-    assert summary.outputs({"x": 3}) == {(3 + 1) << 12}
+    assert summary.at({"x": 3})[1] == (3 + 1) << 12
     monkeypatch.undo()
     deep = doubling_chain(40)
     start = time.perf_counter()
@@ -437,7 +437,7 @@ def test_deep_shared_terms_evaluate_in_linear_time():
     f = doubling_chain(20)
     summary = summarize(f)
     start = time.perf_counter()
-    assert summary.outputs({"x": 3}) == {bvarith.to_unsigned(eval_concrete(f, [3]), 16)}
+    assert summary.at({"x": 3})[1] == bvarith.to_unsigned(eval_concrete(f, [3]), 16)
     assert time.perf_counter() - start < 0.1
 
 
@@ -454,10 +454,14 @@ def test_a_shared_call_argument_hashes_once():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_compiled_outputs_match_the_tree_walk(seed):
-    # compiled evaluation, the reference tree walk and the program itself agree
+    # the paths partition the inputs: at each point the reference tree walk finds exactly
+    # one path holding, the one Summary.at names, and its value is the program's.  Each
+    # guard keeps the box and exactness its conditions read as afresh
     rng = random.Random(seed)
     pair = random_pair(rng)
     s1, s2 = summaries = [summarize(f) for f in pair]
+    for guard, _ in s1.paths + s2.paths:
+        assert guard == (guard.conds, *regions.narrow({}, guard.conds))
     diverge = FNot(FIff(s1.formula, s2.formula))
     out = s1.output
     for _ in range(20):
@@ -467,10 +471,12 @@ def test_compiled_outputs_match_the_tree_walk(seed):
         values = {rng.randrange(out.sort.domain_size)}
         for f, summary in zip(pair, summaries):
             value = bvarith.to_unsigned(eval_concrete(f, args), out.sort.width)
-            assert summary.outputs(env) == {value} == {
-                walk_term(t, env) for conds, t in summary.paths
-                if all(walk_formula(c, env) for c in conds)}
-            for c in {c for conds, _ in summary.paths for c in conds}:
+            holding = [i for i, (guard, _) in enumerate(summary.paths)
+                       if all(walk_formula(c, env) for c in guard.conds)]
+            assert len(holding) == 1
+            assert summary.at(env) == (holding[0], value)
+            assert walk_term(summary.paths[holding[0]][1], env) == value
+            for c in {c for guard, _ in summary.paths for c in guard.conds}:
                 assert eval_formula(c, env) == walk_formula(c, env)
             values.add(value)
         for value in values:
@@ -489,9 +495,9 @@ def test_summaries_leave_no_reference_cycles():
     try:
         for f in fns * 8:
             summary, env = summarize(f), {name: 3 for name, _ in f.params}
-            summary.outputs(env)
-            for conds, _ in summary.paths:
-                for c in conds:
+            summary.at(env)
+            for guard, _ in summary.paths:
+                for c in guard.conds:
                     eval_formula(c, env)
         garbage = gc.collect()  # before enable(), whose next allocation would collect it
     finally:
