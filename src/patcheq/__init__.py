@@ -19,8 +19,7 @@ _EXPORTS = {
     "oracle": ("Budget", "SolverConfig", "SolverSession"),
     "classifier": ("Verdict", "VerdictResult", "eq_check"),
     "rangesearch": ("RangeSearch", "QuantResult", "divide_range", "prioritized_divide_range",
-                    "eq_lower_bound_relational", "eq_lower_bound_iterative",
-                    "render_condition_relational", "render_condition_iterative"),
+                    "eq_lower_bound_relational", "eq_lower_bound_iterative"),
     "enumcount": ("EnumCase", "EnumResult", "enumerate_models", "brute_force_eq_count"),
     "report": ("ImpactReport", "analyze_pair"),
 }

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import regions
 from .bvarith import to_unsigned
-from .formula import Formula, eval_formula, for_
+from .formula import Formula, for_
 from .oracle import SolverConfig
 from .minilang import TypedFunction
 from .rangesearch import CHECKS, BudgetExhausted, RangeSearch
@@ -42,19 +42,19 @@ class EnumCase(enum.Enum):
 
 @dataclass
 class SideResult:
-    """What one side's enumeration blocked, each box or point once it reached a live session."""
+    """What one side's enumeration blocked, as boxes (a point as a one-point box), each once it
+    reached a live session; ``condition`` renders them."""
 
     count: int = 0  # inputs in the blocked boxes and points
     inputs: list[tuple[int, ...]] = field(default_factory=list)  # listed points, increasing
-    blocked: list[Formula] = field(default_factory=list)  # each box or point, as a formula
+    blocked: list[regions.Box] = field(default_factory=list)  # disjoint, in the order drawn
     queries: int = 0
     boxes: int = 0
     points: int = 0
 
-    @property
-    def condition(self) -> Formula:
-        """Exactly the ``count`` inputs this side blocked."""
-        return for_(self.blocked)
+    def condition(self, inputs) -> Formula:
+        """Exactly the ``count`` inputs this side blocked, each box rendered over ``inputs``."""
+        return for_(regions.box_formula(b, inputs) for b in self.blocked)
 
     def stats(self) -> dict:
         return {"queries": self.queries, "boxes": self.boxes, "points": self.points}
@@ -127,19 +127,17 @@ class _Enumeration:
         (i1, y1), (i2, y2) = (s.at(env) for s in self.summaries)
         if ("eq" if y1 == y2 else "neq") != self.side:
             raise SolverFault(f"solver gave {model} as a model of the {self.side} side")
-        if any(eval_formula(region, env) for region in self.found.blocked):
+        if any(regions.contains(b, env) for b in self.found.blocked):
             raise SolverFault(f"solver repeated blocked assignment {model}")
         point = regions.point_box(self.inputs, env)
         box = self._pair_box(i1, i2) or point
-        region = regions.box_formula(box, self.inputs)
-        self.session.block(region)
-        if self.session.dead and box is not point:
-            # the drawn model is sound; the box never reached a live solver
-            box, region = point, regions.box_formula(point, self.inputs)
+        self.session.block(regions.box_formula(box, self.inputs))
+        if self.session.dead:
+            box = point  # the drawn model is sound; the box never reached a live solver
         found = self.found
         found.count += regions.volume(box, self.inputs)
         found.inputs += regions.points(box, self.inputs, MODEL_LIST_CAP)
-        found.blocked.append(region)
+        found.blocked.append(box)
         if box is point:
             found.points += 1
         else:

@@ -422,7 +422,9 @@ def pretty(f: Formula) -> str:
         return "false"
     if isinstance(f, (FEq, FLt, FLe)):
         sym = "==" if isinstance(f, FEq) else ("<" if isinstance(f, FLt) else "<=")
-        signed = getattr(f, "signed", None)
+        # an equality has no signedness of its own: it takes that of a variable it compares
+        signed = (any(isinstance(t, TVar) and t.var.sort.signed for t in (f.lhs, f.rhs))
+                  if isinstance(f, FEq) else f.signed)
 
         def side(t: Term) -> str:
             if isinstance(t, TConst) and signed:

@@ -14,7 +14,10 @@ Four strategies over the input hyper-rectangle:
 
 A region enters a result only with an unsat certificate from the solver;
 unknown verdicts drop the region, and budget expiry returns a partial result
-flagged incomplete.  All counting is exact big-integer/rational arithmetic.
+flagged incomplete.  Every method's result is a list of disjoint boxes
+(``RegionSet.boxes``, ``RegionList.boxes``), counted by the sum of their
+``regions.volume`` (Geldenhuys, Dwyer & Visser, ISSTA 2012) and rendered as the
+disjunction of their ``regions.box_formula``, in exact big-integer arithmetic.
 
 Every satisfiability check of an analysis goes through ``RangeSearch._check``:
 the classifier's two checks over the full domain and every range check.  Before
@@ -42,10 +45,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import bvarith, regions
-from .formula import (
-    BvVar, Formula, FIff, FName, FNot, FALSE, RangePair, fand, for_, mk_range_constraint,
-    var_range_constraint,
-)
+from .formula import BvVar, Formula, FIff, FName, FNot, RangePair, for_, mk_range_constraint
 from .oracle import Budget, SolverConfig, SolverSession
 from .summarizer import Summary, require_same_interface
 
@@ -86,6 +86,10 @@ class RegionSet:
     def vectors(self) -> list[RangeVector]:
         return self.regions
 
+    def boxes(self, inputs: tuple[BvVar, ...]) -> list[regions.Box]:
+        """Each certified vector as a box; bisection leaves them disjoint."""
+        return [regions.range_box(inputs, vec) for vec in self.regions]
+
 
 @dataclass
 class RegionList:
@@ -97,6 +101,20 @@ class RegionList:
 
     def eq_bound(self, n: int) -> int:
         return sum(p.size for p in self.intervals(n))
+
+    def boxes(self, inputs: tuple[BvVar, ...]) -> list[regions.Box]:
+        """Box n holds input n in its merged intervals and each earlier input outside its
+        own, the later inputs free; empty boxes are dropped.  The boxes are disjoint, and
+        box n's volume is the term ``eq_lower_bound_iterative`` adds for n."""
+        sets = [regions.normal(iv for vec in vecs for iv in regions.range_box((x,), vec)[x])
+                for x, vecs in zip(inputs, self.per_var)]
+        out = []
+        for n, x in enumerate(inputs):
+            box = {y: regions.complement(ivs, y.sort.width) for y, ivs in zip(inputs[:n], sets)}
+            box[x] = sets[n]
+            if not regions.is_empty(box):
+                out.append(box)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +177,8 @@ def eq_lower_bound_iterative(per_var_intervals: list[list[RangePair]],
     """Inclusion count for per-variable regions with other variables free.
 
     Variable n contributes (product of earlier neq bounds) * eq_bound[n] *
-    (product of later full domains); the matching formula is rendered by
-    render_condition_iterative.
+    (product of later full domains), the volume of ``RegionList.boxes``' box n;
+    tests check the boxes against this closed form.
     """
     eq_bounds = [sum(p.size for p in intervals) for intervals in per_var_intervals]
     neq_bounds = [d - e for d, e in zip(domain_sizes, eq_bounds)]
@@ -173,43 +191,6 @@ def eq_lower_bound_iterative(per_var_intervals: list[list[RangePair]],
             term *= domain_sizes[j]
         total += term
     return total
-
-
-def render_condition_relational(variables: tuple[BvVar, ...],
-                                regions: list[RangeVector]) -> Formula:
-    """Disjunction of hyper-rectangle range constraints."""
-    if not regions:
-        return FALSE
-    return for_(
-        [
-            mk_range_constraint(variables, [p.lo for p in vec], [p.hi for p in vec])
-            for vec in regions
-        ]
-    )
-
-
-def render_condition_iterative(variables: tuple[BvVar, ...],
-                               per_var_intervals: list[list[RangePair]]) -> Formula:
-    """Formula whose model count equals the iterative lower bound.
-
-    Variable n's disjunct requires earlier variables outside their equivalence
-    intervals and variable n inside its own; later variables are free.
-    """
-    memberships = []
-    for var, intervals in zip(variables, per_var_intervals):
-        memberships.append(
-            for_([var_range_constraint(var, p.lo, p.hi) for p in intervals])
-            if intervals
-            else FALSE
-        )
-    disjuncts = []
-    for n, var in enumerate(variables):
-        if not per_var_intervals[n]:
-            continue
-        parts = [FNot(memberships[k]) for k in range(n)]
-        parts.append(memberships[n])
-        disjuncts.append(fand(parts))
-    return for_(disjuncts) if disjuncts else FALSE
 
 
 def merge_combined(list_iter: RegionList, list_prio: RegionList) -> tuple[RegionList, list[str]]:
@@ -430,7 +411,7 @@ class RangeSearch:
             found.append(vec)
         elif status == "partial" and depth != limit:
             subs = divide_range(vec)
-            if subs != [vec]:  # a vector of singletons cannot be split
+            if subs != [vec]:  # one- and two-value ranges come back whole
                 for sub in subs:
                     self._bisect(var_subset, sub, depth + 1, limit, found)
 
@@ -537,28 +518,20 @@ class RangeSearch:
         first_query = self.query_count
         sources = None
         if method == "relational":
-            region_set = self.relational(limit)
-            bound = eq_lower_bound_relational(region_set.vectors())
-            condition = render_condition_relational(self.variables, region_set.vectors())
-            incomplete = region_set.incomplete
+            found = self.relational(limit)
+        elif method == "iterative":
+            found = self.iterative(limit)
+        elif method == "priority":
+            found = self.iterative_priority()
+        elif method == "combined":
+            found, sources = merge_combined(self.iterative(limit), self.iterative_priority())
         else:
-            if method == "iterative":
-                region_list = self.iterative(limit)
-            elif method == "priority":
-                region_list = self.iterative_priority()
-            elif method == "combined":
-                region_list, sources = merge_combined(self.iterative(limit),
-                                                      self.iterative_priority())
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            intervals = [region_list.intervals(n) for n in range(len(self.variables))]
-            bound = eq_lower_bound_iterative(intervals, [v.sort.domain_size for v in self.variables])
-            condition = render_condition_iterative(self.variables, intervals)
-            incomplete = region_list.incomplete
+            raise ValueError(f"unknown method {method!r}")
+        boxes = found.boxes(self.variables)
         return QuantResult(
-            eq_lower_bound=bound,
-            condition=condition,
+            eq_lower_bound=sum(regions.volume(b, self.variables) for b in boxes),
+            condition=for_(regions.box_formula(b, self.variables) for b in boxes),
             solver_calls=self.query_count - first_query,
-            incomplete=incomplete,
+            incomplete=found.incomplete,
             per_var_source=sources,
         )

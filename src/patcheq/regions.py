@@ -21,7 +21,8 @@ summaries over a range (``range_box``), and names a box inside it where the two
 differ and one where they agree; it rests on summaries being total, every input
 on exactly one path of each version, which holds because ``summarize`` raises
 instead of truncating a loop.  ``volume``, ``points`` and ``box_formula``
-count, list and render a box, and ``point_box`` makes one of a point.
+count, list and render a box, ``contains`` tests a point, and ``point_box`` makes
+one of a point.  Every quantification result is a list of disjoint boxes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ Intervals = list[tuple[int, int]]
 Box = dict[BvVar, Intervals]
 
 
-def _normal(ivs: Iterable[tuple[int, int]]) -> Intervals:
+def normal(ivs: Iterable[tuple[int, int]]) -> Intervals:
     """Sorted, with overlapping or adjacent ranges merged."""
     out: Intervals = []
     for lo, hi in sorted(ivs):
@@ -74,7 +75,7 @@ def _shift(ivs: Intervals, d: int, width: int) -> Intervals:
         start = (lo + d) % n
         end = start + hi - lo
         out += [(start, end)] if end < n else [(start, n - 1), (0, end - n)]
-    return _normal(out)
+    return normal(out)
 
 
 def _linear(t: Term) -> tuple[BvVar, int, int] | None:
@@ -104,7 +105,7 @@ def read(f: Formula) -> tuple[BvVar, Intervals] | None:
             return None
         sets = [ivs for _, ivs in parts]
         return parts[0][0], (functools.reduce(intersect, sets) if isinstance(f, FAnd)
-                             else _normal(itertools.chain(*sets)))
+                             else normal(itertools.chain(*sets)))
     if not isinstance(f, (FEq, FLt, FLe)):
         return None
     const_left = isinstance(f.lhs, TConst)
@@ -234,7 +235,7 @@ def _ranges(ivs: Intervals, x: BvVar) -> Intervals:
     w = x.sort.width
     top = 1 << (w - 1)
     negative, positive = intersect(ivs, [(top, mask(w))]), intersect(ivs, [(0, top - 1)])
-    return _normal([(lo - (1 << w), hi - (1 << w)) for lo, hi in negative] + positive)
+    return normal([(lo - (1 << w), hi - (1 << w)) for lo, hi in negative] + positive)
 
 
 def volume(b: Box, inputs: Sequence[BvVar]) -> int:
@@ -251,6 +252,11 @@ def points(b: Box, inputs: Sequence[BvVar], cap: int) -> list[tuple[int, ...]]:
         values = (v for lo, hi in _ranges(b.get(x, _full(x)), x) for v in range(lo, hi + 1))
         axes.append(list(itertools.islice(values, cap)))
     return list(itertools.islice(itertools.product(*axes), cap))
+
+
+def contains(b: Box, env: dict[str, int]) -> bool:
+    """Whether ``b`` holds the point ``env``, its unsigned values given by input name."""
+    return all(any(lo <= env[x.name] <= hi for lo, hi in ivs) for x, ivs in b.items())
 
 
 def point_box(inputs: Sequence[BvVar], values: dict[str, int]) -> Box:

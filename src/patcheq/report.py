@@ -236,9 +236,9 @@ def analyze_pair(
 
     if method == "enumerate":
         if enum.case is EnumCase.CASE2:
-            condition = FNot(enum.neq.condition)
+            condition = FNot(enum.neq.condition(s1.inputs))
         else:
-            condition = enum.eq.condition
+            condition = enum.eq.condition(s1.inputs)
         return finish(
             quantify_calls=enum.solver_calls, eq_lower_bound=enum.eq_count_lower_bound,
             exact=enum.exact_eq_count is not None, condition=condition,

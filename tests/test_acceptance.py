@@ -13,14 +13,14 @@ from fractions import Fraction
 from patcheq.classifier import Verdict, eq_check
 from patcheq.enumcount import EnumCase, brute_force_eq_count, enumerate_models
 from patcheq.formula import (
-    FIff, FNot, RangePair, eval_formula, feq, mk_range_constraint, tconst, tvar,
+    FIff, FNot, RangePair, eval_formula, feq, for_, mk_range_constraint, tconst, tvar,
 )
 from patcheq.oracle import SolverSession
 from patcheq.randgen import random_pair
 from patcheq.rangesearch import (
-    RangeSearch, eq_lower_bound_iterative, eq_lower_bound_relational,
-    merge_combined, render_condition_iterative, render_condition_relational,
+    RangeSearch, eq_lower_bound_iterative, eq_lower_bound_relational, merge_combined,
 )
+from patcheq.regions import box_formula
 from patcheq.report import analyze_pair
 from patcheq.summarizer import eval_concrete, summarize
 
@@ -214,9 +214,8 @@ def test_criterion_8_property_suite(cfg, capsys):
                 violations.append((index, "combined max", merged.eq_bound(n), expected_bound))
 
         # (e) the rendered conditions have exactly as many models as reported
-        rel_condition = render_condition_relational(s1.inputs, region_set.vectors())
-        comb_condition = render_condition_iterative(
-            s1.inputs, [merged.intervals(n) for n in range(n_vars)])
+        rel_condition = for_(box_formula(b, s1.inputs) for b in region_set.boxes(s1.inputs))
+        comb_condition = for_(box_formula(b, s1.inputs) for b in merged.boxes(s1.inputs))
         names = [v.name for v in s1.inputs]
         rel_count = comb_count = 0
         for point in itertools.product(*[range(d) for d in domain_sizes]):

@@ -208,6 +208,21 @@ def test_impact_json_reports_enumeration_work(capsys, corpus_dir):
     assert "stats" not in json.loads(out)
 
 
+@pytest.mark.parametrize("method", ["enumerate", "iterative"])
+def test_impact_condition_prints_a_signed_input_in_its_own_reading(capsys, tmp_path, method):
+    files = tmp_path / "original.fn", tmp_path / "patched.fn"
+    files[0].write_text("fn f(x: i8) -> i8 { return x; }")
+    files[1].write_text("fn f(x: i8) -> i8 { if (x == -3) { return x; } return x + 1; }")
+    code, out, _ = run_cli(["impact", *map(str, files), "--algorithm", method,
+                            "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["condition"]["pretty"] == "x == -3"
+    assert data["eq_lower_bound"] == "1"
+    if method == "enumerate":
+        assert data["eq_models"] == [[-3]]
+
+
 def test_impact_json_reports_enumeration_work_after_a_solver_classification(capsys,
                                                                            opaque_files):
     argv = ["impact", *map(str, opaque_files), "--algorithm", "enumerate", "--format", "json"]
@@ -243,7 +258,31 @@ def test_corpus_stable_json_matches_golden(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     code, out, _ = run_cli(["corpus", "corpus/", "--stable", "--format", "json"], capsys)
     assert code == 0
-    assert out == (GOLDEN / "corpus_stable.json").read_text()
+    golden = (GOLDEN / "corpus_stable.json").read_text()
+    difference = first_difference(json.loads(out), json.loads(golden))
+    assert difference is None, difference
+    assert out == golden
+
+
+def first_difference(got, want, where="corpus") -> str | None:
+    """The path to the first case and field where two parsed reports differ, with both values,
+    or None when they are equal; cases are named by their ``name``."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in [*want, *(k for k in got if k not in want)]:
+            if key not in got or key not in want:
+                return f"{where}.{key}: {'missing' if key not in got else 'not in the golden'}"
+            if (found := first_difference(got[key], want[key], f"{where}.{key}")) is not None:
+                return found
+        return None
+    if isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            return f"{where}: {len(got)} entries, golden {len(want)}"
+        for n, (g, w) in enumerate(zip(got, want)):
+            name = w.get("name", n) if isinstance(w, dict) else n
+            if (found := first_difference(g, w, f"{where}[{name}]")) is not None:
+                return found
+        return None
+    return None if got == want else f"{where}: got {got!r}, golden {want!r}"
 
 
 def test_corpus_summaries_match_golden(capsys, corpus_dir):

@@ -117,7 +117,7 @@ def test_box_blocking_counts_lists_and_renders_exactly_width8(cfg, n_params, pai
             assert len(set(side.inputs)) == len(side.inputs) and side.inputs == sorted(side.inputs)
             for point in side.inputs:
                 assert (eval_concrete(f1, point) == eval_concrete(f2, point)) is agree
-            assert count_models(side.condition, s1.inputs) == side.count
+            assert count_models(side.condition(s1.inputs), s1.inputs) == side.count
 
 
 def test_budget_expiry_downgrades_to_case3(cfg):

@@ -198,3 +198,11 @@ def test_pretty_renders_signed_constants():
 
     text = pretty(flt(True, tvar(val), tconst(bvarith.to_unsigned(-22, 32), 32)))
     assert text == "val < -22"
+
+
+def test_pretty_reads_an_equality_constant_in_its_variables_signedness():
+    x8 = BvVar("x", I8, "input")
+    u8 = BvVar("u", U8, "input")
+    assert pretty(feq(tvar(x8), tconst(253, 8))) == "x == -3"
+    assert pretty(feq(tconst(253, 8), tvar(x8))) == "-3 == x"
+    assert pretty(feq(tvar(u8), tconst(253, 8))) == "u == 253"

@@ -12,14 +12,15 @@ from patcheq import bvarith, regions
 from patcheq.classifier import Verdict, eq_check
 from patcheq.enumcount import brute_force_eq_count
 from patcheq.formula import (
-    FALSE, FIff, FNot, RangePair, eval_formula, mk_range_constraint, serialize_formula,
+    FALSE, BvVar, FIff, FNot, RangePair, eval_formula, for_, mk_range_constraint,
+    serialize_formula,
 )
+from patcheq.minilang import SORTS
 from patcheq.oracle import Budget, SolverSession
 from patcheq.randgen import random_pair
 from patcheq.rangesearch import (
-    SUMMARIES, RangeSearch, divide_range, eq_lower_bound_iterative, eq_lower_bound_relational,
-    full_domain, merge_combined, prioritized_divide_range,
-    render_condition_iterative, render_condition_relational,
+    SUMMARIES, RangeSearch, RegionList, RegionSet, divide_range, eq_lower_bound_iterative,
+    eq_lower_bound_relational, full_domain, merge_combined, prioritized_divide_range,
 )
 from patcheq.summarizer import eval_concrete, summarize
 
@@ -604,45 +605,48 @@ def test_answers_without_the_solver_agree_with_brute_force_width8(cfg, monkeypat
     assert negative > 0  # signed sorts' witnesses include negative values
 
 
-# --- condition rendering ---
+# --- result boxes ---
 
 
-def test_render_relational_condition_counts_match_width8(cfg):
-    f1 = fn("fn f(x: u8, y: u8) -> u8 { return x & y; }")
-    f2 = fn("fn f(x: u8, y: u8) -> u8 { if (x > 200 && y > 100) { return 0; } return x & y; }")
-    s1, s2 = summarize(f1), summarize(f2)
-    with RangeSearch(s1, s2, cfg) as rs:
-        out = rs.relational(limit=4)
-    vectors = out.vectors()
-    condition = render_condition_relational(s1.inputs, vectors)
-    count = sum(
-        eval_formula(condition, {"x": x, "y": y})
-        for x, y in itertools.product(range(256), repeat=2)
-    )
-    assert count == eq_lower_bound_relational(vectors)
-    assert count <= brute_force_eq_count(f1, f2).eq_count
+def random_vectors(rng, inputs, depth, split):
+    """Disjoint range vectors: a bisection of the full domain to at most ``depth`` levels,
+    each range split with probability ``split``, each leaf kept or dropped at random."""
+    out, todo = [], [(full_domain(inputs), 0)]
+    while todo:
+        vec, level = todo.pop()
+        if level < depth and rng.random() < split:
+            todo += [(sub, level + 1) for sub in divide_range(vec)]
+        elif rng.random() < 0.5:
+            out.append(vec)
+    return out
 
 
-def test_render_iterative_condition_counts_match_width8(cfg):
-    f1 = fn("fn f(x: i8, y: i8) -> i8 { return x + y; }")
-    f2 = fn("fn f(x: i8, y: i8) -> i8 { if (x > 50) { return 0; } return x + y; }")
-    s1, s2 = summarize(f1), summarize(f2)
-    with RangeSearch(s1, s2, cfg) as rs:
-        out = rs.iterative(limit=8)
-    intervals = [out.intervals(0), out.intervals(1)]
-    condition = render_condition_iterative(s1.inputs, intervals)
-    count = 0
-    for x in range(-128, 128):
-        for y in range(-128, 128):
-            env = {"x": bvarith.to_unsigned(x, 8), "y": bvarith.to_unsigned(y, 8)}
-            count += eval_formula(condition, env)
-    assert count == eq_lower_bound_iterative(intervals, [256, 256])
-
-
-def test_render_empty_condition_is_false():
-    from patcheq.formula import FFalse
-
-    assert isinstance(render_condition_relational((), []), FFalse)
+def test_result_boxes_are_disjoint_count_the_closed_forms_and_render_exactly_width8():
+    x, y = (BvVar(name, SORTS[sort], "input") for name, sort in (("x", "i8"), ("y", "u8")))
+    inputs = (x, y)
+    rng = random.Random(32)
+    points = [(bvarith.to_signed(a, 8), b) for a in range(256) for b in range(256)]
+    results = [RegionSet(), RegionList([[], []])]
+    for _ in range(3):
+        results.append(RegionSet(random_vectors(rng, inputs, 3, 0.5)))
+        results.append(RegionList([random_vectors(rng, (v,), 5, 0.8) for v in inputs]))
+    for result in results:
+        if isinstance(result, RegionSet):
+            bound = eq_lower_bound_relational(result.vectors())
+            region = {p for p in points if any(
+                all(r.lo <= v <= r.hi for r, v in zip(vec, p)) for vec in result.vectors())}
+        else:
+            bound = eq_lower_bound_iterative([result.intervals(n) for n in range(2)], [256, 256])
+            region = {p for p in points if any(
+                r.lo <= v <= r.hi for n, v in enumerate(p) for r in result.intervals(n))}
+        boxes = result.boxes(inputs)
+        for a, b in itertools.combinations(boxes, 2):
+            assert regions.is_empty(regions.meet(a, b))
+        assert sum(regions.volume(b, inputs) for b in boxes) == bound == len(region)
+        condition = for_(regions.box_formula(b, inputs) for b in boxes)
+        assert {p for p in points if eval_formula(
+            condition, {"x": bvarith.to_unsigned(p[0], 8), "y": p[1]})} == region
+    assert for_(regions.box_formula(b, inputs) for b in RegionSet().boxes(inputs)) == FALSE
 
 
 def test_cliprects_condition_equivalent_to_closed_form(cfg):

@@ -11,8 +11,8 @@ from patcheq.formula import (
 )
 from patcheq.minilang import SORTS, IntSort
 from patcheq.regions import (
-    box_formula, complement, decide, decided, intersect, is_empty, meet, narrow, points,
-    range_box, read, volume,
+    box_formula, complement, contains, decide, decided, intersect, is_empty, meet, narrow,
+    points, range_box, read, volume,
 )
 
 from conftest import summary_pair
@@ -183,6 +183,8 @@ def test_box_points_and_formula_over_two_inputs():
         f = box_formula(b, [X, Y])
         assert {(x, y) for x in range(256) for y in range(256)
                 if eval_formula(f, {"x": x, "y": y})} == inside
+        assert {(x, y) for x in range(256) for y in range(256)
+                if contains(b, {"x": x, "y": y})} == inside
 
 
 def test_narrow_reports_whether_every_condition_read():
